@@ -8,10 +8,19 @@ heights are on the distance scale (the square root of twice the increase in
 within-cluster sum of squares), so heights between singletons equal their
 Euclidean distance. Each merge also records the plain distance between the
 merged clusters' centroids, for dendrograms drawn on that scale instead.
+
+Ward is the generic nearest-neighbour-cache algorithm of Müllner (2011,
+"Modern hierarchical, agglomerative clustering algorithms", arXiv:1109.2378):
+every row caches its smallest Ward distance and where it occurs, so a merge
+step reads the global minimum from n cached values instead of the whole
+matrix. It merges in exactly the greedy order, ties included (NN-chain would
+reorder them). Memory is O(n^2); time is O(n^2) on typical data and grows
+towards O(n^3) only when many distances tie at a shared nearest neighbour.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,9 +31,24 @@ from .errors import KstError
 from .rng import DEFAULT_SEED, substream
 
 
+_BLOCK_ELEMENTS = 1 << 18  # entries of one (rows, n, d) difference block: 2 MiB
+
+
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    return (diff * diff).sum(axis=-1)
+    """Squared Euclidean distances between the rows of ``x``, as an n x n array.
+
+    The n x n x d difference broadcast is built a block of rows at a time, so
+    its temporary stays near ``_BLOCK_ELEMENTS`` entries; every entry is
+    summed exactly as the unblocked broadcast sums it.
+    """
+    n, d = x.shape
+    out = np.empty((n, n))
+    rows = max(1, _BLOCK_ELEMENTS // max(1, n * d))
+    for lo in range(0, n, rows):
+        diff = x[lo:lo + rows, None, :] - x[None, :, :]
+        diff *= diff
+        diff.sum(axis=-1, out=out[lo:lo + rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,47 +136,76 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int, float]]
 
     Returns (left, right, height, size, centroid_distance) per step, with
     node ids as in :class:`Dendrogram`. Ties on merge distance are broken by
-    the smallest (min id, max id) pair.
+    the smallest (min id, max id) pair; the merged cluster takes the lower of
+    the two array positions.
+
+    Each active row caches its smallest squared Ward distance and the column
+    where it occurs. A step takes the minimum of the cached values; only the
+    rows whose cached value equals it can be in a pair at that distance, so
+    the tie rule looks at just those rows. After a merge, the merged row and
+    the rows whose cached neighbour was one of the merged pair are rescanned;
+    every other row only compares its cached value with its new distance to
+    the merged cluster. The cache is exact and the arithmetic is the plain
+    Lance-Williams update, so the merges are bit-identical to those of a
+    search over the whole distance matrix at every step.
+
+    Cost: O(n^2) memory. O(n^2) time on typical data; rescans push it
+    towards O(n^3) only when many rows share one nearest neighbour, as
+    with many duplicate rows.
     """
     n = x.shape[0]
-    active = list(range(n))            # positions into the arrays below
-    node_id = list(range(n))
+    if n < 2:
+        return []
+    node_id = np.arange(n)
     size = np.ones(n, dtype=float)
     centroid = np.array(x, dtype=float)
-    d2 = _pairwise_sq(x)               # squared Ward distances between active clusters
+    d2 = _pairwise_sq(x)               # squared Ward distances; inf off the active set
     np.fill_diagonal(d2, np.inf)
+    nn_idx = d2.argmin(axis=1)         # per row: column of its smallest distance
+    nn_val = d2[np.arange(n), nn_idx]  # per row: that distance (inf once merged away)
 
     steps = []
     for t in range(n - 1):
-        sub = d2[np.ix_(active, active)]
-        dmin = float(sub.min())
-        best = None
-        for ai, bi in np.argwhere(sub == dmin):
-            if ai >= bi:
-                continue
-            ida, idb = node_id[active[ai]], node_id[active[bi]]
-            tie = (min(ida, idb), max(ida, idb))
-            if best is None or tie < best[0]:
-                best = (tie, active[ai], active[bi])
-        _, pi, pj = best
+        dmin = float(nn_val.min())
+        if not math.isfinite(dmin):
+            raise KstError("Ward distances overflow float64; rescale the data")
+        # Every row whose cached value is dmin has a partner at dmin, so the
+        # smallest (min id, max id) pair joins the row with the smallest node
+        # id to its partner with the smallest node id.
+        rows = np.flatnonzero(nn_val == dmin)
+        r0 = rows[node_id[rows].argmin()]
+        partners = rows[d2[r0, rows] == dmin]
+        r1 = partners[node_id[partners].argmin()]
+        pi, pj = min(r0, r1), max(r0, r1)
         ni, nj = size[pi], size[pj]
         cdist = float(np.sqrt(((centroid[pi] - centroid[pj]) ** 2).sum()))
-        left, right = sorted((node_id[pi], node_id[pj]))
+        left, right = sorted((int(node_id[pi]), int(node_id[pj])))
         steps.append((left, right, float(np.sqrt(dmin)), int(ni + nj), cdist))
 
-        # Lance-Williams update against every other active cluster
-        others = [p for p in active if p != pi and p != pj]
-        if others:
-            nk = size[others]
-            new = ((ni + nk) * d2[pi, others] + (nj + nk) * d2[pj, others] - nk * dmin) / (
-                ni + nj + nk
-            )
-            d2[pi, others] = new
-            d2[others, pi] = new
+        # Lance-Williams update against every other active cluster, on whole
+        # rows: the inf entries (pi, pj, merged-away rows) stay inf
+        new = ((ni + size) * d2[pi] + (nj + size) * d2[pj] - size * dmin) / (ni + nj + size)
+        d2[pi] = new
+        d2[:, pi] = new
+        d2[pj] = np.inf
+        d2[:, pj] = np.inf
         centroid[pi] = (ni * centroid[pi] + nj * centroid[pj]) / (ni + nj)
         size[pi] = ni + nj
         node_id[pi] = n + t
-        active.remove(pj)
+
+        # Refresh the cache; rows that pointed at the merged pair are rescanned.
+        # A Ward merge never comes closer than a row's nearest neighbour in
+        # exact arithmetic; comparing keeps the cache exact under rounding too.
+        rescan = (nn_idx == pi) | (nn_idx == pj)
+        rescan[pi] = True
+        closer = new < nn_val
+        nn_val[closer] = new[closer]
+        nn_idx[closer] = pi
+        nn_val[pj] = np.inf
+        rescan = np.flatnonzero(rescan)
+        sub = d2[rescan]
+        nn_idx[rescan] = sub.argmin(axis=1)
+        nn_val[rescan] = sub[np.arange(len(rescan)), nn_idx[rescan]]
     return steps
 
 

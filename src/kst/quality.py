@@ -25,6 +25,7 @@ from .cluster import (
     Partition,
     _components_at_k,
     _kmeans_arrays,
+    _pairwise_sq,
     _ward_merge_steps,
     agglomerative_ward,
     cut_dendrogram,
@@ -187,8 +188,7 @@ def silhouette(m: MetricTable, p: Partition) -> float:
     if not 2 <= p.k <= n - 1:
         raise KstError(f"silhouette requires 2 <= k <= {n - 1}, got k={p.k}")
     assign = _check_partition(m, p)
-    diff = m.data[:, None, :] - m.data[None, :, :]
-    dmat = np.sqrt((diff * diff).sum(axis=-1))
+    dmat = np.sqrt(_pairwise_sq(m.data))
     counts = np.bincount(assign, minlength=p.k)
     # sum of distances from each point to every cluster
     sums = np.zeros((n, p.k))
@@ -225,8 +225,7 @@ def dunn_index(m: MetricTable, p: Partition) -> float:
     if p.k < 2:
         raise KstError("dunn_index requires at least 2 clusters")
     assign = _check_partition(m, p)
-    diff = m.data[:, None, :] - m.data[None, :, :]
-    dmat = np.sqrt((diff * diff).sum(axis=-1))
+    dmat = np.sqrt(_pairwise_sq(m.data))
     same = assign[:, None] == assign[None, :]
     diameter = float((dmat * same).max())
     if diameter == 0:
@@ -310,14 +309,16 @@ class GapCurve:
 
 
 def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
-                n_init: int, max_iter: int, *stream_key: int) -> dict[int, np.ndarray]:
-    """Cluster ``x`` once per k with the requested method."""
+                n_init: int, max_iter: int, *stream_key: int,
+                merges: Sequence[tuple[int, int]] | None = None) -> dict[int, np.ndarray]:
+    """Cluster ``x`` once per k with the requested method. ``merges``, when
+    given, are the (left, right) Ward merges of ``x``, so Ward is not rerun."""
     out = {}
     if method == "agglomerative":
-        steps = _ward_merge_steps(x) if x.shape[0] > 1 else []
-        pairs = [(s[0], s[1]) for s in steps]
+        if merges is None:
+            merges = [(s[0], s[1]) for s in _ward_merge_steps(x)]
         for k in ks:
-            comps = _components_at_k(pairs, x.shape[0], k)
+            comps = _components_at_k(merges, x.shape[0], k)
             labels = np.empty(x.shape[0], dtype=int)
             for cid, comp in enumerate(comps):
                 labels[comp] = cid
@@ -361,6 +362,7 @@ def gap_statistic(
     k_min: int = 1,
     n_init: int = 10,
     max_iter: int = 300,
+    _merges: Sequence[tuple[int, int]] | None = None,
 ) -> GapCurve:
     """Gap statistic over k_min..k_max with ``b`` uniform reference datasets.
 
@@ -368,6 +370,8 @@ def gap_statistic(
     features with a degenerate range are generated as constants (they add
     nothing to any distance) and reported in ``dropped_features``. The whole
     curve is a deterministic function of (table, method, parameters, seed).
+    ``_merges`` is private to :func:`select_k`: the (left, right) Ward merges
+    of ``m`` it has already computed.
     """
     if method not in CLUSTER_METHODS:
         raise KstError(f"unknown clustering method {method!r}")
@@ -394,7 +398,7 @@ def gap_statistic(
     rng = substream(seed, 0)
     refs = [rng.uniform(lo, hi, size=x.shape) for _ in range(b)]
 
-    labels_data = _labels_for(x, ks, method, seed, n_init, max_iter, 1)
+    labels_data = _labels_for(x, ks, method, seed, n_init, max_iter, 1, merges=_merges)
     log_w = [_log_dispersion(x, labels_data[k], k) for k in ks]
 
     log_w_ref = np.empty((b, len(ks)))
@@ -515,9 +519,11 @@ def select_k(
         if name != "gap":
             needed.update(_criterion_domain(name, n, ks))
     partitions: dict[int, Partition] = {}
+    ward_merges = None  # reused by the gap statistic, so Ward runs once on m
     if needed:
         if method == "agglomerative":
             dendro = agglomerative_ward(m)
+            ward_merges = [(mg.left, mg.right) for mg in dendro.merges]
             for k in sorted(needed):
                 partitions[k] = cut_dendrogram(dendro, k)
         else:
@@ -548,6 +554,7 @@ def select_k(
             gap_curve = gap_statistic(
                 m, method, gap_ks[-1], gap_b, seed,
                 k_min=gap_ks[0], n_init=n_init, max_iter=max_iter,
+                _merges=ward_merges,
             )
             note = None if _gap_rule_stopped(gap_curve) else \
                 "no k satisfied the gap rule; largest candidate reported"

@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kst.cluster
 from kst.cluster import (
     Dendrogram,
     KMeansModel,
@@ -19,7 +22,7 @@ from kst.cluster import (
     cut_dendrogram,
     kmeans_fit,
 )
-from kst.cluster import _lloyd
+from kst.cluster import _lloyd, _pairwise_sq
 from kst.errors import KstError
 
 from conftest import make_table, two_blob_array
@@ -112,6 +115,131 @@ def test_ward_heights_non_decreasing():
 def test_ward_needs_two_rows():
     with pytest.raises(KstError):
         agglomerative_ward(make_table([[1.0]]))
+
+
+# The full-matrix Ward search that the cached-nearest-neighbour version
+# replaced, kept verbatim as a bit-exact reference: same Lance-Williams
+# arithmetic and tie rule, O(n^3) time.
+
+def _broadcast_pairwise_sq(x: np.ndarray) -> np.ndarray:
+    diff = x[:, None, :] - x[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+def full_matrix_ward(x: np.ndarray) -> list[tuple[int, int, float, int, float]]:
+    n = x.shape[0]
+    active = list(range(n))            # positions into the arrays below
+    node_id = list(range(n))
+    size = np.ones(n, dtype=float)
+    centroid = np.array(x, dtype=float)
+    d2 = _broadcast_pairwise_sq(x)     # squared Ward distances between active clusters
+    np.fill_diagonal(d2, np.inf)
+
+    steps = []
+    for t in range(n - 1):
+        sub = d2[np.ix_(active, active)]
+        dmin = float(sub.min())
+        best = None
+        for ai, bi in np.argwhere(sub == dmin):
+            if ai >= bi:
+                continue
+            ida, idb = node_id[active[ai]], node_id[active[bi]]
+            tie = (min(ida, idb), max(ida, idb))
+            if best is None or tie < best[0]:
+                best = (tie, active[ai], active[bi])
+        _, pi, pj = best
+        ni, nj = size[pi], size[pj]
+        cdist = float(np.sqrt(((centroid[pi] - centroid[pj]) ** 2).sum()))
+        left, right = sorted((node_id[pi], node_id[pj]))
+        steps.append((left, right, float(np.sqrt(dmin)), int(ni + nj), cdist))
+
+        # Lance-Williams update against every other active cluster
+        others = [p for p in active if p != pi and p != pj]
+        if others:
+            nk = size[others]
+            new = ((ni + nk) * d2[pi, others] + (nj + nk) * d2[pj, others] - nk * dmin) / (
+                ni + nj + nk
+            )
+            d2[pi, others] = new
+            d2[others, pi] = new
+        centroid[pi] = (ni * centroid[pi] + nj * centroid[pj]) / (ni + nj)
+        size[pi] = ni + nj
+        node_id[pi] = n + t
+        active.remove(pj)
+    return steps
+
+
+def _assert_same_merges(x: np.ndarray) -> None:
+    got = [
+        (m.left, m.right, m.height, m.size, m.centroid_distance)
+        for m in agglomerative_ward(make_table(x)).merges
+    ]
+    assert got == full_matrix_ward(x)  # exact equality, heights included
+
+
+WARD_INPUTS = ("normal", "grid012", "rounded", "repeated")
+
+
+def _ward_input(kind: str, n: int, d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=(n, d)) * float(rng.uniform(0.5, 20))
+    if kind == "grid012":
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    if kind == "rounded":
+        return np.round(rng.normal(size=(n, d)), 1)
+    base = rng.normal(size=(int(rng.integers(1, 6)), d))
+    return base[rng.integers(0, len(base), size=n)]
+
+
+@given(
+    st.sampled_from(WARD_INPUTS),
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_ward_equals_full_matrix_search(kind, n, d, seed):
+    _assert_same_merges(_ward_input(kind, n, d, seed))
+
+
+def test_ward_equals_full_matrix_search_on_identical_rows():
+    _assert_same_merges(np.full((40, 3), 1.5))
+
+
+def test_ward_rejects_overflowing_distances():
+    with np.errstate(over="ignore"), pytest.raises(KstError, match="overflow"):
+        agglomerative_ward(make_table([[0.0], [1e200], [2e200]]))
+
+
+def test_ward_matches_scipy_linkage():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    x = np.random.default_rng(23).normal(size=(200, 4))
+    merges = agglomerative_ward(make_table(x)).merges
+    link = hierarchy.linkage(x, method="ward")
+    np.testing.assert_allclose([m.height for m in merges], link[:, 2], rtol=1e-12)
+
+    def leaf_sets(pairs):
+        members = {i: frozenset([i]) for i in range(len(x))}
+        out = []
+        for t, (a, b) in enumerate(pairs):
+            out.append({members[a], members[b]})
+            members[len(x) + t] = members[a] | members[b]
+        return out
+
+    ours = leaf_sets([(m.left, m.right) for m in merges])
+    assert ours == leaf_sets([(int(a), int(b)) for a, b in link[:, :2]])
+
+
+@pytest.mark.parametrize("n, d, block", [
+    (0, 3, 100), (1, 3, 100), (12, 1, 100), (33, 4, 100), (50, 9, 100), (64, 12, 100),
+    (600, 8, None),  # the default block: 600 x 600 x 8 entries span several
+])
+def test_pairwise_sq_blocks_equal_full_broadcast(monkeypatch, n, d, block):
+    if block is not None:
+        monkeypatch.setattr(kst.cluster, "_BLOCK_ELEMENTS", block)  # 1 to 8 rows each
+    x = np.random.default_rng(24).normal(size=(n, d)) * 3.0
+    assert np.array_equal(_pairwise_sq(x), _broadcast_pairwise_sq(x))
 
 
 def test_dendrogram_validation():

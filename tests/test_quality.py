@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+import kst.cluster
+import kst.quality
 from kst.cluster import Partition, agglomerative_ward, cut_dendrogram, kmeans_fit
 from kst.errors import KstError
 from kst.quality import (
@@ -339,6 +341,23 @@ def test_select_k_consensus_on_blobs(two_blob_table):
         for name, res in rep.criteria.items():
             assert res.selected_k == 2, (method, name)
         assert rep.gap_curve is not None
+
+
+def test_select_k_runs_ward_once_on_the_data(two_blob_table, monkeypatch):
+    t, _ = two_blob_table
+    calls = []
+    ward = kst.cluster._ward_merge_steps
+
+    def counted(x):
+        calls.append(x.shape)
+        return ward(x)
+
+    monkeypatch.setattr(kst.cluster, "_ward_merge_steps", counted)
+    monkeypatch.setattr(kst.quality, "_ward_merge_steps", counted)
+    rep = select_k(t, "agglomerative", seed=5, gap_b=50)
+    assert len(calls) == 51  # the data once, then each of the 50 references
+    # the shared merges give the curve gap_statistic computes on its own
+    assert rep.gap_curve == gap_statistic(t, "agglomerative", 8, 50, 5)
 
 
 def test_select_k_domain_clipping():
