@@ -33,8 +33,6 @@ from .dataset import (
     descriptor_for,
     merge_platforms,
     parse_samples,
-    read_table_csv,
-    write_table_csv,
 )
 from .errors import KstError, ParseError
 from .preprocess import TransformSpec, apply_transform, fit_transform
@@ -69,13 +67,10 @@ from .report import (
 )
 from .rng import DEFAULT_SEED
 from .similarity import (
-    DistanceMatrix,
     FamilyReport,
     distance,
     family_similarity,
     geometric_mean,
-    nearest_neighbors,
-    pairwise_distances,
 )
 from .stability import (
     StabilityReport,

@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -35,6 +34,7 @@ from .dataset import (
     GPU_TIME_METRIC,
     MetricTable,
     RawSample,
+    _duplicate_key,
     aggregate_trials,
     build_table,
     derive_gpu_rates,
@@ -46,6 +46,8 @@ from .preprocess import fit_transform
 from .quality import (
     ALL_CRITERIA,
     DEFAULT_CRITERIA,
+    _centroids,
+    _check_partition,
     quality_report,
     select_k,
 )
@@ -61,36 +63,6 @@ from .stability import (
 )
 
 SEED_ENV_VAR = "KST_SEED"
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one CLI invocation."""
-
-    command: str
-    inputs: list[str]
-    fmt: str = "auto"
-    platform: str = "auto"
-    size: int | str = ALL_SIZES
-    gpu_size: int | str | None = None
-    log_policy: str = "auto"
-    log_metrics: list[str] = field(default_factory=list)
-    log_ratio: float = 100.0
-    method: str = "agglomerative"
-    k: int = 2
-    k_min: int = 1
-    k_max: int = 8
-    criteria: list[str] = field(default_factory=lambda: list(DEFAULT_CRITERIA))
-    gap_b: int = 50
-    seed: int = DEFAULT_SEED
-    n_init: int = 10
-    max_iter: int = 300
-    out: str = "out"
-    target: str = ""
-    family: list[str] = field(default_factory=list)
-    threshold_pct: float = DEFAULT_THRESHOLD_PCT
-    rel_base: str = "larger"
-    annotations: dict[str, float] = field(default_factory=dict)
 
 
 def _size_policy(text: str) -> int | str:
@@ -119,6 +91,15 @@ def _annotation(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"annotation value is not a number: {text!r}") from None
 
 
+def _comma_list(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _criteria(text: str) -> list[str]:
+    # an empty --criteria means the defaults; "," means none and is rejected later
+    return _comma_list(text) if text else list(DEFAULT_CRITERIA)
+
+
 def _add_common(p: argparse.ArgumentParser, *, dataset: bool = True) -> None:
     p.add_argument("--version", action="version", version=f"kst {__version__}")
     p.add_argument("--input", action="append", required=True, metavar="FILE",
@@ -134,7 +115,7 @@ def _add_common(p: argparse.ArgumentParser, *, dataset: bool = True) -> None:
                        help="GPU problem size when merging platforms (default: --size)")
         p.add_argument("--log", default="auto", choices=("auto", "none", "explicit"),
                        dest="log_policy", help="natural-log policy before standardization")
-        p.add_argument("--log-metrics", default="", metavar="M1,M2",
+        p.add_argument("--log-metrics", type=_comma_list, default=[], metavar="M1,M2",
                        help="metrics to log under --log explicit")
         p.add_argument("--log-ratio", type=float, default=100.0, metavar="R",
                        help="max/min ratio that triggers the log under --log auto")
@@ -164,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="agglomerative", choices=("agglomerative", "kmeans"))
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--criteria", default=",".join(DEFAULT_CRITERIA), metavar="C1,C2",
+    p.add_argument("--criteria", type=_criteria, default=list(DEFAULT_CRITERIA), metavar="C1,C2",
                    help=f"subset of {','.join(ALL_CRITERIA)}")
     p.add_argument("--gap-b", type=int, default=50, metavar="B",
                    help="gap-statistic reference datasets (default: 50)")
@@ -195,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+def _resolve_seed(flag: int | None) -> int:
+    if flag is not None:
+        return flag
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -207,43 +188,17 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return DEFAULT_SEED
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, inputs=list(args.input))
-    cfg.fmt = args.format
-    if hasattr(args, "seed"):
-        cfg.seed = _resolve_seed(args)
-    if hasattr(args, "out"):
-        cfg.out = args.out
-    for name in ("platform", "size", "gpu_size", "log_policy", "log_ratio", "method",
-                 "k", "k_min", "k_max", "gap_b", "n_init", "max_iter", "target",
-                 "threshold_pct", "rel_base"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "log_metrics", ""):
-        cfg.log_metrics = [m.strip() for m in args.log_metrics.split(",") if m.strip()]
-    if getattr(args, "criteria", ""):
-        cfg.criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    if getattr(args, "family", None):
-        cfg.family = list(args.family)
-    if getattr(args, "annotate", None):
-        cfg.annotations = dict(args.annotate)
-    return cfg
-
-
-def _load_samples(cfg: RunConfig) -> list[RawSample]:
+def _load_samples(args: argparse.Namespace) -> list[RawSample]:
     samples: list[RawSample] = []
-    seen: set[tuple] = set()
-    for path in cfg.inputs:
-        fmt = cfg.fmt
+    for path in args.input:
+        fmt = args.format
         if fmt == "auto":
             fmt = "json" if path.endswith(".json") else "csv"
         with open(path, "rb") as fh:
-            parsed = parse_samples(fh, fmt)
-        for s in parsed:
-            if s.key() in seen:
-                raise KstError(f"duplicate sample key {s.key()!r} across input files")
-            seen.add(s.key())
-        samples.extend(parsed)
+            samples.extend(parse_samples(fh, fmt))
+        dup = _duplicate_key(samples)
+        if dup:
+            raise KstError(f"duplicate sample key {samples[dup[1]].key()!r} across input files")
     if not samples:
         raise KstError("input files contain no samples")
     return samples
@@ -270,35 +225,41 @@ def _platform_table(samples: list[RawSample], platform: str, size_policy: int | 
     return build_table(aggregated, DEFAULT_METRICS[platform], size_policy)
 
 
-def _platform_mode(cfg: RunConfig, samples: list[RawSample]) -> str:
+def _platform_mode(args: argparse.Namespace, samples: list[RawSample]) -> str:
     present = {s.platform for s in samples}
-    if cfg.platform != "auto":
-        if cfg.platform in ("cpu", "gpu") and cfg.platform not in present:
-            raise KstError(f"no {cfg.platform} samples in the input")
-        if cfg.platform == "both" and present != {"cpu", "gpu"}:
+    if args.platform != "auto":
+        if args.platform in ("cpu", "gpu") and args.platform not in present:
+            raise KstError(f"no {args.platform} samples in the input")
+        if args.platform == "both" and present != {"cpu", "gpu"}:
             raise KstError("--platform both needs samples from both platforms")
-        return cfg.platform
+        return args.platform
     return "both" if len(present) == 2 else present.pop()
 
 
-def _build_raw_table(cfg: RunConfig, samples: list[RawSample]) -> MetricTable:
-    mode = _platform_mode(cfg, samples)
+def _build_raw_table(args: argparse.Namespace, samples: list[RawSample]) -> MetricTable:
+    mode = _platform_mode(args, samples)
     if mode in ("cpu", "gpu"):
-        return _platform_table(samples, mode, cfg.size)
-    gpu_size = cfg.gpu_size if cfg.gpu_size is not None else cfg.size
-    cpu_table = _platform_table(samples, "cpu", cfg.size)
+        return _platform_table(samples, mode, args.size)
+    gpu_size = args.gpu_size if args.gpu_size is not None else args.size
+    cpu_table = _platform_table(samples, "cpu", args.size)
     gpu_table = _platform_table(samples, "gpu", gpu_size)
     return merge_platforms(cpu_table, gpu_table)
 
 
-def _standardize(cfg: RunConfig, table: MetricTable):
-    if cfg.log_policy == "explicit":
-        if not cfg.log_metrics:
+def _standardize(args: argparse.Namespace, table: MetricTable):
+    if args.log_policy == "explicit":
+        if not args.log_metrics:
             raise KstError("--log explicit requires --log-metrics")
-        policy: str | list[str] = cfg.log_metrics
+        policy: str | list[str] = args.log_metrics
     else:
-        policy = cfg.log_policy
-    return fit_transform(table, policy, auto_ratio=cfg.log_ratio)
+        policy = args.log_policy
+    return fit_transform(table, policy, auto_ratio=args.log_ratio)
+
+
+def _file_stem(label: str) -> str:
+    # percent-escape the path separators and "%" itself, so every label names
+    # a file inside the output directory and distinct labels distinct files
+    return label.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
 
 
 def _write(path: Path, text: str) -> None:
@@ -306,18 +267,18 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def cmd_cluster(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
-    raw = _build_raw_table(cfg, samples)
-    std, spec = _standardize(cfg, raw)
-    out = Path(cfg.out)
+def cmd_cluster(args: argparse.Namespace) -> int:
+    samples = _load_samples(args)
+    raw = _build_raw_table(args, samples)
+    std, spec = _standardize(args, raw)
+    out = Path(args.out)
 
-    if cfg.method == "agglomerative":
+    if args.method == "agglomerative":
         dendro = agglomerative_ward(std)
-        part = cut_dendrogram(dendro, cfg.k)
+        part = cut_dendrogram(dendro, args.k)
         _write(out / "dendrogram.json", emit_report({"dendrogram": dendro}))
     else:
-        model = kmeans_fit(std, cfg.k, cfg.seed, cfg.n_init, cfg.max_iter)
+        model = kmeans_fit(std, args.k, args.seed, args.n_init, args.max_iter)
         part = model.partition()
         _write(out / "kmeans.json", emit_report({"kmeans": model}))
 
@@ -329,15 +290,12 @@ def cmd_cluster(cfg: RunConfig) -> int:
     _write(out / "transform.json", spec.to_json())
 
     if len(std.column_names) >= 2:
-        assign = [part.labels[lab] for lab in std.rows]
-        centroids = [
-            std.data[[a == c for a in assign]].mean(axis=0) for c in range(part.k)
-        ]
+        centroids = _centroids(std, _check_partition(std, part), part.k)
         proj = pca_project(std, centroids)
         _write(out / "projection.json", emit_report({"projection": proj}))
 
     print(f"rows: {len(std.rows)}  metrics: {len(std.column_names)}  "
-          f"method: {cfg.method}  k: {cfg.k}")
+          f"method: {args.method}  k: {args.k}")
     raw_cols = {c.name: c for c in raw.columns}
     for c in range(part.k):
         comp = qr.compactness[c]
@@ -351,37 +309,37 @@ def cmd_cluster(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_select_k(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
-    raw = _build_raw_table(cfg, samples)
-    std, _ = _standardize(cfg, raw)
-    if cfg.k_min > cfg.k_max:
-        raise KstError(f"--k-min {cfg.k_min} exceeds --k-max {cfg.k_max}")
+def cmd_select_k(args: argparse.Namespace) -> int:
+    samples = _load_samples(args)
+    raw = _build_raw_table(args, samples)
+    std, _ = _standardize(args, raw)
+    if args.k_min > args.k_max:
+        raise KstError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     report = select_k(
         std,
-        method=cfg.method,
-        criteria=cfg.criteria,
-        k_range=range(cfg.k_min, cfg.k_max + 1),
-        seed=cfg.seed,
-        gap_b=cfg.gap_b,
-        n_init=cfg.n_init,
-        max_iter=cfg.max_iter,
+        method=args.method,
+        criteria=args.criteria,
+        k_range=range(args.k_min, args.k_max + 1),
+        seed=args.seed,
+        gap_b=args.gap_b,
+        n_init=args.n_init,
+        max_iter=args.max_iter,
     )
-    _write(Path(cfg.out) / "selection.json", emit_report({"selection": report}))
+    _write(Path(args.out) / "selection.json", emit_report({"selection": report}))
     for name, res in report.criteria.items():
         note = f"  ({res.note})" if res.note else ""
         print(f"{name}: k={res.selected_k}{note}")
     print(f"consensus: k={report.consensus_k}")
-    print(f"outputs written to {cfg.out}")
+    print(f"outputs written to {args.out}")
     return 0
 
 
-def cmd_similar(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
-    raw = _build_raw_table(cfg, samples)
-    std, _ = _standardize(cfg, raw)
-    report = family_similarity(std, cfg.target, cfg.family)
-    _write(Path(cfg.out) / "family.json", emit_report({"family": report}))
+def cmd_similar(args: argparse.Namespace) -> int:
+    samples = _load_samples(args)
+    raw = _build_raw_table(args, samples)
+    std, _ = _standardize(args, raw)
+    report = family_similarity(std, args.target, args.family)
+    _write(Path(args.out) / "family.json", emit_report({"family": report}))
 
     def fmt(v: float | None) -> str:
         return "n/a" if v is None else f"{v:.4f}"
@@ -392,14 +350,14 @@ def cmd_similar(cfg: RunConfig) -> int:
     print(f"avg distance to whole family:      {fmt(report.family_avg)}")
     print(f"closest non-family kernel: {report.closest_other[0]} "
           f"at {report.closest_other[1]:.4f} ({report.relative:.2f}x the family average)")
-    print(f"outputs written to {cfg.out}")
+    print(f"outputs written to {args.out}")
     return 0
 
 
-def cmd_stability(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
+def cmd_stability(args: argparse.Namespace) -> int:
+    samples = _load_samples(args)
     present = sorted({s.platform for s in samples})
-    platforms = [cfg.platform] if cfg.platform != "auto" else present
+    platforms = [args.platform] if args.platform != "auto" else present
     missing = [p for p in platforms if p not in present]
     if missing:
         raise KstError(f"no {missing[0]} samples in the input")
@@ -417,17 +375,17 @@ def cmd_stability(cfg: RunConfig) -> int:
                 stability_series(
                     by_kernel[kernel],
                     DEFAULT_METRICS[platform],
-                    threshold_pct=cfg.threshold_pct,
-                    rel_base=cfg.rel_base,
+                    threshold_pct=args.threshold_pct,
+                    rel_base=args.rel_base,
                 )
             )
 
-    out = Path(cfg.out) / "stability"
+    out = Path(args.out) / "stability"
     multi_platform = len({r.kernel for r in reports}) != len(reports)
     for r in reports:
-        name = f"{r.kernel}_{r.platform}" if multi_platform else r.kernel
+        name = _file_stem(r.kernel) + (f"_{r.platform}" if multi_platform else "")
         _write(out / f"{name}.json", emit_report({"stability": r}))
-    summary = stability_summary(reports, cfg.annotations)
+    summary = stability_summary(reports, dict(args.annotate))
     _write(out / "summary.json", emit_report({"stability_summary": summary}))
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
@@ -444,8 +402,8 @@ def cmd_stability(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_ingest_check(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
+def cmd_ingest_check(args: argparse.Namespace) -> int:
+    samples = _load_samples(args)
     aggregated, spreads = aggregate_trials(samples)
     metrics = sorted({name for s in samples for name in s.values})
     worst_cv = 0.0
@@ -486,8 +444,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args.seed)
+        return _COMMANDS[args.command](args)
     except (KstError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return 2

@@ -217,16 +217,30 @@ def agglomerative_ward(m: MetricTable) -> Dendrogram:
     return Dendrogram(m.rows, tuple(Merge(*s) for s in steps))
 
 
-def _components_at_k(
-    steps: Sequence[tuple[int, int]], n: int, k: int
-) -> list[list[int]]:
-    """Leaf index sets after undoing the last k-1 merges."""
+def _assign_at_k(steps: Sequence[tuple[int, int]], n: int, k: int) -> np.ndarray:
+    """Cluster id per leaf after undoing the last k-1 merges."""
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     for t in range(n - k):
         left, right = steps[t][0], steps[t][1]
-        merged = members.pop(left) + members.pop(right)
-        members[n + t] = merged
-    return [sorted(v) for v in members.values()]
+        members[n + t] = members.pop(left) + members.pop(right)
+    assign = np.empty(n, dtype=int)
+    for cid, comp in enumerate(members.values()):
+        assign[comp] = cid
+    return assign
+
+
+def _canonical_ids(
+    rows: Sequence[str], assign: Sequence[int], k: int
+) -> tuple[dict[str, int], list[int]]:
+    """Renumber clusters by descending size, equal sizes ordered by their
+    smallest row label. Returns each row's new id and the old ids in new-id
+    order."""
+    members: list[list[str]] = [[] for _ in range(k)]
+    for label, c in zip(rows, assign):
+        members[c].append(label)
+    order = sorted(range(k), key=lambda c: (-len(members[c]), min(members[c])))
+    new_id = {old: new for new, old in enumerate(order)}
+    return {label: new_id[c] for label, c in zip(rows, assign)}, order
 
 
 def cut_dendrogram(d: Dendrogram, k: int) -> Partition:
@@ -238,13 +252,8 @@ def cut_dendrogram(d: Dendrogram, k: int) -> Partition:
     n = len(d.leaves)
     if not 1 <= k <= n:
         raise KstError(f"k must be between 1 and {n}, got {k}")
-    comps = _components_at_k([(m.left, m.right) for m in d.merges], n, k)
-    ordered = sorted(comps, key=lambda c: (-len(c), min(d.leaves[i] for i in c)))
-    labels = {}
-    for cid, comp in enumerate(ordered):
-        for i in comp:
-            labels[d.leaves[i]] = cid
-    return Partition({lab: labels[lab] for lab in d.leaves}, k)
+    assign = _assign_at_k([(m.left, m.right) for m in d.merges], n, k)
+    return Partition(_canonical_ids(d.leaves, assign.tolist(), k)[0], k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,17 +386,11 @@ def kmeans_fit(
         raise KstError("n_init and max_iter must be >= 1")
     assign, centers, inertia, history = _kmeans_arrays(m.data, k, seed, n_init, max_iter)
 
-    by_cluster: dict[int, list[str]] = {c: [] for c in range(k)}
-    for label, c in zip(m.rows, assign):
-        by_cluster[int(c)].append(label)
-    order = sorted(range(k), key=lambda c: (-len(by_cluster[c]), min(by_cluster[c])))
-    relabel = {old: new for new, old in enumerate(order)}
-    assignments = {label: relabel[int(c)] for label, c in zip(m.rows, assign)}
-    centroids = centers[order]
+    assignments, order = _canonical_ids(m.rows, assign.tolist(), k)
     return KMeansModel(
         k=k,
         assignments=assignments,
-        centroids=centroids,
+        centroids=centers[order],
         inertia=inertia,
         seed=seed,
         iterations=len(history),

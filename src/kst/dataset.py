@@ -19,7 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
 
@@ -215,7 +215,7 @@ def _as_text(source: str | bytes | IO[bytes] | IO[str]) -> str:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        return source.decode("utf-8")
+        return source.decode("utf-8-sig")
     if isinstance(source, str):
         return source
     raise KstError(f"unsupported input source type {type(source).__name__}")
@@ -242,7 +242,8 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
     one row per trial, UTF-8, "." decimal separator, scientific notation
     accepted. An empty metric cell means the metric was not measured for that
     row (this is how mixed CPU/GPU files are expressed). JSON input is an
-    array of flat objects with the same field names.
+    array of objects with the same field names; the metrics are further
+    fields, a ``values`` object mapping metric names to numbers, or both.
     """
     text = _as_text(source)
     if fmt == "csv":
@@ -251,12 +252,22 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
         samples = _parse_json(text)
     else:
         raise KstError(f"unknown input format {fmt!r} (expected 'csv' or 'json')")
+    dup = _duplicate_key(samples)
+    if dup:
+        first, i = dup
+        raise ParseError(f"duplicate sample key {samples[i].key()!r} (records {first} and {i})")
+    return samples
+
+
+def _duplicate_key(samples: Sequence[RawSample]) -> tuple[int, int] | None:
+    """Indices (first, i) of the earliest sample whose key repeats an earlier
+    one, or None when every key is unique."""
     seen: dict[tuple, int] = {}
     for i, s in enumerate(samples):
-        if s.key() in seen:
-            raise ParseError(f"duplicate sample key {s.key()!r} (records {seen[s.key()]} and {i})")
-        seen[s.key()] = i
-    return samples
+        first = seen.setdefault(s.key(), i)
+        if first != i:
+            return first, i
+    return None
 
 
 def _parse_csv(text: str) -> list[RawSample]:
@@ -305,6 +316,16 @@ def _parse_csv(text: str) -> list[RawSample]:
     return samples
 
 
+def _json_int(value: Any, what: str, record: int) -> int:
+    # the CSV rule: integers and integral floats pass; booleans do not
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return _parse_int(str(value), what, None)
+        except ParseError:
+            pass
+    raise ParseError(f"record {record}: {what} is not an integer: {value!r}")
+
+
 def _parse_json(text: str) -> list[RawSample]:
     try:
         doc = json.loads(text)
@@ -322,19 +343,23 @@ def _parse_json(text: str) -> list[RawSample]:
         platform = str(obj["platform"]).lower()
         if platform not in PLATFORMS:
             raise ParseError(f"record {i}: unknown platform {obj['platform']!r}")
+        size = _json_int(obj["problem_size_bytes"], "problem_size_bytes", i)
+        trial = _json_int(obj["trial"], "trial", i)
+        # metrics are flat fields, or sit in a "values" object, or both
+        fields = [(k, v) for k, v in obj.items() if k not in IDENTITY_COLUMNS]
+        mapping = obj.get("values")
+        if isinstance(mapping, dict):
+            fields = [(k, v) for k, v in fields if k != "values"] + list(mapping.items())
         values = {}
-        for name, value in obj.items():
-            if name in IDENTITY_COLUMNS:
-                continue
+        for name, value in fields:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ParseError(f"record {i}: metric {name!r} is not a number: {value!r}")
+            if name in values:
+                raise ParseError(f"record {i}: metric {name!r} given twice")
             values[name] = float(value)
         try:
-            samples.append(
-                RawSample(str(obj["kernel"]), platform, int(obj["problem_size_bytes"]),
-                          int(obj["trial"]), values)
-            )
-        except (KstError, TypeError, ValueError) as exc:
+            samples.append(RawSample(str(obj["kernel"]), platform, size, trial, values))
+        except KstError as exc:
             raise ParseError(f"record {i}: {exc}") from None
     return samples
 
@@ -370,12 +395,12 @@ def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], lis
     Groups are sorted by key, and trials are averaged in trial order, so the
     output does not depend on input ordering.
     """
+    samples = list(samples)
+    dup = _duplicate_key(samples)
+    if dup:
+        raise KstError(f"duplicate sample key {samples[dup[1]].key()!r}")
     groups: dict[tuple[str, str, int], list[RawSample]] = {}
-    seen = set()
     for s in samples:
-        if s.key() in seen:
-            raise KstError(f"duplicate sample key {s.key()!r}")
-        seen.add(s.key())
         groups.setdefault((s.kernel, s.platform, s.problem_size_bytes), []).append(s)
 
     aggregated, spreads = [], []
@@ -504,63 +529,3 @@ def merge_platforms(cpu: MetricTable, gpu: MetricTable) -> MetricTable:
         "dropped_kernels": ",".join(dropped),
     }
     return MetricTable(tuple(common), cpu.columns + gpu.columns, data, meta)
-
-
-def write_table_csv(table: MetricTable, dest: str | IO[str]) -> None:
-    """Write a table as CSV with a leading ``row`` label column.
-
-    Floats are written in their shortest form that parses back to the
-    identical value, so a write/read round trip is exact.
-    """
-    own = isinstance(dest, str)
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(("row",) + table.column_names)
-        for i, label in enumerate(table.rows):
-            writer.writerow([label] + [repr(float(v)) for v in table.data[i]])
-    finally:
-        if own:
-            fh.close()
-
-
-def read_table_csv(
-    source: str | bytes | IO[bytes] | IO[str],
-    columns: Sequence[MetricDescriptor] | None = None,
-) -> MetricTable:
-    """Parse a table written by :func:`write_table_csv`.
-
-    Column descriptors are taken from ``columns`` when given, otherwise
-    looked up by metric name (unknown names get unconstrained descriptors).
-    """
-    text = _as_text(source)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input") from None
-    if not header or header[0] != "row":
-        raise ParseError("table CSV must start with a 'row' column", 1)
-    names = header[1:]
-    if columns is not None:
-        by_name = {c.name: c for c in columns}
-        missing = [n for n in names if n not in by_name]
-        if missing:
-            raise ParseError(f"no descriptor supplied for columns {missing}")
-        descriptors = tuple(by_name[n] for n in names)
-    else:
-        descriptors = tuple(descriptor_for(n) for n in names)
-    labels, rows = [], []
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(row)}", line)
-        labels.append(row[0])
-        try:
-            rows.append([float(cell) for cell in row[1:]])
-        except ValueError as exc:
-            raise ParseError(str(exc), line) from None
-    data = np.array(rows, dtype=float).reshape(len(labels), len(names))
-    return MetricTable(tuple(labels), descriptors, data, {"space": "raw"})

@@ -23,7 +23,7 @@ import numpy as np
 from .cluster import (
     Dendrogram,
     Partition,
-    _components_at_k,
+    _assign_at_k,
     _kmeans_arrays,
     _pairwise_sq,
     _ward_merge_steps,
@@ -318,11 +318,7 @@ def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
         if merges is None:
             merges = [(s[0], s[1]) for s in _ward_merge_steps(x)]
         for k in ks:
-            comps = _components_at_k(merges, x.shape[0], k)
-            labels = np.empty(x.shape[0], dtype=int)
-            for cid, comp in enumerate(comps):
-                labels[comp] = cid
-            out[k] = labels
+            out[k] = _assign_at_k(merges, x.shape[0], k)
     else:
         for k in ks:
             assign, _, _, _ = _kmeans_arrays(

@@ -1,7 +1,9 @@
-"""Euclidean distances between kernels and similarity queries on top of them.
+"""Euclidean distance between kernels and family similarity on top of it.
 
-Smaller distance means more similar behavior. All query results are fully
-deterministic: equal distances are broken by lexicographic label order.
+Smaller distance means more similar behavior. :func:`family_similarity`
+compares one kernel with a glob-defined family of rows and with the closest
+row outside it; equal distances are broken by lexicographic label order.
+:func:`geometric_mean` summarizes such ``relative`` ratios across targets.
 """
 
 from __future__ import annotations
@@ -28,60 +30,6 @@ def distance(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray) -
         raise KstError(f"dimension mismatch: {p.shape} vs {q.shape}")
     d = p - q
     return float(np.sqrt((d * d).sum()))
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Symmetric pairwise distance matrix with row labels."""
-
-    labels: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        n = len(self.labels)
-        if values.shape != (n, n):
-            raise KstError(f"distance matrix shape {values.shape} does not match {n} labels")
-        if len(set(self.labels)) != n:
-            raise KstError("labels must be unique")
-        if n and (np.diagonal(values) != 0).any():
-            raise KstError("distance matrix diagonal must be zero")
-        if n and ((values < 0).any() or not np.allclose(values, values.T, atol=1e-12)):
-            raise KstError("distance matrix must be symmetric and non-negative")
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KstError(f"unknown label {label!r}") from None
-
-
-def pairwise_distances(m: MetricTable) -> DistanceMatrix:
-    """All-pairs Euclidean distances between table rows."""
-    x = m.data
-    diff = x[:, None, :] - x[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    return DistanceMatrix(m.rows, d)
-
-
-def nearest_neighbors(m: MetricTable, target: str, k: int) -> list[tuple[str, float]]:
-    """The k rows closest to ``target``, ascending by distance.
-
-    Equal distances are ordered lexicographically by label. ``target`` itself
-    is excluded.
-    """
-    i = m.index_of(target)
-    if not 1 <= k <= len(m.rows) - 1:
-        raise KstError(f"k must be between 1 and {len(m.rows) - 1}, got {k}")
-    diff = m.data - m.data[i]
-    dists = np.sqrt((diff * diff).sum(axis=1))
-    order = sorted(
-        ((float(dists[j]), label) for j, label in enumerate(m.rows) if j != i)
-    )
-    return [(label, d) for d, label in order[:k]]
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,22 @@ def test_bad_env_seed_is_reported(tmp_path, capsys, cpu_csv, monkeypatch):
     assert SEED_ENV_VAR in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("select-k", "--size", "4194304"),
+    ("similar", "--target", "Apps_K00", "--family", "Apps_*"),
+    ("stability",),
+])
+def test_bad_env_seed_fails_every_seeded_command(tmp_path, capsys, cpu_csv, monkeypatch, argv):
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    code, out, err = run(capsys, argv[0], "--input", cpu_csv, *argv[1:], "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "KstError",
+                               "message": f"${SEED_ENV_VAR} is not an integer: 'abc'"}
+    assert not (tmp_path / "o").exists()
+    # ingest-check takes no seed, so the variable is not read
+    assert run(capsys, "ingest-check", "--input", cpu_csv)[0] == 0
+
+
 def test_cluster_merged_platforms(tmp_path, capsys, cpu_csv, gpu_csv):
     out = tmp_path / "out"
     code, stdout, _ = run(capsys, "cluster", "--input", cpu_csv, "--input", gpu_csv,
@@ -229,6 +245,23 @@ def test_stability_platform_suffix_on_collision(tmp_path, capsys, cpu_csv, gpu_c
     assert not (stab / "Apps_K00.json").exists()
 
 
+def test_stability_file_names_stay_inside_out(tmp_path, capsys):
+    kernels = ["../../escaped", "a/b", "a%2Fb", "a\\b", "plain"]
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_cpu_csv(inputs / "cpu.csv", kernels=kernels)
+    out = tmp_path / "a" / "b" / "out"
+    code, _, _ = run(capsys, "stability", "--input", inputs / "cpu.csv", "--out", out)
+    assert code == 0
+    written = {p for p in tmp_path.rglob("*") if p.is_file()} - {inputs / "cpu.csv"}
+    assert all(out / "stability" in p.parents for p in written)
+    names = sorted(p.name for p in written)
+    assert names == sorted(["..%2F..%2Fescaped.json", "a%2Fb.json", "a%252Fb.json",
+                            "a%5Cb.json", "plain.json", "summary.json", "summary.csv"])
+    doc = parse_report((out / "stability" / "a%252Fb.json").read_text())
+    assert doc["stability"]["kernel"] == "a%2Fb"
+
+
 def test_stability_requested_platform_must_exist(tmp_path, capsys, cpu_csv):
     code, _, err = run(capsys, "stability", "--input", cpu_csv, "--platform", "gpu",
                        "--out", tmp_path / "o")
@@ -288,6 +321,18 @@ def test_duplicate_samples_across_files(tmp_path, capsys, cpu_csv):
     code, _, err = run(capsys, "ingest-check", "--input", cpu_csv, "--input", cpu_csv)
     assert code == 2
     assert "duplicate" in json.loads(err)["message"]
+
+
+def test_duplicate_across_files_reported_before_later_files_parse(tmp_path, capsys, cpu_csv):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("kernel,platform,problem_size_bytes,trial,m\nK,cpu,xyz,0,1.0\n")
+    code, _, err = run(capsys, "ingest-check", "--input", cpu_csv, "--input", cpu_csv,
+                       "--input", bad)
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "KstError",
+        "message": "duplicate sample key ('Apps_K00', 'cpu', 1048576, 0) across input files",
+    }
 
 
 def test_error_output_is_single_json_line(tmp_path, capsys):

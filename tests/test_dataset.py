@@ -19,8 +19,6 @@ from kst.dataset import (
     descriptor_for,
     merge_platforms,
     parse_samples,
-    read_table_csv,
-    write_table_csv,
 )
 from kst.errors import KstError, ParseError
 
@@ -163,6 +161,17 @@ def test_parse_csv_duplicate_key_rejected():
     assert "duplicate" in str(exc.value)
 
 
+def test_duplicate_key_messages():
+    row = ["K1", "cpu", 1024, 0, 0.1, 0.7, 0.05, 0.05]
+    other = ["K2", "cpu", 1024, 0, 0.1, 0.7, 0.05, 0.05]
+    with pytest.raises(ParseError, match=r"^duplicate sample key \('K1', 'cpu', 1024, 0\) "
+                                         r"\(records 0 and 2\)$"):
+        parse_samples(csv_bytes(CPU_HEADER, [row, other, row]))
+    (s,) = parse_samples(csv_bytes(CPU_HEADER, [row]))
+    with pytest.raises(KstError, match=r"^duplicate sample key \('K1', 'cpu', 1024, 0\)$"):
+        aggregate_trials(x for x in (s, s))
+
+
 def test_parse_csv_accepts_bytes_and_file_objects():
     text = csv_bytes(CPU_HEADER, [["K1", "cpu", 1024, 0, 0.1, 0.7, 0.05, 0.05]])
     assert parse_samples(text.encode()) == parse_samples(io.StringIO(text))
@@ -191,6 +200,48 @@ def test_parse_json_rejects_missing_identity():
     payload = json.dumps([{"kernel": "K1", "platform": "cpu", "trial": 0}])
     with pytest.raises(ParseError):
         parse_samples(payload, fmt="json")
+
+
+def _json_record(**fields):
+    record = {"kernel": "K1", "platform": "cpu", "problem_size_bytes": 4096, "trial": 0}
+    record.update(fields)
+    return record
+
+
+def test_parse_json_values_mapping_matches_flat_form():
+    flat = _json_record(**{"topdown.core_bound": 0.25, "topdown.memory_bound": 0.5})
+    nested = _json_record(values={"topdown.core_bound": 0.25, "topdown.memory_bound": 0.5})
+    assert (parse_samples(json.dumps([nested]), fmt="json")
+            == parse_samples(json.dumps([flat]), fmt="json"))
+
+
+def test_parse_json_values_mapping_with_flat_metrics():
+    rec = _json_record(values={"a": 1.0}, b=2)
+    (s,) = parse_samples(json.dumps([rec]), fmt="json")
+    assert s.values == {"a": 1.0, "b": 2.0}
+    with pytest.raises(ParseError, match="given twice"):
+        parse_samples(json.dumps([_json_record(values={"a": 1.0}, a=1.0)]), fmt="json")
+    with pytest.raises(ParseError, match="not a number"):
+        parse_samples(json.dumps([_json_record(values={"a": "1.0"})]), fmt="json")
+
+
+@pytest.mark.parametrize("field", ["problem_size_bytes", "trial"])
+@pytest.mark.parametrize("value", [1024.7, True, False, None, [1], "x"])
+def test_parse_json_rejects_non_integral_identity(field, value):
+    with pytest.raises(ParseError, match=f"{field} is not an integer"):
+        parse_samples(json.dumps([_json_record(**{field: value})]), fmt="json")
+
+
+def test_parse_json_accepts_integral_floats_like_csv():
+    (s,) = parse_samples(json.dumps([_json_record(problem_size_bytes=1e6, trial=2.0, m=1)]),
+                         fmt="json")
+    assert (s.problem_size_bytes, s.trial) == (1000000, 2)
+    assert isinstance(s.problem_size_bytes, int) and isinstance(s.trial, int)
+
+
+def test_parse_csv_with_utf8_bom():
+    text = csv_bytes(CPU_HEADER, [["K1", "cpu", 1024, 0, 0.1, 0.7, 0.05, 0.05]])
+    assert parse_samples(b"\xef\xbb\xbf" + text.encode()) == parse_samples(text.encode())
 
 
 def test_unknown_format_rejected():
@@ -345,25 +396,3 @@ def test_merge_platforms_column_collision_rejected():
     b = make_table([[1.0]], rows=("a",), columns=(descriptor_for("same"),))
     with pytest.raises(KstError):
         merge_platforms(a, b)
-
-
-# ------------------------------------------------------------- CSV round trip
-
-def test_table_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    t = make_table(rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-8, 8, size=(5, 3)))
-    p = tmp_path / "t.csv"
-    with open(p, "w") as fh:
-        write_table_csv(t, fh)
-    with open(p) as fh:
-        back = read_table_csv(fh, columns=t.columns)
-    assert back.rows == t.rows
-    assert back.column_names == t.column_names
-    # repr round-trip must be exact, not approximate
-    assert np.array_equal(back.data, t.data)
-
-
-def test_read_table_csv_uses_registry_when_no_columns_given():
-    text = "row,topdown.core_bound\nk0,0.25\n"
-    t = read_table_csv(io.StringIO(text))
-    assert t.columns[0].kind == "fraction"

@@ -1,0 +1,64 @@
+"""The README's input examples run as documented."""
+
+import csv
+import io
+import json
+import re
+from pathlib import Path
+
+from kst.cli import main
+from kst.dataset import IDENTITY_COLUMNS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(lang: str) -> str:
+    blocks = re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks, f"README.md has no {lang} block"
+    return blocks[0]
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_readme_csv_example(tmp_path, capsys):
+    p = tmp_path / "runs.csv"
+    p.write_text(readme_block("csv"))
+    assert run(capsys, "ingest-check", "--input", p)[0] == 0
+    code, _, err = run(capsys, "cluster", "--input", p, "--size", 1048576, "-k", 2,
+                       "--out", tmp_path / "out")
+    assert code == 0, err
+
+
+def test_readme_json_values_form_matches_csv(tmp_path, capsys):
+    text = readme_block("csv")
+    records = []
+    for row in csv.DictReader(io.StringIO(text)):
+        record = {k: row[k] for k in IDENTITY_COLUMNS}
+        record["problem_size_bytes"] = int(record["problem_size_bytes"])
+        record["trial"] = int(record["trial"])
+        record["values"] = {k: float(v) for k, v in row.items() if k not in IDENTITY_COLUMNS}
+        records.append(record)
+    csv_path, json_path = tmp_path / "runs.csv", tmp_path / "runs.json"
+    csv_path.write_text(text)
+    json_path.write_text(json.dumps(records))
+    from_csv = run(capsys, "ingest-check", "--input", csv_path)
+    from_json = run(capsys, "ingest-check", "--input", json_path)
+    assert from_csv[0] == 0
+    assert from_json == from_csv
+
+
+def test_readme_json_examples_parse(tmp_path, capsys):
+    blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 2  # the values-mapping form and the flat form
+    outputs = []
+    for i, block in enumerate(blocks):
+        p = tmp_path / f"example{i}.json"
+        p.write_text(block)
+        code, out, err = run(capsys, "ingest-check", "--input", p)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

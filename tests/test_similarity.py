@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from kst.errors import KstError
 from kst.similarity import (
-    DistanceMatrix,
     FamilyReport,
     distance,
     family_similarity,
     geometric_mean,
-    nearest_neighbors,
-    pairwise_distances,
 )
 
 from conftest import make_table
@@ -58,50 +55,6 @@ def test_distance_triangle_inequality(d, seed):
     rng = np.random.default_rng(seed)
     p, q, r = rng.normal(size=(3, d)) * 100
     assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-9
-
-
-def test_pairwise_matches_scalar_calls():
-    rng = np.random.default_rng(8)
-    t = make_table(rng.normal(size=(6, 4)))
-    m = pairwise_distances(t)
-    for i in range(6):
-        for j in range(6):
-            want = distance(t.data[i], t.data[j])
-            assert m.values[i, j] == pytest.approx(want, abs=1e-12)
-    assert np.array_equal(m.values, m.values.T)
-    assert np.all(np.diag(m.values) == 0.0)
-    assert m.labels == t.rows
-
-
-def test_distance_matrix_validation():
-    with pytest.raises(KstError):
-        DistanceMatrix(("a", "b"), np.zeros((3, 3)))
-    asym = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(KstError):
-        DistanceMatrix(("a", "b"), asym)
-    neg = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    with pytest.raises(KstError):
-        DistanceMatrix(("a", "b"), neg)
-
-
-def test_nearest_neighbors_ordering():
-    t = make_table([[0.0], [3.0], [1.0], [7.0]], rows=("o", "b", "a", "c"))
-    assert nearest_neighbors(t, "o", 3) == [("a", 1.0), ("b", 3.0), ("c", 7.0)]
-
-
-def test_nearest_neighbors_tie_breaks_by_label():
-    t = make_table([[0.0], [2.0], [-2.0]], rows=("o", "z", "a"))
-    assert nearest_neighbors(t, "o", 2) == [("a", 2.0), ("z", 2.0)]
-
-
-def test_nearest_neighbors_k_bounds():
-    t = make_table([[0.0], [1.0]], rows=("o", "a"))
-    with pytest.raises(KstError):
-        nearest_neighbors(t, "o", 0)
-    with pytest.raises(KstError):
-        nearest_neighbors(t, "o", 2)
-    with pytest.raises(KstError):
-        nearest_neighbors(t, "missing", 1)
 
 
 # ------------------------------------------------------------------- family
