@@ -258,8 +258,10 @@ def _standardize(args: argparse.Namespace, table: MetricTable):
 
 def _file_stem(label: str) -> str:
     # percent-escape the path separators and "%" itself, so every label names
-    # a file inside the output directory and distinct labels distinct files
-    return label.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
+    # a file inside the output directory and distinct labels distinct files;
+    # "summary" escapes its first letter so it cannot overwrite summary.json
+    stem = label.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
+    return "%73ummary" if stem == "summary" else stem
 
 
 def _write(path: Path, text: str) -> None:

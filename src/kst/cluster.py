@@ -16,6 +16,15 @@ step reads the global minimum from n cached values instead of the whole
 matrix. It merges in exactly the greedy order, ties included (NN-chain would
 reorder them). Memory is O(n^2); time is O(n^2) on typical data and grows
 towards O(n^3) only when many distances tie at a shared nearest neighbour.
+
+k-means runs the ``n_init`` replicates of a fit batched through one Lloyd
+loop on (replicates, n, k) arrays; each replicate draws its k-means++ seeds
+from its own random sub-stream and stops on its own. Every squared distance
+goes through :func:`_sq_dist`, which adds the columns in numpy's own
+summation order. For d >= 2 the results are bit-identical to fitting each
+replicate alone with numpy's ``sum`` and per-cluster ``mean``; for d = 1
+centroids and inertia can differ from that in the last bits (see
+:func:`_kmeans_arrays`).
 """
 
 from __future__ import annotations
@@ -31,23 +40,69 @@ from .errors import KstError
 from .rng import DEFAULT_SEED, substream
 
 
-_BLOCK_ELEMENTS = 1 << 18  # entries of one (rows, n, d) difference block: 2 MiB
+_BLOCK_ELEMENTS = 1 << 18  # float64 entries per block of distance work: 2 MiB
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray, pairwise: bool = True) -> np.ndarray:
+    """Squared Euclidean distance between ``a`` and ``b`` along their last
+    axis, the other axes broadcast against each other.
+
+    Bit-identical to ``((a - b) ** 2).sum(axis=-1)`` without building the
+    (..., d) difference array. numpy sums over an axis in the order it lies
+    in memory: pairwise when the axis is innermost (sequential below 8
+    entries; eight interleaved partial sums up to 128, then the rest in
+    order; above 128 the halves split at a multiple of 8), left to right
+    when it is not. ``pairwise`` picks which of the two this reproduces.
+    """
+    def col(j):
+        t = a[..., j] - b[..., j]
+        t *= t
+        return t
+
+    def add(lo, hi):
+        n = hi - lo
+        if n < 8 or not pairwise:
+            res = col(lo)
+            for j in range(lo + 1, hi):
+                res += col(j)
+            return res
+        if n <= 128:
+            r = [col(lo + j) for j in range(8)]
+            i = lo + 8
+            while i < hi - n % 8:
+                for j in range(8):
+                    r[j] += col(i + j)
+                i += 8
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for j in range(i, hi):
+                res += col(j)
+            return res
+        half = n // 2 - n // 2 % 8
+        return add(lo, lo + half) + add(lo + half, hi)
+
+    if not a.shape[-1]:
+        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    return add(0, a.shape[-1])
+
+
+def _row_major(x: np.ndarray) -> bool:
+    """Whether x's columns lie closer in memory than its rows. A difference
+    ``x[...] - v`` then has its columns innermost and numpy sums it pairwise;
+    on a column-major table (as the CLI builds) it sums left to right."""
+    return abs(x.strides[1]) < abs(x.strides[0])
 
 
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x``, as an n x n array.
 
-    The n x n x d difference broadcast is built a block of rows at a time, so
-    its temporary stays near ``_BLOCK_ELEMENTS`` entries; every entry is
-    summed exactly as the unblocked broadcast sums it.
+    Built a block of rows at a time, each block spanning about
+    ``_BLOCK_ELEMENTS`` coordinate differences, so temporaries stay small.
     """
     n, d = x.shape
     out = np.empty((n, n))
     rows = max(1, _BLOCK_ELEMENTS // max(1, n * d))
     for lo in range(0, n, rows):
-        diff = x[lo:lo + rows, None, :] - x[None, :, :]
-        diff *= diff
-        diff.sum(axis=-1, out=out[lo:lo + rows])
+        out[lo:lo + rows] = _sq_dist(x[lo:lo + rows, None, :], x[None, :, :], _row_major(x))
     return out
 
 
@@ -178,7 +233,7 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int, float]]
         r1 = partners[node_id[partners].argmin()]
         pi, pj = min(r0, r1), max(r0, r1)
         ni, nj = size[pi], size[pj]
-        cdist = float(np.sqrt(((centroid[pi] - centroid[pj]) ** 2).sum()))
+        cdist = float(np.sqrt(_sq_dist(centroid[pi], centroid[pj])))
         left, right = sorted((int(node_id[pi]), int(node_id[pj])))
         steps.append((left, right, float(np.sqrt(dmin)), int(ni + nj), cdist))
 
@@ -301,7 +356,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     centers = np.empty((k, x.shape[1]), dtype=float)
     idx = int(rng.integers(n))
     centers[0] = x[idx]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_dist(x, centers[0], _row_major(x))
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -309,59 +364,109 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.integers(n))  # all remaining mass zero: uniform fallback
         centers[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dist(x, centers[j], _row_major(x)))
     return centers
+
+
+def _repair_empty(
+    x: np.ndarray, d2: np.ndarray, assign: np.ndarray, counts: np.ndarray, centers: np.ndarray
+) -> bool:
+    """Give each empty cluster of one replicate a point, in place; True if
+    there was one.
+
+    The point farthest from its assigned centroid becomes the empty cluster's
+    singleton centroid. Only points in clusters with >= 2 members are
+    candidates, so a repair never empties another cluster (such a point
+    always exists: n >= k).
+    """
+    n = x.shape[0]
+    empty = np.flatnonzero(counts == 0)
+    for cid in empty:
+        dist_own = d2[np.arange(n), assign]
+        dist_own[counts[assign] < 2] = -np.inf
+        far = int(dist_own.argmax())
+        counts[assign[far]] -= 1
+        counts[cid] += 1
+        assign[far] = cid
+        centers[cid] = x[far]
+    return len(empty) > 0
 
 
 def _lloyd(
     x: np.ndarray, centers: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    n, k = x.shape[0], centers.shape[0]
+) -> list[tuple[np.ndarray, np.ndarray, float, list[float]]]:
+    """Lloyd's algorithm for a batch of replicates started from ``centers``
+    of shape (replicates, k, d); returns (assign, centers, inertia, history)
+    per replicate.
+
+    Each pass moves every live replicate one step on (replicates, n, k)
+    arrays. A replicate stops once its assignment repeats with no repair and
+    then leaves the batch, so each ends exactly where it would alone.
+    """
+    n, d = x.shape
+    k = centers.shape[1]
     centers = np.array(centers, dtype=float)
+    xcols = np.tile(x.T, (1, len(centers)))  # column j of x once per replicate
+    live = np.arange(len(centers))
+    history: list[list[float]] = [[] for _ in live]
+    out: list = [None] * len(live)
     prev = None
-    history: list[float] = []
     for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        assign = d2.argmin(axis=1)  # ties go to the lowest cluster id
-        repaired = False
-        counts = np.bincount(assign, minlength=k)
-        for cid in range(k):
-            if counts[cid]:
-                continue
-            # Empty cluster: the point farthest from its assigned centroid
-            # becomes this cluster's new singleton centroid. Only points in
-            # clusters with >= 2 members are candidates, so a repair never
-            # empties another cluster (such a point always exists: n >= k).
-            repaired = True
-            dist_own = d2[np.arange(n), assign]
-            dist_own[counts[assign] < 2] = -np.inf
-            far = int(dist_own.argmax())
-            counts[assign[far]] -= 1
-            counts[cid] += 1
-            assign[far] = cid
-            centers[cid] = x[far]
-            d2[far] = ((x[far] - centers) ** 2).sum(axis=-1)
-        if prev is not None and not repaired and np.array_equal(assign, prev):
-            break
-        for cid in range(k):
-            centers[cid] = x[assign == cid].mean(axis=0)
-        inertia = float(((x - centers[assign]) ** 2).sum())
-        history.append(inertia)
+        d2 = _sq_dist(x[None, :, None, :], centers[live][:, None, :, :], _row_major(x))
+        assign = d2.argmin(axis=2)  # ties go to the lowest cluster id
+        offset = k * np.arange(len(live))[:, None]
+        counts = np.bincount((assign + offset).ravel(), minlength=offset.size * k).reshape(-1, k)
+        repaired = np.zeros(len(live), dtype=bool)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            repaired[i] = _repair_empty(x, d2[i], assign[i], counts[i], centers[live[i]])
+        if prev is not None:
+            done = ~repaired & (assign == prev).all(axis=1)
+            for i in np.flatnonzero(done):
+                r = live[i]
+                out[r] = (prev[i], centers[r], history[r][-1], history[r])
+            live, assign, counts = live[~done], assign[~done], counts[~done]
+            if not len(live):
+                return out
+        a = len(live)
+        bins = (assign + k * np.arange(a)[:, None]).ravel()
+        new = np.empty((a, k, d))
+        for j in range(d):
+            new[:, :, j] = np.bincount(bins, xcols[j, :a * n], minlength=a * k).reshape(a, k)
+        new /= counts[:, :, None]
+        diff = x - new[np.arange(a)[:, None], assign]
+        diff *= diff
+        inertia = diff.reshape(a, n * d).sum(axis=1)
+        for r, value in zip(live, inertia.tolist()):
+            history[r].append(value)
+        centers[live] = new
         prev = assign
-    return prev, centers, history[-1], history
+    for i, r in enumerate(live):
+        out[r] = (prev[i], centers[r], history[r][-1], history[r])
+    return out
 
 
 def _kmeans_arrays(
     x: np.ndarray, k: int, seed: int, n_init: int, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Best of n_init replicates; replicate r draws from sub-stream (seed, r)."""
+    """Best of n_init replicates; replicate r draws its k-means++ seeds from
+    sub-stream (seed, r), and ties on inertia keep the earliest replicate.
+
+    The replicates run batched through one Lloyd loop, as many per batch as
+    keep the (replicates, n, k) distance array near ``_BLOCK_ELEMENTS``
+    entries. For d >= 2 every replicate's result is bit-identical to a
+    one-replicate Lloyd loop that takes each centroid as the cluster's
+    ``mean``. Centroid sums here are added in row order, and for d = 1 such a
+    ``mean`` adds pairwise instead, so at d = 1 centroids and inertia can
+    differ from it in the last bits (ULP), and on tied distances so can an
+    assignment.
+    """
+    init = np.array([_kmeanspp_init(x, k, substream(seed, r)) for r in range(n_init)])
+    batch = max(1, _BLOCK_ELEMENTS // (x.shape[0] * k))
     best = None
-    for r in range(n_init):
-        rng = substream(seed, r)
-        init = _kmeanspp_init(x, k, rng)
-        assign, centers, inertia, history = _lloyd(x, init, max_iter)
-        if best is None or inertia < best[2]:
-            best = (assign, centers, inertia, history)
+    for lo in range(0, n_init, batch):
+        for result in _lloyd(x, init[lo:lo + batch], max_iter):
+            if best is None or result[2] < best[2]:
+                best = result
     return best
 
 

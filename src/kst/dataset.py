@@ -329,7 +329,7 @@ def _json_int(value: Any, what: str, record: int) -> int:
 def _parse_json(text: str) -> list[RawSample]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise ParseError("JSON input must be an array of objects")
@@ -356,7 +356,10 @@ def _parse_json(text: str) -> list[RawSample]:
                 raise ParseError(f"record {i}: metric {name!r} is not a number: {value!r}")
             if name in values:
                 raise ParseError(f"record {i}: metric {name!r} given twice")
-            values[name] = float(value)
+            try:
+                values[name] = float(value)
+            except OverflowError:  # a JSON integer beyond the float range
+                raise ParseError(f"record {i}: metric {name!r} is too large for a float") from None
         try:
             samples.append(RawSample(str(obj["kernel"]), platform, size, trial, values))
         except KstError as exc:

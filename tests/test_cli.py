@@ -262,6 +262,17 @@ def test_stability_file_names_stay_inside_out(tmp_path, capsys):
     assert doc["stability"]["kernel"] == "a%2Fb"
 
 
+def test_stability_kernel_named_summary_keeps_its_report(tmp_path, capsys):
+    inputs = tmp_path / "cpu.csv"
+    write_cpu_csv(inputs, kernels=["summary", "other"])
+    code, _, _ = run(capsys, "stability", "--input", inputs, "--out", tmp_path / "o")
+    assert code == 0
+    out = tmp_path / "o" / "stability"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "%73ummary.json", "other.json", "summary.csv", "summary.json"]
+    assert parse_report((out / "%73ummary.json").read_text())["stability"]["kernel"] == "summary"
+    assert "stability_summary" in parse_report((out / "summary.json").read_text())
+
 def test_stability_requested_platform_must_exist(tmp_path, capsys, cpu_csv):
     code, _, err = run(capsys, "stability", "--input", cpu_csv, "--platform", "gpu",
                        "--out", tmp_path / "o")
@@ -294,6 +305,20 @@ def test_ingest_check_json_input(tmp_path, capsys):
     code, stdout, _ = run(capsys, "ingest-check", "--input", p)
     assert code == 0
     assert parse_report(stdout)["ingest"]["samples"] == 2
+
+
+@pytest.mark.parametrize("digits, message", [
+    (400, "record 0: metric 'm' is too large for a float"),  # beyond the float range
+    (5000, "invalid JSON"),  # beyond Python's integer-to-string limit
+], ids=["float-range", "str-digits-limit"])
+def test_ingest_check_json_integer_too_large(tmp_path, capsys, digits, message):
+    p = tmp_path / "s.json"
+    p.write_text('[{"kernel": "K", "platform": "cpu", "problem_size_bytes": 1024, '
+                 f'"trial": 0, "m": 1{"0" * digits}}}]')
+    code, stdout, err = run(capsys, "ingest-check", "--input", p)
+    assert (code, stdout) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and doc["message"].startswith(message)
 
 
 # ---------------------------------------------------------------- exit codes

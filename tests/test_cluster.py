@@ -6,6 +6,7 @@ arithmetic with the incremental implementation under test.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from kst.cluster import (
     cut_dendrogram,
     kmeans_fit,
 )
-from kst.cluster import _lloyd, _pairwise_sq
+from kst.cluster import _kmeans_arrays, _kmeanspp_init, _lloyd, _pairwise_sq, _sq_dist
 from kst.errors import KstError
+from kst.rng import substream
 
 from conftest import make_table, two_blob_array
 
@@ -239,7 +241,18 @@ def test_pairwise_sq_blocks_equal_full_broadcast(monkeypatch, n, d, block):
     if block is not None:
         monkeypatch.setattr(kst.cluster, "_BLOCK_ELEMENTS", block)  # 1 to 8 rows each
     x = np.random.default_rng(24).normal(size=(n, d)) * 3.0
-    assert np.array_equal(_pairwise_sq(x), _broadcast_pairwise_sq(x))
+    for x in (x, np.asfortranarray(x)):  # numpy sums the two layouts in different orders
+        assert np.array_equal(_pairwise_sq(x), _broadcast_pairwise_sq(x))
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 127, 128, 129, 130, 257])
+def test_sq_dist_equals_numpy_sum(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(6, 1, d)) * 5.0
+    b = rng.normal(size=(1, 4, d))
+    assert np.array_equal(_sq_dist(a, b), ((a - b) ** 2).sum(axis=-1))
+    x = np.asfortranarray(a[:, 0])  # columns outermost: numpy adds them in order
+    assert np.array_equal(_sq_dist(x, b[0, 0], pairwise=False), ((x - b[0, 0]) ** 2).sum(axis=1))
 
 
 def test_dendrogram_validation():
@@ -385,9 +398,157 @@ def test_lloyd_empty_cluster_repair():
     # be repaired with the farthest point of a multi-member cluster
     x = np.array([[0.0], [1.0], [10.0]])
     centers = np.array([[0.0], [0.0]])
-    assign, _, inertia, _ = _lloyd(x, centers, max_iter=50)
+    [(assign, _, inertia, _)] = _lloyd(x, centers[None], max_iter=50)
     assert set(assign.tolist()) == {0, 1}
     assert inertia == pytest.approx(0.5)  # {0,1} + {10} is the optimum here
+
+
+# The per-replicate k-means that the batched Lloyd loop replaced, kept
+# verbatim as a bit-exact reference: one replicate at a time, distances from
+# the (n, k, d) broadcast, each centroid a per-cluster mean.
+
+def _reference_kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]), dtype=float)
+    idx = int(rng.integers(n))
+    centers[0] = x[idx]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))  # all remaining mass zero: uniform fallback
+        centers[j] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _reference_lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int):
+    n, k = x.shape[0], centers.shape[0]
+    centers = np.array(centers, dtype=float)
+    prev = None
+    history: list[float] = []
+    for _ in range(max_iter):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        assign = d2.argmin(axis=1)  # ties go to the lowest cluster id
+        repaired = False
+        counts = np.bincount(assign, minlength=k)
+        for cid in range(k):
+            if counts[cid]:
+                continue
+            # Empty cluster: the point farthest from its assigned centroid
+            # becomes this cluster's new singleton centroid. Only points in
+            # clusters with >= 2 members are candidates, so a repair never
+            # empties another cluster (such a point always exists: n >= k).
+            repaired = True
+            dist_own = d2[np.arange(n), assign]
+            dist_own[counts[assign] < 2] = -np.inf
+            far = int(dist_own.argmax())
+            counts[assign[far]] -= 1
+            counts[cid] += 1
+            assign[far] = cid
+            centers[cid] = x[far]
+            d2[far] = ((x[far] - centers) ** 2).sum(axis=-1)
+        if prev is not None and not repaired and np.array_equal(assign, prev):
+            break
+        for cid in range(k):
+            centers[cid] = x[assign == cid].mean(axis=0)
+        inertia = float(((x - centers[assign]) ** 2).sum())
+        history.append(inertia)
+        prev = assign
+    return prev, centers, history[-1], history
+
+
+def reference_kmeans(x: np.ndarray, k: int, seed: int, n_init: int, max_iter: int):
+    best = None
+    for r in range(n_init):
+        rng = substream(seed, r)
+        init = _reference_kmeanspp_init(x, k, rng)
+        assign, centers, inertia, history = _reference_lloyd(x, init, max_iter)
+        if best is None or inertia < best[2]:
+            best = (assign, centers, inertia, history)
+    return best
+
+
+@given(
+    st.sampled_from(WARD_INPUTS),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=2, max_value=12),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_kmeans_equals_reference(kind, n, d, data):
+    k = data.draw(st.integers(min_value=1, max_value=min(n, 8)), label="k")
+    n_init = data.draw(st.integers(min_value=1, max_value=10), label="n_init")
+    max_iter = data.draw(st.sampled_from([1, 2, 5, 300]), label="max_iter")
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed")
+    x = _ward_input(kind, n, d, seed)
+    if data.draw(st.booleans(), label="column_major"):  # the layout the CLI builds
+        x = np.asfortranarray(x)
+    block = data.draw(st.sampled_from([None, 1, 200]), label="block")  # 1: one replicate per batch
+    with mock.patch.object(kst.cluster, "_BLOCK_ELEMENTS", block or kst.cluster._BLOCK_ELEMENTS):
+        assign, centers, inertia, history = _kmeans_arrays(x, k, seed, n_init, max_iter)
+    want = reference_kmeans(x, k, seed, n_init, max_iter)
+    assert np.array_equal(assign, want[0])
+    assert np.array_equal(centers, want[1])
+    assert inertia == want[2]
+    assert history == want[3]
+
+
+class _RecordingRng:
+    """Stands in for a Generator: records the k-means++ weights it is given."""
+
+    def __init__(self):
+        self.weights = []
+
+    def integers(self, n):
+        return 0
+
+    def choice(self, n, p):
+        self.weights.append(p)
+        return int(p.argmax())
+
+
+def test_kmeanspp_weights_equal_reference():
+    x = np.random.default_rng(27).normal(size=(40, 12)) * 3.0
+    for x in (x, np.asfortranarray(x)):  # numpy sums the two layouts in different orders
+        got, want = _RecordingRng(), _RecordingRng()
+        assert np.array_equal(_kmeanspp_init(x, 6, got), _reference_kmeanspp_init(x, 6, want))
+        assert len(got.weights) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+
+def test_lloyd_distance_order_follows_layout():
+    # seven squares of 2^-54 vanish when added one by one after 1, numpy's
+    # order on a column-major table, but not when paired first, its order on a
+    # row-major one: the origin ties centers 0 and 1 in one layout only
+    x = np.zeros((2, 8))
+    x[1, 0] = 5.0
+    centers = np.zeros((2, 8))
+    centers[:, 0] = 1.0
+    centers[0, 1:] = 2.0 ** -27
+    got = {}
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        [(assign, c, inertia, history)] = _lloyd(layout(x), centers[None], max_iter=10)
+        want = _reference_lloyd(layout(x), centers, max_iter=10)
+        assert np.array_equal(assign, want[0]) and np.array_equal(c, want[1])
+        assert (inertia, history) == (want[2], want[3])
+        got[layout] = assign.tolist()
+    assert got == {np.ascontiguousarray: [1, 0], np.asfortranarray: [0, 1]}
+
+def test_batched_kmeans_one_column_drifts_only_in_last_bits():
+    # at d = 1 numpy's per-cluster mean adds pairwise, the batched centroid
+    # sums in row order: same clusters, centroids within a few ULP
+    rng = np.random.default_rng(26)
+    for trial in range(20):
+        x = rng.normal(size=(int(rng.integers(20, 300)), 1)) * float(rng.uniform(0.5, 20))
+        k, seed = int(rng.integers(1, 8)), int(rng.integers(1000))
+        assign, centers, inertia, history = _kmeans_arrays(x, k, seed, 10, 300)
+        want = reference_kmeans(x, k, seed, 10, 300)
+        assert np.array_equal(assign, want[0]), f"trial {trial}"
+        np.testing.assert_allclose(centers, want[1], rtol=1e-12)
+        assert inertia == pytest.approx(want[2], rel=1e-12)
+        assert history == pytest.approx(want[3], rel=1e-12)
 
 
 def test_kmeans_determinism_and_seed_sensitivity():
