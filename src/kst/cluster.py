@@ -7,7 +7,8 @@ Ward merges are computed with the Lance-Williams distance update; merge
 heights are on the distance scale (the square root of twice the increase in
 within-cluster sum of squares), so heights between singletons equal their
 Euclidean distance. Each merge also records the plain distance between the
-merged clusters' centroids, for dendrograms drawn on that scale instead.
+merged clusters' centroids, for dendrograms drawn on that scale instead; that
+one 1-D distance is taken with numpy's own ``sum``.
 
 Ward is the generic nearest-neighbour-cache algorithm of Müllner (2011,
 "Modern hierarchical, agglomerative clustering algorithms", arXiv:1109.2378):
@@ -19,12 +20,12 @@ towards O(n^3) only when many distances tie at a shared nearest neighbour.
 
 k-means runs the ``n_init`` replicates of a fit batched through one Lloyd
 loop on (replicates, n, k) arrays; each replicate draws its k-means++ seeds
-from its own random sub-stream and stops on its own. Every squared distance
-goes through :func:`_sq_dist`, which adds the columns in numpy's own
-summation order. For d >= 2 the results are bit-identical to fitting each
-replicate alone with numpy's ``sum`` and per-cluster ``mean``; for d = 1
-centroids and inertia can differ from that in the last bits (see
-:func:`_kmeans_arrays`).
+from its own random sub-stream and stops on its own.
+
+Every squared distance between rows, and between rows and centers, goes
+through :func:`_sq_dist`, which adds the columns left to right. The order
+does not depend on how a table lies in memory, so tables with equal values
+give equal Ward heights, k-means fits and distance-based scores.
 """
 
 from __future__ import annotations
@@ -43,53 +44,24 @@ from .rng import DEFAULT_SEED, substream
 _BLOCK_ELEMENTS = 1 << 18  # float64 entries per block of distance work: 2 MiB
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray, pairwise: bool = True) -> np.ndarray:
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance between ``a`` and ``b`` along their last
     axis, the other axes broadcast against each other.
 
-    Bit-identical to ``((a - b) ** 2).sum(axis=-1)`` without building the
-    (..., d) difference array. numpy sums over an axis in the order it lies
-    in memory: pairwise when the axis is innermost (sequential below 8
-    entries; eight interleaved partial sums up to 128, then the rest in
-    order; above 128 the halves split at a multiple of 8), left to right
-    when it is not. ``pairwise`` picks which of the two this reproduces.
+    The columns are added left to right whatever the memory layout, so equal
+    values give equal bits; no (..., d) difference array is built. This is
+    numpy's own ``((a - b) ** 2).sum(axis=-1)`` order on column-major
+    arrays (row-major ones numpy sums pairwise instead).
     """
-    def col(j):
-        t = a[..., j] - b[..., j]
-        t *= t
-        return t
-
-    def add(lo, hi):
-        n = hi - lo
-        if n < 8 or not pairwise:
-            res = col(lo)
-            for j in range(lo + 1, hi):
-                res += col(j)
-            return res
-        if n <= 128:
-            r = [col(lo + j) for j in range(8)]
-            i = lo + 8
-            while i < hi - n % 8:
-                for j in range(8):
-                    r[j] += col(i + j)
-                i += 8
-            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            for j in range(i, hi):
-                res += col(j)
-            return res
-        half = n // 2 - n // 2 % 8
-        return add(lo, lo + half) + add(lo + half, hi)
-
     if not a.shape[-1]:
         return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    return add(0, a.shape[-1])
-
-
-def _row_major(x: np.ndarray) -> bool:
-    """Whether x's columns lie closer in memory than its rows. A difference
-    ``x[...] - v`` then has its columns innermost and numpy sums it pairwise;
-    on a column-major table (as the CLI builds) it sums left to right."""
-    return abs(x.strides[1]) < abs(x.strides[0])
+    res = a[..., 0] - b[..., 0]
+    res *= res
+    for j in range(1, a.shape[-1]):
+        t = a[..., j] - b[..., j]
+        t *= t
+        res += t
+    return res
 
 
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
@@ -102,7 +74,7 @@ def _pairwise_sq(x: np.ndarray) -> np.ndarray:
     out = np.empty((n, n))
     rows = max(1, _BLOCK_ELEMENTS // max(1, n * d))
     for lo in range(0, n, rows):
-        out[lo:lo + rows] = _sq_dist(x[lo:lo + rows, None, :], x[None, :, :], _row_major(x))
+        out[lo:lo + rows] = _sq_dist(x[lo:lo + rows, None, :], x[None, :, :])
     return out
 
 
@@ -233,7 +205,7 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int, float]]
         r1 = partners[node_id[partners].argmin()]
         pi, pj = min(r0, r1), max(r0, r1)
         ni, nj = size[pi], size[pj]
-        cdist = float(np.sqrt(_sq_dist(centroid[pi], centroid[pj])))
+        cdist = float(np.sqrt(((centroid[pi] - centroid[pj]) ** 2).sum()))
         left, right = sorted((int(node_id[pi]), int(node_id[pj])))
         steps.append((left, right, float(np.sqrt(dmin)), int(ni + nj), cdist))
 
@@ -356,7 +328,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     centers = np.empty((k, x.shape[1]), dtype=float)
     idx = int(rng.integers(n))
     centers[0] = x[idx]
-    d2 = _sq_dist(x, centers[0], _row_major(x))
+    d2 = _sq_dist(x, centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -364,7 +336,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.integers(n))  # all remaining mass zero: uniform fallback
         centers[j] = x[idx]
-        d2 = np.minimum(d2, _sq_dist(x, centers[j], _row_major(x)))
+        d2 = np.minimum(d2, _sq_dist(x, centers[j]))
     return centers
 
 
@@ -412,7 +384,7 @@ def _lloyd(
     out: list = [None] * len(live)
     prev = None
     for _ in range(max_iter):
-        d2 = _sq_dist(x[None, :, None, :], centers[live][:, None, :, :], _row_major(x))
+        d2 = _sq_dist(x[None, :, None, :], centers[live][:, None, :, :])
         assign = d2.argmin(axis=2)  # ties go to the lowest cluster id
         offset = k * np.arange(len(live))[:, None]
         counts = np.bincount((assign + offset).ravel(), minlength=offset.size * k).reshape(-1, k)
@@ -453,13 +425,16 @@ def _kmeans_arrays(
 
     The replicates run batched through one Lloyd loop, as many per batch as
     keep the (replicates, n, k) distance array near ``_BLOCK_ELEMENTS``
-    entries. For d >= 2 every replicate's result is bit-identical to a
-    one-replicate Lloyd loop that takes each centroid as the cluster's
-    ``mean``. Centroid sums here are added in row order, and for d = 1 such a
-    ``mean`` adds pairwise instead, so at d = 1 centroids and inertia can
-    differ from it in the last bits (ULP), and on tied distances so can an
-    assignment.
+    entries. Distances add their columns left to right on every memory
+    layout, so the result depends only on the values of ``x``. For d >= 2
+    every replicate's result is bit-identical to a one-replicate Lloyd loop
+    that takes each centroid as the cluster's ``mean``. Centroid sums here
+    are added in row order, and for d = 1 such a ``mean`` adds pairwise
+    instead, so at d = 1 centroids and inertia can differ from it in the
+    last bits (ULP), and on tied distances so can an assignment.
     """
+    if n_init < 1 or max_iter < 1:
+        raise KstError("n_init and max_iter must be >= 1")
     init = np.array([_kmeanspp_init(x, k, substream(seed, r)) for r in range(n_init)])
     batch = max(1, _BLOCK_ELEMENTS // (x.shape[0] * k))
     best = None
@@ -487,8 +462,6 @@ def kmeans_fit(
     n = len(m.rows)
     if not 1 <= k <= n:
         raise KstError(f"k must be between 1 and {n}, got {k}")
-    if n_init < 1 or max_iter < 1:
-        raise KstError("n_init and max_iter must be >= 1")
     assign, centers, inertia, history = _kmeans_arrays(m.data, k, seed, n_init, max_iter)
 
     assignments, order = _canonical_ids(m.rows, assign.tolist(), k)

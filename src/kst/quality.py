@@ -416,21 +416,20 @@ def gap_statistic(
     )
 
 
+def _gap_rule_k(curve: GapCurve) -> int | None:
+    """Smallest k with Gap(k) >= Gap(k+1) - s(k+1), or None when none qualifies."""
+    for i in range(len(curve.ks) - 1):
+        if curve.gap[i] >= curve.gap[i + 1] - curve.s[i + 1]:
+            return curve.ks[i]
+    return None
+
+
 def tibshirani_select(curve: GapCurve) -> int:
     """Smallest k with Gap(k) >= Gap(k+1) - s(k+1); k_max when none qualifies."""
     if len(curve.ks) < 2:
         raise KstError("the gap selection rule needs at least 2 curve points")
-    for i in range(len(curve.ks) - 1):
-        if curve.gap[i] >= curve.gap[i + 1] - curve.s[i + 1]:
-            return curve.ks[i]
-    return curve.ks[-1]
-
-
-def _gap_rule_stopped(curve: GapCurve) -> bool:
-    return any(
-        curve.gap[i] >= curve.gap[i + 1] - curve.s[i + 1]
-        for i in range(len(curve.ks) - 1)
-    )
+    k = _gap_rule_k(curve)
+    return curve.ks[-1] if k is None else k
 
 
 @dataclass(frozen=True)
@@ -552,7 +551,7 @@ def select_k(
                 k_min=gap_ks[0], n_init=n_init, max_iter=max_iter,
                 _merges=ward_merges,
             )
-            note = None if _gap_rule_stopped(gap_curve) else \
+            note = None if _gap_rule_k(gap_curve) is not None else \
                 "no k satisfied the gap rule; largest candidate reported"
             results[name] = CriterionResult(
                 scores=dict(zip(gap_curve.ks, gap_curve.gap)),

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .cluster import _sq_dist
 from .dataset import MetricTable
 from .errors import KstError
 
@@ -94,8 +95,7 @@ def family_similarity(
     if not others:
         raise KstError("family patterns cover every row; nothing to compare against")
 
-    diff = m.data - m.data[i]
-    dists = dict(zip(m.rows, np.sqrt((diff * diff).sum(axis=1))))
+    dists = dict(zip(m.rows, np.sqrt(_sq_dist(m.data, m.data[i]))))
 
     family_rows = [lab for lab in family if lab != target]
     if not family_rows:

@@ -192,6 +192,18 @@ def test_select_k_bad_range(tmp_path, capsys, cpu_csv):
     assert json.loads(err)["error"] == "KstError"
 
 
+@pytest.mark.parametrize("flag", ["--n-init", "--max-iter"])
+def test_select_k_gap_rejects_zero_kmeans_budget(tmp_path, capsys, cpu_csv, flag):
+    # gap is the only criterion, so no kmeans_fit call checks the budget first
+    code, out, err = run(capsys, "select-k", "--input", cpu_csv, "--size", 4194304,
+                         "--method", "kmeans", "--criteria", "gap", flag, 0,
+                         "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "KstError",
+                               "message": "n_init and max_iter must be >= 1"}
+
+
 # ------------------------------------------------------------------- similar
 
 def test_similar_outputs(tmp_path, capsys, cpu_csv):

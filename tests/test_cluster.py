@@ -241,18 +241,24 @@ def test_pairwise_sq_blocks_equal_full_broadcast(monkeypatch, n, d, block):
     if block is not None:
         monkeypatch.setattr(kst.cluster, "_BLOCK_ELEMENTS", block)  # 1 to 8 rows each
     x = np.random.default_rng(24).normal(size=(n, d)) * 3.0
-    for x in (x, np.asfortranarray(x)):  # numpy sums the two layouts in different orders
-        assert np.array_equal(_pairwise_sq(x), _broadcast_pairwise_sq(x))
+    xf = np.asfortranarray(x)  # numpy adds the columns of this layout left to right
+    assert np.array_equal(_pairwise_sq(xf), _broadcast_pairwise_sq(xf))
+    assert np.array_equal(_pairwise_sq(x), _pairwise_sq(xf))
 
 
 @pytest.mark.parametrize("d", [*range(1, 41), 127, 128, 129, 130, 257])
 def test_sq_dist_equals_numpy_sum(d):
     rng = np.random.default_rng(d)
-    a = rng.normal(size=(6, 1, d)) * 5.0
-    b = rng.normal(size=(1, 4, d))
-    assert np.array_equal(_sq_dist(a, b), ((a - b) ** 2).sum(axis=-1))
-    x = np.asfortranarray(a[:, 0])  # columns outermost: numpy adds them in order
-    assert np.array_equal(_sq_dist(x, b[0, 0], pairwise=False), ((x - b[0, 0]) ** 2).sum(axis=1))
+    # column-major: the last axis is outermost and numpy adds it in order
+    a = np.asfortranarray(rng.normal(size=(6, 1, d)) * 5.0)
+    b = np.asfortranarray(rng.normal(size=(1, 4, d)))
+    want = ((a - b) ** 2).sum(axis=-1)
+    assert np.array_equal(_sq_dist(a, b), want)
+    assert np.array_equal(_sq_dist(np.ascontiguousarray(a), np.ascontiguousarray(b)), want)
+    x = np.asfortranarray(a[:, 0])
+    want = ((x - b[0, 0]) ** 2).sum(axis=1)
+    assert np.array_equal(_sq_dist(x, b[0, 0]), want)
+    assert np.array_equal(_sq_dist(np.ascontiguousarray(x), b[0, 0]), want)
 
 
 def test_dendrogram_validation():
@@ -489,7 +495,9 @@ def test_batched_kmeans_equals_reference(kind, n, d, data):
     block = data.draw(st.sampled_from([None, 1, 200]), label="block")  # 1: one replicate per batch
     with mock.patch.object(kst.cluster, "_BLOCK_ELEMENTS", block or kst.cluster._BLOCK_ELEMENTS):
         assign, centers, inertia, history = _kmeans_arrays(x, k, seed, n_init, max_iter)
-    want = reference_kmeans(x, k, seed, n_init, max_iter)
+    # numpy adds a column-major table's columns left to right, as _sq_dist
+    # does on both layouts
+    want = reference_kmeans(np.asfortranarray(x), k, seed, n_init, max_iter)
     assert np.array_equal(assign, want[0])
     assert np.array_equal(centers, want[1])
     assert inertia == want[2]
@@ -512,29 +520,32 @@ class _RecordingRng:
 
 def test_kmeanspp_weights_equal_reference():
     x = np.random.default_rng(27).normal(size=(40, 12)) * 3.0
-    for x in (x, np.asfortranarray(x)):  # numpy sums the two layouts in different orders
-        got, want = _RecordingRng(), _RecordingRng()
-        assert np.array_equal(_kmeanspp_init(x, 6, got), _reference_kmeanspp_init(x, 6, want))
-        assert len(got.weights) == 5
-        assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+    xf = np.asfortranarray(x)  # numpy adds the columns of this layout left to right
+    want = _RecordingRng()
+    centers = _reference_kmeanspp_init(xf, 6, want)
+    assert len(want.weights) == 5
+    for x in (x, xf):  # the same weights on both layouts
+        got = _RecordingRng()
+        assert np.array_equal(_kmeanspp_init(x, 6, got), centers)
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights, strict=True))
 
-def test_lloyd_distance_order_follows_layout():
-    # seven squares of 2^-54 vanish when added one by one after 1, numpy's
-    # order on a column-major table, but not when paired first, its order on a
-    # row-major one: the origin ties centers 0 and 1 in one layout only
+def test_lloyd_distance_order_ignores_layout():
+    # seven squares of 2^-54 vanish when added one by one after 1, the order
+    # of _sq_dist, but not when paired first, numpy's order on a row-major
+    # array: numpy breaks the origin's tie between centers 0 and 1 by layout,
+    # _lloyd the same way on both
     x = np.zeros((2, 8))
     x[1, 0] = 5.0
     centers = np.zeros((2, 8))
     centers[:, 0] = 1.0
     centers[0, 1:] = 2.0 ** -27
-    got = {}
+    want = _reference_lloyd(np.asfortranarray(x), centers, max_iter=10)
+    assert want[0].tolist() == [0, 1]
+    assert _reference_lloyd(np.ascontiguousarray(x), centers, max_iter=10)[0].tolist() == [1, 0]
     for layout in (np.ascontiguousarray, np.asfortranarray):
         [(assign, c, inertia, history)] = _lloyd(layout(x), centers[None], max_iter=10)
-        want = _reference_lloyd(layout(x), centers, max_iter=10)
         assert np.array_equal(assign, want[0]) and np.array_equal(c, want[1])
         assert (inertia, history) == (want[2], want[3])
-        got[layout] = assign.tolist()
-    assert got == {np.ascontiguousarray: [1, 0], np.asfortranarray: [0, 1]}
 
 def test_batched_kmeans_one_column_drifts_only_in_last_bits():
     # at d = 1 numpy's per-cluster mean adds pairwise, the batched centroid

@@ -8,10 +8,12 @@ import pytest
 
 import kst.cluster
 import kst.quality
-from kst.cluster import Partition, agglomerative_ward, cut_dendrogram, kmeans_fit
+from kst.cluster import Partition, _pairwise_sq, agglomerative_ward, cut_dendrogram, kmeans_fit
 from kst.errors import KstError
+from kst.preprocess import apply_transform, fit_transform
 from kst.quality import (
     ALL_CRITERIA,
+    CLUSTER_METHODS,
     DEFAULT_CRITERIA,
     DegenerateResultWarning,
     GapCurve,
@@ -29,6 +31,7 @@ from kst.quality import (
     sum_of_squares,
     tibshirani_select,
 )
+from kst.similarity import family_similarity
 
 from conftest import make_table, two_blob_array
 
@@ -293,6 +296,12 @@ def test_gap_parameter_validation(four_point_line):
         gap_statistic(four_point_line, "kmeans", k_max=2, b=4, k_min=3)
 
 
+@pytest.mark.parametrize("budget", [{"n_init": 0}, {"max_iter": 0}], ids=["n_init", "max_iter"])
+def test_gap_kmeans_rejects_zero_budget(two_blob_table, budget):
+    with pytest.raises(KstError, match="n_init and max_iter must be >= 1"):
+        gap_statistic(two_blob_table[0], "kmeans", k_max=3, b=4, **budget)
+
+
 def test_gap_rejects_k_equal_to_row_count(four_point_line):
     # every row its own cluster has zero dispersion, so log W is undefined
     with pytest.raises(KstError, match="k = n"):
@@ -415,3 +424,27 @@ def test_select_k_deterministic(two_blob_table):
 def test_criteria_constants():
     assert set(DEFAULT_CRITERIA) == {"silhouette", "calinski_harabasz", "dunn", "gap"}
     assert set(ALL_CRITERIA) - set(DEFAULT_CRITERIA) == {"davies_bouldin", "bic"}
+
+
+@pytest.mark.parametrize("d", [8, 9, 12, 130])
+def test_equal_tables_score_equally_on_both_layouts(d):
+    # fit_transform builds a column-major table, apply_transform of its spec
+    # a row-major one with the same values: every distance-based result must
+    # not depend on which
+    raw = make_table(np.random.default_rng(d).normal(size=(60, d)) * 4.0 + 1.0)
+    fitted, spec = fit_transform(raw, "none")
+    applied = apply_transform(raw, spec)
+    assert np.array_equal(fitted.data, applied.data)
+    assert fitted.data.flags.f_contiguous and not fitted.data.flags.c_contiguous
+    assert applied.data.flags.c_contiguous and not applied.data.flags.f_contiguous
+
+    assert np.array_equal(_pairwise_sq(fitted.data), _pairwise_sq(applied.data))
+    dendro = agglomerative_ward(fitted)
+    assert dendro.merges == agglomerative_ward(applied).merges  # heights included
+    p = cut_dendrogram(dendro, 3)
+    assert silhouette(fitted, p) == silhouette(applied, p)
+    assert dunn_index(fitted, p) == dunn_index(applied, p)
+    assert family_similarity(fitted, "k00", ["k0*"]) == family_similarity(applied, "k00", ["k0*"])
+    for method in CLUSTER_METHODS:
+        assert gap_statistic(fitted, method, k_max=4, b=3, seed=5, n_init=3) == \
+            gap_statistic(applied, method, k_max=4, b=3, seed=5, n_init=3)
