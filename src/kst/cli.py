@@ -24,22 +24,25 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .cluster import agglomerative_ward, cut_dendrogram, kmeans_fit
 from .dataset import (
     ALL_SIZES,
     DEFAULT_METRICS,
-    GPU_COUNTER_METRICS,
-    GPU_RATE_METRICS,
-    GPU_TIME_METRIC,
+    PLATFORMS,
     MetricTable,
-    RawSample,
-    _duplicate_key,
-    aggregate_trials,
-    build_table,
-    derive_gpu_rates,
+    _aggregate,
+    _check_consistent,
+    _Columns,
+    _Groups,
+    _derive_if_gpu,
+    _join,
+    _Keys,
+    _read,
+    _table,
     merge_platforms,
-    parse_samples,
 )
 from .errors import KstError
 from .preprocess import fit_transform
@@ -57,7 +60,7 @@ from .similarity import family_similarity
 from .stability import (
     DEFAULT_THRESHOLD_PCT,
     REL_BASES,
-    stability_series,
+    _kernel_reports,
     stability_summary,
     write_stability_csv,
 )
@@ -188,45 +191,43 @@ def _resolve_seed(flag: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _load_samples(args: argparse.Namespace) -> list[RawSample]:
-    samples: list[RawSample] = []
-    for path in args.input:
-        fmt = args.format
-        if fmt == "auto":
-            fmt = "json" if path.endswith(".json") else "csv"
-        with open(path, "rb") as fh:
-            samples.extend(parse_samples(fh, fmt))
-        dup = _duplicate_key(samples)
-        if dup:
-            raise KstError(f"duplicate sample key {samples[dup[1]].key()!r} across input files")
-    if not samples:
+def _load_samples(args: argparse.Namespace) -> _Columns:
+    keys, parts = _Keys(), []
+    try:
+        for path in args.input:
+            fmt = args.format
+            if fmt == "auto":
+                fmt = "json" if path.endswith(".json") else "csv"
+            with open(path, "rb") as fh:
+                parts.append(_read(fh, fmt, keys))
+    except Exception:
+        _join(parts, keys)  # a key repeated across the files read before comes first
+        raise
+    samples = _join(parts, keys)
+    if not len(samples):
         raise KstError("input files contain no samples")
     return samples
 
 
-def _derive_if_gpu(samples: list[RawSample]) -> list[RawSample]:
-    out = []
-    for s in samples:
-        if s.platform == "gpu" and GPU_TIME_METRIC in s.values and all(
-            c in s.values for c in GPU_COUNTER_METRICS
-        ) and not all(r in s.values for r in GPU_RATE_METRICS):
-            s = derive_gpu_rates(s)
-        out.append(s)
-    return out
+def _platforms(samples: _Columns) -> list[str]:
+    return [PLATFORMS[p] for p in np.unique(samples.platform).tolist()]
 
 
-def _platform_table(samples: list[RawSample], platform: str, size_policy: int | str) -> MetricTable:
-    subset = [s for s in samples if s.platform == platform]
-    if not subset:
+def _platform_groups(samples: _Columns, platform: str) -> _Groups:
+    subset = samples.take(samples.platform == PLATFORMS.index(platform))
+    if not len(subset):
         raise KstError(f"no {platform} samples in the input")
-    if platform == "gpu":
-        subset = _derive_if_gpu(subset)
-    aggregated, _ = aggregate_trials(subset)
-    return build_table(aggregated, DEFAULT_METRICS[platform], size_policy)
+    return _aggregate(_derive_if_gpu(subset) if platform == "gpu" else subset)
 
 
-def _platform_mode(args: argparse.Namespace, samples: list[RawSample]) -> str:
-    present = {s.platform for s in samples}
+def _platform_table(samples: _Columns, platform: str, size_policy: int | str) -> MetricTable:
+    groups = _platform_groups(samples, platform)
+    _check_consistent(groups)
+    return _table(groups, DEFAULT_METRICS[platform], size_policy)
+
+
+def _platform_mode(args: argparse.Namespace, samples: _Columns) -> str:
+    present = set(_platforms(samples))
     if args.platform != "auto":
         if args.platform in ("cpu", "gpu") and args.platform not in present:
             raise KstError(f"no {args.platform} samples in the input")
@@ -236,7 +237,7 @@ def _platform_mode(args: argparse.Namespace, samples: list[RawSample]) -> str:
     return "both" if len(present) == 2 else present.pop()
 
 
-def _build_raw_table(args: argparse.Namespace, samples: list[RawSample]) -> MetricTable:
+def _build_raw_table(args: argparse.Namespace, samples: _Columns) -> MetricTable:
     mode = _platform_mode(args, samples)
     if mode in ("cpu", "gpu"):
         return _platform_table(samples, mode, args.size)
@@ -358,7 +359,7 @@ def cmd_similar(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     samples = _load_samples(args)
-    present = sorted({s.platform for s in samples})
+    present = _platforms(samples)
     platforms = [args.platform] if args.platform != "auto" else present
     missing = [p for p in platforms if p not in present]
     if missing:
@@ -366,21 +367,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
     reports = []
     for platform in platforms:
-        subset = [s for s in samples if s.platform == platform]
-        if platform == "gpu":
-            subset = _derive_if_gpu(subset)
-        by_kernel: dict[str, list[RawSample]] = {}
-        for s in subset:
-            by_kernel.setdefault(s.kernel, []).append(s)
-        for kernel in sorted(by_kernel):
-            reports.append(
-                stability_series(
-                    by_kernel[kernel],
-                    DEFAULT_METRICS[platform],
-                    threshold_pct=args.threshold_pct,
-                    rel_base=args.rel_base,
-                )
-            )
+        reports += _kernel_reports(_platform_groups(samples, platform), DEFAULT_METRICS[platform],
+                                   args.threshold_pct, args.rel_base)
 
     out = Path(args.out) / "stability"
     multi_platform = len({r.kernel for r in reports}) != len(reports)
@@ -406,21 +394,28 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 def cmd_ingest_check(args: argparse.Namespace) -> int:
     samples = _load_samples(args)
-    aggregated, spreads = aggregate_trials(samples)
-    metrics = sorted({name for s in samples for name in s.values})
+    groups = _aggregate(samples)
+    _check_consistent(groups)
+    metrics = sorted(name for name, has in samples.present.items() if has.any())
+    # the first largest positive cv, groups in key order and metrics by name
     worst_cv = 0.0
     worst_at = ""
-    for sp in spreads:
-        for name, cv in sp.cv.items():
-            if cv > worst_cv:
-                worst_cv = cv
-                worst_at = f"{sp.kernel}/{name}"
+    names = sorted(groups.cv)
+    if names:
+        cv = np.column_stack([groups.cv[n] for n in names])
+        cv[~(np.column_stack([groups.present[n] for n in names]) & (cv > 0))] = 0.0
+        g, j = divmod(int(np.argmax(cv)), len(names))
+        if cv[g, j] > 0:
+            worst_cv = float(cv[g, j])
+            worst_at = f"{list(samples.keys.kernel)[groups.kernel[g]]}/{names[j]}"
+    kernels = list(samples.keys.kernel)
+    sizes = list(samples.keys.size)
     doc = {
         "samples": len(samples),
-        "groups": len(aggregated),
-        "kernels": sorted({s.kernel for s in samples}),
-        "platforms": sorted({s.platform for s in samples}),
-        "problem_sizes": sorted({s.problem_size_bytes for s in samples}),
+        "groups": len(groups),
+        "kernels": sorted(kernels[k] for k in np.unique(samples.kernel).tolist()),
+        "platforms": _platforms(samples),
+        "problem_sizes": sorted(sizes[s] for s in np.unique(samples.size).tolist()),
         "metrics": metrics,
         "worst_trial_cv": worst_cv,
         "worst_trial_cv_at": worst_at,

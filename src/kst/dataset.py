@@ -2,14 +2,26 @@
 
 One input record (a "sample") is a single kernel execution: the identity
 columns ``kernel, platform, problem_size_bytes, trial`` plus one column per
-hardware metric. Samples arrive as CSV or JSON, are trial-averaged, may gain
-derived GPU rate metrics, and are assembled into rectangular kernel x metric
-tables ready for standardization and distance work.
+hardware metric. Samples arrive as CSV or JSON, may gain derived GPU rate
+metrics, are trial-averaged, and are assembled into rectangular kernel x
+metric tables ready for standardization and distance work.
 
 CPU metrics are pipeline-slot fractions from top-down analysis and live in
 [0, 1]. GPU profiles carry raw transaction/instruction counters plus the
-kernel time; :func:`derive_gpu_rates` turns those into per-second rates while
-keeping the raw counters for auditability.
+kernel time; rates per second are derived from those while the raw counters
+stay for auditability.
+
+Ingest is columnar. Each file becomes key columns (integer codes for kernel,
+size and trial, interned in tables that all files of a run share, and a
+platform code) plus one float64 column and one presence mask per metric.
+Every check runs on whole columns and reports the first bad record in file
+order; duplicate keys are found by one sort within a file and one across
+files. GPU rates are column divisions. Trials are averaged by sorting the
+keys once and reducing one (groups, trials) block per trial count. The
+per-sample functions :func:`parse_samples`, :func:`derive_gpu_rates`,
+:func:`aggregate_trials` and :func:`build_table` (and
+:func:`kst.stability.stability_series`) are thin wrappers that convert
+:class:`RawSample` lists to and from these columns.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Any, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -211,6 +223,196 @@ class TrialSpread:
     cv: dict[str, float]  # population std / |mean| per metric
 
 
+# ------------------------------------------------------------------ columns
+
+_PLATFORM_CODES = {name: code for code, name in enumerate(PLATFORMS)}
+
+
+@dataclass(eq=False)
+class _Keys:
+    """Intern tables of the key columns: value -> integer code, in order of
+    first appearance. The batches of one run share them, so codes agree
+    across files."""
+
+    kernel: dict[str, int] = field(default_factory=dict)
+    size: dict[int, int] = field(default_factory=dict)
+    trial: dict[int, int] = field(default_factory=dict)
+
+
+def _intern(table: dict, value: Any) -> int:
+    return table.setdefault(value, len(table))
+
+
+def _codes(cells: Sequence, lookup: dict) -> np.ndarray:
+    return np.fromiter(map(lookup.__getitem__, cells), np.intp, len(cells))
+
+
+def _ranks(table: dict) -> np.ndarray:
+    """Each code's position in the sorted order of the values, for sorting by
+    value. Python sorts the values, so strings keep their trailing NULs."""
+    values = list(table)
+    rank = np.empty(len(values), np.intp)
+    rank[sorted(range(len(values)), key=values.__getitem__)] = np.arange(len(values))
+    return rank
+
+
+def _flags(table: dict, test: Callable[[Any], bool]) -> np.ndarray:
+    """``test(value)`` per code, then False for code -1 (a cell that did not parse)."""
+    return np.array([test(v) for v in table] + [False], dtype=bool)
+
+
+@dataclass(eq=False)
+class _Columns:
+    """Samples as columns: integer codes for the four keys (a platform code
+    indexes :data:`PLATFORMS`), and per metric one float64 column, NaN where
+    the metric is absent, and one presence mask."""
+
+    keys: _Keys
+    kernel: np.ndarray
+    platform: np.ndarray
+    size: np.ndarray
+    trial: np.ndarray
+    values: dict[str, np.ndarray]
+    present: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.kernel)
+
+    def take(self, rows: np.ndarray) -> _Columns:
+        return _Columns(
+            self.keys, self.kernel[rows], self.platform[rows], self.size[rows],
+            self.trial[rows], {n: v[rows] for n, v in self.values.items()},
+            {n: p[rows] for n, p in self.present.items()},
+        )
+
+    def key(self, i: int) -> tuple[str, str, int, int]:
+        return (list(self.keys.kernel)[self.kernel[i]], PLATFORMS[self.platform[i]],
+                list(self.keys.size)[self.size[i]], list(self.keys.trial)[self.trial[i]])
+
+
+@dataclass(eq=False)
+class _Groups:
+    """Trial-averaged samples, one group per (kernel, platform, size) in key
+    order. Per metric: the mean over the trials (``values``), the coefficient
+    of variation (``cv``) and whether every trial has the metric
+    (``present``)."""
+
+    keys: _Keys
+    kernel: np.ndarray
+    platform: np.ndarray
+    size: np.ndarray
+    trials: np.ndarray      # trial count
+    consistent: np.ndarray  # every trial has the same metric set
+    values: dict[str, np.ndarray]
+    cv: dict[str, np.ndarray]
+    present: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.kernel)
+
+
+def _records(keys: _Keys, kernels: Sequence[str], platforms: Sequence[str],
+             sizes: Sequence[int], trials: Sequence[int],
+             values: Sequence[dict[str, float]]) -> _Columns:
+    """Columns from per-record Python values."""
+    n = len(kernels)
+    names = dict.fromkeys(name for v in values for name in v)
+    cols = _Columns(
+        keys,
+        np.fromiter((_intern(keys.kernel, k) for k in kernels), np.intp, n),
+        np.fromiter(map(_PLATFORM_CODES.__getitem__, platforms), np.intp, n),
+        np.fromiter((_intern(keys.size, s) for s in sizes), np.intp, n),
+        np.fromiter((_intern(keys.trial, t) for t in trials), np.intp, n),
+        {name: np.full(n, np.nan) for name in names},
+        {name: np.zeros(n, dtype=bool) for name in names},
+    )
+    for i, v in enumerate(values):
+        for name, value in v.items():
+            cols.values[name][i] = value
+            cols.present[name][i] = True
+    return cols
+
+
+def _from_samples(samples: Sequence[RawSample]) -> _Columns:
+    return _records(_Keys(), [s.kernel for s in samples], [s.platform for s in samples],
+                    [s.problem_size_bytes for s in samples], [s.trial for s in samples],
+                    [s.values for s in samples])
+
+
+def _samples(cols: _Columns) -> list[RawSample]:
+    kernels, sizes, trials = list(cols.keys.kernel), list(cols.keys.size), list(cols.keys.trial)
+    metrics = [(n, v.tolist(), cols.present[n].tolist()) for n, v in cols.values.items()]
+    keys = zip(cols.kernel.tolist(), cols.platform.tolist(), cols.size.tolist(),
+               cols.trial.tolist())
+    return [
+        RawSample(kernels[k], PLATFORMS[p], sizes[s], trials[t],
+                  {n: v[i] for n, v, has in metrics if has[i]})
+        for i, (k, p, s, t) in enumerate(keys)
+    ]
+
+
+def _first_repeat(*codes: np.ndarray) -> tuple[int, int] | None:
+    """(first, i) for the earliest record i whose key repeats an earlier
+    record's, ``first`` being that key's first record; None when every key is
+    unique."""
+    order = np.lexsort(codes)  # stable: equal keys stay in record order
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for c in codes:
+        c = c[order]
+        same &= c[1:] == c[:-1]
+    repeats = np.flatnonzero(same) + 1
+    if not repeats.size:
+        return None
+    # the earliest repeat is the second record of its run of equal keys
+    at = repeats[np.argmin(order[repeats])]
+    return int(order[at - 1]), int(order[at])
+
+
+class _FirstBad:
+    """The first bad record of a file. Checks run in the order they run on one
+    record, so on a tie the record's earlier check keeps its error."""
+
+    def __init__(self, end: int, error: Exception | None = None):
+        self.row, self.error = end, error  # error at record ``end``, if any
+
+    def at(self, row: int, make: Callable[[int], Exception]) -> None:
+        if row < self.row:
+            self.row, self.error = row, make(row)
+
+    def check(self, bad: np.ndarray, make: Callable[[int], Exception]) -> None:
+        hit = np.flatnonzero(bad[: self.row])
+        if hit.size:
+            self.at(int(hit[0]), make)
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _raised(make: Callable[[], Any]) -> KstError:
+    """The KstError that ``make()`` raises."""
+    try:
+        make()
+    except KstError as exc:
+        return exc
+    raise AssertionError("a record failed the column checks but not RawSample's")
+
+
+def _check_rows(cols: _Columns, first: _FirstBad, error_at: Callable[[int], Exception]) -> None:
+    """RawSample's rules on whole columns: a non-empty kernel name, a positive
+    size, a non-negative trial, finite values and a positive GPU time.
+    ``error_at(i)`` gives record i's error, in RawSample's words."""
+    keys = cols.keys
+    bad = _flags(keys.kernel, lambda k: not k)[cols.kernel]
+    bad |= _flags(keys.size, lambda s: s <= 0)[cols.size]
+    bad |= _flags(keys.trial, lambda t: t < 0)[cols.trial]
+    for name, v in cols.values.items():
+        bad |= cols.present[name] & ~np.isfinite(v)
+    if GPU_TIME_METRIC in cols.values:
+        bad |= cols.present[GPU_TIME_METRIC] & (cols.values[GPU_TIME_METRIC] <= 0)
+    first.check(bad, error_at)
+
+
 def _as_text(source: str | bytes | IO[bytes] | IO[str]) -> str:
     if hasattr(source, "read"):
         source = source.read()
@@ -221,18 +423,54 @@ def _as_text(source: str | bytes | IO[bytes] | IO[str]) -> str:
     raise KstError(f"unsupported input source type {type(source).__name__}")
 
 
-def _parse_int(text: str, what: str, line: int) -> int:
+def _as_int(text: str) -> int | None:
+    """The integer ``text`` spells, integral floats such as "1e6" included, or None."""
     try:
         return int(text)
     except ValueError:
-        # tolerate integral float spellings such as "1e6"
         try:
             f = float(text)
         except ValueError:
-            raise ParseError(f"{what} is not an integer: {text!r}", line) from None
-        if not math.isfinite(f) or f != int(f):
-            raise ParseError(f"{what} is not an integer: {text!r}", line) from None
-        return int(f)
+            return None
+        return int(f) if math.isfinite(f) and f == int(f) else None
+
+
+def _read(source: str | bytes | IO[bytes] | IO[str], fmt: str, keys: _Keys) -> _Columns:
+    """One file's samples, checked record by record and for duplicate keys."""
+    text = _as_text(source)
+    if fmt == "csv":
+        cols = _csv_columns(text, keys)
+    elif fmt == "json":
+        cols = _json_columns(text, keys)
+    else:
+        raise KstError(f"unknown input format {fmt!r} (expected 'csv' or 'json')")
+    dup = _first_repeat(cols.trial, cols.size, cols.platform, cols.kernel)
+    if dup:
+        first, i = dup
+        raise ParseError(f"duplicate sample key {cols.key(i)!r} (records {first} and {i})")
+    return cols
+
+
+def _join(parts: Sequence[_Columns], keys: _Keys) -> _Columns:
+    """The batches of several files as one; a key repeated across them is an error."""
+    names = dict.fromkeys(name for p in parts for name in p.values)
+
+    def cat(arrays: list[np.ndarray], dtype: type) -> np.ndarray:
+        return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
+    cols = _Columns(
+        keys,
+        *(cat([getattr(p, a) for p in parts], np.intp)
+          for a in ("kernel", "platform", "size", "trial")),
+        {n: cat([p.values.get(n, np.full(len(p), np.nan)) for p in parts], float)
+         for n in names},
+        {n: cat([p.present.get(n, np.zeros(len(p), bool)) for p in parts], bool)
+         for n in names},
+    )
+    dup = _first_repeat(cols.trial, cols.size, cols.platform, cols.kernel)
+    if dup:
+        raise KstError(f"duplicate sample key {cols.key(dup[1])!r} across input files")
+    return cols
 
 
 def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -> list[RawSample]:
@@ -245,32 +483,53 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
     array of objects with the same field names; the metrics are further
     fields, a ``values`` object mapping metric names to numbers, or both.
     """
-    text = _as_text(source)
-    if fmt == "csv":
-        samples = _parse_csv(text)
-    elif fmt == "json":
-        samples = _parse_json(text)
-    else:
-        raise KstError(f"unknown input format {fmt!r} (expected 'csv' or 'json')")
-    dup = _duplicate_key(samples)
-    if dup:
-        first, i = dup
-        raise ParseError(f"duplicate sample key {samples[i].key()!r} (records {first} and {i})")
-    return samples
+    return _samples(_read(source, fmt, _Keys()))
 
 
-def _duplicate_key(samples: Sequence[RawSample]) -> tuple[int, int] | None:
-    """Indices (first, i) of the earliest sample whose key repeats an earlier
-    one, or None when every key is unique."""
-    seen: dict[tuple, int] = {}
-    for i, s in enumerate(samples):
-        first = seen.setdefault(s.key(), i)
-        if first != i:
-            return first, i
-    return None
+def _csv_line(text: str, index: int) -> int:
+    """The line on which the index-th record of a CSV text ends."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    for row in reader:
+        if row:
+            if not index:
+                return reader.line_num
+            index -= 1
+    raise AssertionError("no such record")
 
 
-def _parse_csv(text: str) -> list[RawSample]:
+def _int_codes(cells: Sequence[str], table: dict) -> np.ndarray:
+    """Codes of the integers the cells spell; -1 where a cell is no integer."""
+    lookup = {}
+    for cell in dict.fromkeys(cells):
+        value = _as_int(cell.strip())
+        lookup[cell] = -1 if value is None else _intern(table, value)
+    return _codes(cells, lookup)
+
+
+def _float_cells(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Cells as Python's ``float()`` reads them, an empty cell being absent
+    (NaN), with the presence mask and the index of the first cell that is not
+    a number (None when there is none)."""
+    try:  # float() ignores the whitespace that strip() removes
+        return np.fromiter(map(float, cells), float, len(cells)), np.ones(len(cells), bool), None
+    except ValueError:  # an empty cell, or one that is not a number
+        pass
+    stripped = [c.strip() for c in cells]
+    present = np.fromiter(map(bool, stripped), bool, len(stripped))
+    values = np.full(len(stripped), np.nan)
+    try:
+        values[present] = list(map(float, filter(None, stripped)))
+    except ValueError:
+        for i in np.flatnonzero(present).tolist():
+            try:
+                values[i] = float(stripped[i])
+            except ValueError:
+                return values, present, i
+    return values, present, None
+
+
+def _csv_columns(text: str, keys: _Keys) -> _Columns:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -284,87 +543,151 @@ def _parse_csv(text: str) -> list[RawSample]:
     metric_names = header[len(IDENTITY_COLUMNS):]
     if len(set(metric_names)) != len(metric_names) or any(m in IDENTITY_COLUMNS for m in metric_names):
         raise ParseError("duplicate column names in header", 1)
-    samples = []
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(row)}", line)
-        kernel = row[0].strip()
-        platform = row[1].strip().lower()
-        if platform not in PLATFORMS:
-            raise ParseError(f"unknown platform {row[1]!r}", line)
-        size = _parse_int(row[2].strip(), "problem_size_bytes", line)
-        trial = _parse_int(row[3].strip(), "trial", line)
-        values = {}
-        for name, cell in zip(metric_names, row[len(IDENTITY_COLUMNS):]):
-            cell = cell.strip()
-            if not cell:
-                continue  # metric not measured for this row
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"metric {name!r} is not a number: {cell!r}", line) from None
-            if not math.isfinite(value):
-                raise ParseError(f"metric {name!r} has non-finite value {cell!r}", line)
-            values[name] = value
-        try:
-            samples.append(RawSample(kernel, platform, size, trial, values))
-        except KstError as exc:
-            raise ParseError(str(exc), line) from None
-    return samples
+    rows: list[list[str]] = []
+    stop = None
+    try:
+        rows.extend(filter(None, reader))  # a blank line holds no record
+    except csv.Error as exc:  # raised after the records before it are checked
+        stop = exc
+    first = _FirstBad(len(rows), stop)
+
+    def line(i: int) -> int:
+        return _csv_line(text, i)
+
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    first.check(lengths != len(header), lambda i: ParseError(
+        f"expected {len(header)} cells, got {lengths[i]}", line(i)))
+    n = first.row
+    kernels, platforms, sizes, trials, *cells = (
+        list(zip(*rows[:n])) if n else [()] * len(header))
+
+    kernel = _codes(kernels, {k: _intern(keys.kernel, k.strip()) for k in dict.fromkeys(kernels)})
+    platform = _codes(platforms, {p: _PLATFORM_CODES.get(p.strip().lower(), -1)
+                                  for p in dict.fromkeys(platforms)})
+    first.check(platform < 0, lambda i: ParseError(f"unknown platform {platforms[i]!r}", line(i)))
+    size = _int_codes(sizes, keys.size)
+    first.check(size < 0, lambda i: ParseError(
+        f"problem_size_bytes is not an integer: {sizes[i].strip()!r}", line(i)))
+    trial = _int_codes(trials, keys.trial)
+    first.check(trial < 0, lambda i: ParseError(
+        f"trial is not an integer: {trials[i].strip()!r}", line(i)))
+    values, present = {}, {}
+    for name, column in zip(metric_names, cells):
+        v, p, bad = _float_cells(column)
+        if bad is not None:
+            first.at(bad, lambda i: ParseError(
+                f"metric {name!r} is not a number: {column[i].strip()!r}", line(i)))
+        first.check(p & ~np.isfinite(v), lambda i: ParseError(
+            f"metric {name!r} has non-finite value {column[i].strip()!r}", line(i)))
+        values[name], present[name] = v, p
+
+    cols = _Columns(keys, kernel, platform, size, trial, values, present)
+    _check_rows(cols, first, lambda i: ParseError(
+        str(_raised(lambda: _samples(cols.take([i])))), line(i)))
+    first.raise_first()
+    return cols
 
 
 def _json_int(value: Any, what: str, record: int) -> int:
     # the CSV rule: integers and integral floats pass; booleans do not
     if not isinstance(value, bool) and isinstance(value, (int, float, str)):
-        try:
-            return _parse_int(str(value), what, None)
-        except ParseError:
-            pass
+        parsed = _as_int(str(value))
+        if parsed is not None:
+            return parsed
     raise ParseError(f"record {record}: {what} is not an integer: {value!r}")
 
 
-def _parse_json(text: str) -> list[RawSample]:
+def _json_record(i: int, obj: Any) -> tuple[str, str, int, int, dict[str, float]]:
+    """Record i's fields, in RawSample's argument order."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"record {i}: expected an object")
+    missing = [c for c in IDENTITY_COLUMNS if c not in obj]
+    if missing:
+        raise ParseError(f"record {i}: missing fields {missing}")
+    kernel = obj["kernel"]
+    if not isinstance(kernel, str):
+        raise ParseError(f"record {i}: kernel is not a string: {kernel!r}")
+    platform = str(obj["platform"]).lower()
+    if platform not in PLATFORMS:
+        raise ParseError(f"record {i}: unknown platform {obj['platform']!r}")
+    size = _json_int(obj["problem_size_bytes"], "problem_size_bytes", i)
+    trial = _json_int(obj["trial"], "trial", i)
+    # metrics are flat fields, or sit in a "values" object, or both
+    fields = [(k, v) for k, v in obj.items() if k not in IDENTITY_COLUMNS]
+    mapping = obj.get("values")
+    if isinstance(mapping, dict):
+        fields = [(k, v) for k, v in fields if k != "values"] + list(mapping.items())
+    values = {}
+    for name, value in fields:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"record {i}: metric {name!r} is not a number: {value!r}")
+        if name in values:
+            raise ParseError(f"record {i}: metric {name!r} given twice")
+        try:
+            values[name] = float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ParseError(f"record {i}: metric {name!r} is too large for a float") from None
+    return kernel, platform, size, trial, values
+
+
+def _json_columns(text: str, keys: _Keys) -> _Columns:
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise ParseError("JSON input must be an array of objects")
-    samples = []
+    records = []
+    stop = None
     for i, obj in enumerate(doc):
-        if not isinstance(obj, dict):
-            raise ParseError(f"record {i}: expected an object")
-        missing = [c for c in IDENTITY_COLUMNS if c not in obj]
-        if missing:
-            raise ParseError(f"record {i}: missing fields {missing}")
-        platform = str(obj["platform"]).lower()
-        if platform not in PLATFORMS:
-            raise ParseError(f"record {i}: unknown platform {obj['platform']!r}")
-        size = _json_int(obj["problem_size_bytes"], "problem_size_bytes", i)
-        trial = _json_int(obj["trial"], "trial", i)
-        # metrics are flat fields, or sit in a "values" object, or both
-        fields = [(k, v) for k, v in obj.items() if k not in IDENTITY_COLUMNS]
-        mapping = obj.get("values")
-        if isinstance(mapping, dict):
-            fields = [(k, v) for k, v in fields if k != "values"] + list(mapping.items())
-        values = {}
-        for name, value in fields:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(f"record {i}: metric {name!r} is not a number: {value!r}")
-            if name in values:
-                raise ParseError(f"record {i}: metric {name!r} given twice")
-            try:
-                values[name] = float(value)
-            except OverflowError:  # a JSON integer beyond the float range
-                raise ParseError(f"record {i}: metric {name!r} is too large for a float") from None
         try:
-            samples.append(RawSample(str(obj["kernel"]), platform, size, trial, values))
-        except KstError as exc:
-            raise ParseError(f"record {i}: {exc}") from None
-    return samples
+            records.append(_json_record(i, obj))
+        except ParseError as exc:  # raised after the records before it are checked
+            stop = exc
+            break
+    first = _FirstBad(len(records), stop)
+    cols = _records(keys, *(zip(*records) if records else [()] * 5))
+    _check_rows(cols, first, lambda i: ParseError(
+        f"record {i}: {_raised(lambda: RawSample(*records[i]))}"))
+    first.raise_first()
+    return cols
+
+
+def _derive_rates(cols: _Columns, rows: np.ndarray) -> _Columns:
+    """``cols`` with every rate of :data:`RATE_SOURCES` set to its counter
+    divided by the GPU time on ``rows``, which must have the time and every
+    counter. A negative counter there is an error."""
+    if not rows.any():
+        return cols
+    bad = np.zeros(len(cols), dtype=bool)
+    for counter in RATE_SOURCES.values():
+        bad |= rows & (cols.values[counter] < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        counter = next(c for c in RATE_SOURCES.values() if cols.values[c][i] < 0)
+        raise KstError(f"counter {counter!r} must be non-negative, "
+                       f"got {float(cols.values[counter][i])}")
+    values, present = dict(cols.values), dict(cols.present)
+    t = cols.values[GPU_TIME_METRIC][rows]
+    for rate, counter in RATE_SOURCES.items():
+        values[rate] = values.get(rate, np.full(len(cols), np.nan)).copy()
+        values[rate][rows] = cols.values[counter][rows] / t
+        present[rate] = present.get(rate, np.zeros(len(cols), dtype=bool)) | rows
+    return replace(cols, values=values, present=present)
+
+
+def _derive_if_gpu(cols: _Columns) -> _Columns:
+    """Rates for the GPU samples that have the time and every counter but
+    not every rate."""
+    def has(name: str) -> np.ndarray:
+        return cols.present.get(name, np.zeros(len(cols), dtype=bool))
+
+    rows = (cols.platform == _PLATFORM_CODES["gpu"]) & has(GPU_TIME_METRIC)
+    every_rate = np.ones(len(cols), dtype=bool)
+    for counter, rate in zip(GPU_COUNTER_METRICS, GPU_RATE_METRICS):
+        rows &= has(counter)
+        every_rate &= has(rate)
+    return _derive_rates(cols, rows & ~every_rate)
 
 
 def derive_gpu_rates(sample: RawSample) -> RawSample:
@@ -375,19 +698,74 @@ def derive_gpu_rates(sample: RawSample) -> RawSample:
     """
     if sample.platform != "gpu":
         raise KstError(f"derive_gpu_rates requires a gpu sample, got platform {sample.platform!r}")
-    t = sample.values.get(GPU_TIME_METRIC)
-    if t is None:
+    if GPU_TIME_METRIC not in sample.values:
         raise KstError(f"sample {sample.kernel!r} is missing {GPU_TIME_METRIC}")
     missing = [c for c in GPU_COUNTER_METRICS if c not in sample.values]
     if missing:
         raise KstError(f"sample {sample.kernel!r} is missing counters {missing}")
-    values = dict(sample.values)
-    for rate, counter in RATE_SOURCES.items():
-        count = sample.values[counter]
-        if count < 0:
-            raise KstError(f"counter {counter!r} must be non-negative, got {count}")
-        values[rate] = count / t
-    return replace(sample, values=values)
+    (derived,) = _samples(_derive_rates(_from_samples([sample]), np.ones(1, dtype=bool)))
+    return replace(sample, values=derived.values)
+
+
+def _aggregate(cols: _Columns) -> _Groups:
+    """Average the trials of each (kernel, platform, size); keys must be unique.
+
+    One lexsort puts the samples in key order, trials ascending. The groups
+    with c trials form one C-contiguous (groups, c) block per metric, and
+    ``mean(axis=1)``/``std(axis=1)`` of a block row equal numpy's 1-D
+    ``mean()``/``std()`` of that group's trials bit for bit.
+    """
+    keys, n = cols.keys, len(cols)
+    order = np.lexsort((_ranks(keys.trial)[cols.trial], _ranks(keys.size)[cols.size],
+                        cols.platform, _ranks(keys.kernel)[cols.kernel]))
+    kernel, platform, size = cols.kernel[order], cols.platform[order], cols.size[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (kernel[1:] != kernel[:-1]) | (platform[1:] != platform[:-1]) | (size[1:] != size[:-1])
+    starts = np.flatnonzero(new)
+    trials = np.diff(np.append(starts, n))
+    names = sorted(cols.values)
+    present, consistent = {}, np.ones(len(starts), dtype=bool)
+    for name in names:
+        seen = np.add.reduceat(cols.present[name][order].astype(np.intp), starts) if n else trials
+        present[name] = seen == trials
+        consistent &= present[name] | (seen == 0)
+    mean = {name: np.empty(len(starts)) for name in names}
+    std = {name: np.empty(len(starts)) for name in names}
+    for c in np.unique(trials).tolist():
+        groups = np.flatnonzero(trials == c)
+        rows = order[starts[groups, None] + np.arange(c)]
+        for name in names:
+            block = cols.values[name][rows]
+            mean[name][groups] = block.mean(axis=1)
+            std[name][groups] = block.std(axis=1)  # population
+    cv = {}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for name in names:
+            m, s = mean[name], std[name]
+            cv[name] = np.where(m == 0.0, np.where(s == 0.0, 0.0, np.inf), s / np.abs(m))
+    return _Groups(keys, kernel[starts], platform[starts], size[starts], trials, consistent,
+                   mean, cv, present)
+
+
+def _check_consistent(groups: _Groups, lo: int = 0, hi: int | None = None) -> None:
+    """The first group in ``lo:hi`` whose trials differ in metric set is an error."""
+    bad = np.flatnonzero(~groups.consistent[lo:hi])
+    if bad.size:
+        g = lo + int(bad[0])
+        raise KstError(
+            f"inconsistent metric sets across trials of "
+            f"{list(groups.keys.kernel)[groups.kernel[g]]!r} ({PLATFORMS[groups.platform[g]]}, "
+            f"{list(groups.keys.size)[groups.size[g]]} bytes)"
+        )
+
+
+def _trial_columns(samples: Sequence[RawSample]) -> _Columns:
+    """Columns of samples whose keys must be distinct."""
+    cols = _from_samples(samples)
+    dup = _first_repeat(cols.trial, cols.size, cols.platform, cols.kernel)
+    if dup:
+        raise KstError(f"duplicate sample key {samples[dup[1]].key()!r}")
+    return cols
 
 
 def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], list[TrialSpread]]:
@@ -398,45 +776,81 @@ def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], lis
     Groups are sorted by key, and trials are averaged in trial order, so the
     output does not depend on input ordering.
     """
-    samples = list(samples)
-    dup = _duplicate_key(samples)
-    if dup:
-        raise KstError(f"duplicate sample key {samples[dup[1]].key()!r}")
-    groups: dict[tuple[str, str, int], list[RawSample]] = {}
-    for s in samples:
-        groups.setdefault((s.kernel, s.platform, s.problem_size_bytes), []).append(s)
-
+    groups = _aggregate(_trial_columns(list(samples)))
+    _check_consistent(groups)
+    kernels, sizes = list(groups.keys.kernel), list(groups.keys.size)
+    metrics = [(n, groups.values[n].tolist(), groups.cv[n].tolist(), groups.present[n].tolist())
+               for n in groups.values]
     aggregated, spreads = [], []
-    for key in sorted(groups):
-        kernel, platform, size = key
-        trials = sorted(groups[key], key=lambda s: s.trial)
-        names = set(trials[0].values)
-        for t in trials[1:]:
-            if set(t.values) != names:
-                raise KstError(
-                    f"inconsistent metric sets across trials of {kernel!r} "
-                    f"({platform}, {size} bytes)"
-                )
-        means, cv = {}, {}
-        for name in sorted(names):
-            vals = np.array([t.values[name] for t in trials], dtype=float)
-            mean = float(vals.mean())
-            std = float(vals.std())  # population
-            means[name] = mean
-            if mean == 0.0:
-                cv[name] = 0.0 if std == 0.0 else math.inf
-            else:
-                cv[name] = std / abs(mean)
-        aggregated.append(
-            RawSample(kernel, platform, size, 0, means, meta={"trials": str(len(trials))})
-        )
-        spreads.append(TrialSpread(kernel, platform, size, len(trials), cv))
+    for g, (k, p, s, c) in enumerate(zip(groups.kernel.tolist(), groups.platform.tolist(),
+                                         groups.size.tolist(), groups.trials.tolist())):
+        mine = [(n, mean[g], cv[g]) for n, mean, cv, has in metrics if has[g]]
+        aggregated.append(RawSample(kernels[k], PLATFORMS[p], sizes[s], 0,
+                                    {n: mean for n, mean, _ in mine}, meta={"trials": str(c)}))
+        spreads.append(TrialSpread(kernels[k], PLATFORMS[p], sizes[s], c,
+                                   {n: cv for n, _, cv in mine}))
     return aggregated, spreads
 
 
-def _variant_labels(kernel: str, n_sizes: int) -> list[str]:
-    # reference row is the smallest size; larger sizes get _1, _2, ... ascending
-    return [kernel] + [f"{kernel}_{i}" for i in range(1, n_sizes)]
+def _table(rows: _Columns | _Groups, metric_names: Sequence[str],
+           size_policy: int | str) -> MetricTable:
+    """The kernel x metric table of :func:`build_table` from columns."""
+    if not len(rows):
+        raise KstError("no samples to build a table from")
+    metric_names = list(metric_names)
+    if not metric_names:
+        raise KstError("metric_names must be non-empty")
+    if len(set(metric_names)) != len(metric_names):
+        raise KstError("metric_names contains duplicates")
+    platforms = np.unique(rows.platform)
+    if len(platforms) > 1:
+        raise KstError("samples mix platforms; filter by platform or merge tables instead")
+    if not (size_policy == ALL_SIZES or (isinstance(size_policy, int) and size_policy > 0)):
+        raise KstError(f"size_policy must be a positive size in bytes or {ALL_SIZES!r}")
+    kernels, sizes = list(rows.keys.kernel), list(rows.keys.size)
+    dup = _first_repeat(rows.size, rows.kernel)
+    if dup:
+        i = dup[1]
+        raise KstError(
+            f"multiple samples for {kernels[rows.kernel[i]]!r} at {sizes[rows.size[i]]} bytes; "
+            "aggregate trials first"
+        )
+
+    order = np.lexsort((_ranks(rows.keys.size)[rows.size], _ranks(rows.keys.kernel)[rows.kernel]))
+    if size_policy == ALL_SIZES:
+        # the smallest size keeps the bare label; larger sizes get _1, _2, ...
+        chosen = order
+        labels, variant, previous = [], 0, None
+        for k in rows.kernel[chosen].tolist():
+            variant = variant + 1 if k == previous else 0
+            labels.append(kernels[k] if not variant else f"{kernels[k]}_{variant}")
+            previous = k
+    else:
+        chosen = order[rows.size[order] == rows.keys.size.get(size_policy, -1)]
+        labels = [kernels[k] for k in rows.kernel[chosen].tolist()]
+        covered = set(labels)
+        for k in dict.fromkeys(rows.kernel[order].tolist()):
+            if kernels[k] not in covered:
+                raise KstError(f"kernel {kernels[k]!r} has no sample at {size_policy} bytes")
+
+    absent = np.zeros(len(rows), dtype=bool)
+    have = np.column_stack([rows.present.get(n, absent)[chosen] for n in metric_names])
+    missing = np.flatnonzero(~have.ravel())
+    if missing.size:
+        i, j = divmod(int(missing[0]), len(metric_names))
+        r = chosen[i]
+        raise KstError(
+            f"kernel {kernels[rows.kernel[r]]!r} ({sizes[rows.size[r]]} bytes) is missing "
+            f"metric {metric_names[j]!r}"
+        )
+    data = np.column_stack([rows.values[n][chosen] for n in metric_names])
+    meta = {
+        "platform": PLATFORMS[platforms[0]],
+        "size_policy": str(size_policy),
+        "space": "raw",
+    }
+    columns = tuple(descriptor_for(n) for n in metric_names)
+    return MetricTable(tuple(labels), columns, data, meta)
 
 
 def build_table(
@@ -452,61 +866,7 @@ def build_table(
     ``<kernel>_<i>`` in ascending size order). Rows are sorted by kernel
     label so the table does not depend on input order.
     """
-    samples = list(samples)
-    if not samples:
-        raise KstError("no samples to build a table from")
-    metric_names = list(metric_names)
-    if not metric_names:
-        raise KstError("metric_names must be non-empty")
-    if len(set(metric_names)) != len(metric_names):
-        raise KstError("metric_names contains duplicates")
-    platforms = {s.platform for s in samples}
-    if len(platforms) > 1:
-        raise KstError("samples mix platforms; filter by platform or merge tables instead")
-    if not (size_policy == ALL_SIZES or (isinstance(size_policy, int) and size_policy > 0)):
-        raise KstError(f"size_policy must be a positive size in bytes or {ALL_SIZES!r}")
-
-    by_kernel: dict[str, dict[int, RawSample]] = {}
-    for s in samples:
-        sizes = by_kernel.setdefault(s.kernel, {})
-        if s.problem_size_bytes in sizes:
-            raise KstError(
-                f"multiple samples for {s.kernel!r} at {s.problem_size_bytes} bytes; "
-                "aggregate trials first"
-            )
-        sizes[s.problem_size_bytes] = s
-
-    labels: list[str] = []
-    chosen: list[RawSample] = []
-    for kernel in sorted(by_kernel):
-        sizes = by_kernel[kernel]
-        if size_policy == ALL_SIZES:
-            ordered = [sizes[b] for b in sorted(sizes)]
-            labels.extend(_variant_labels(kernel, len(ordered)))
-            chosen.extend(ordered)
-        else:
-            if size_policy not in sizes:
-                raise KstError(f"kernel {kernel!r} has no sample at {size_policy} bytes")
-            labels.append(kernel)
-            chosen.append(sizes[size_policy])
-
-    data = np.empty((len(chosen), len(metric_names)), dtype=float)
-    for i, s in enumerate(chosen):
-        for j, name in enumerate(metric_names):
-            if name not in s.values:
-                raise KstError(
-                    f"kernel {s.kernel!r} ({s.problem_size_bytes} bytes) is missing "
-                    f"metric {name!r}"
-                )
-            data[i, j] = s.values[name]
-
-    meta = {
-        "platform": platforms.pop(),
-        "size_policy": str(size_policy),
-        "space": "raw",
-    }
-    columns = tuple(descriptor_for(n) for n in metric_names)
-    return MetricTable(tuple(labels), columns, data, meta)
+    return _table(_from_samples(list(samples)), metric_names, size_policy)
 
 
 def merge_platforms(cpu: MetricTable, gpu: MetricTable) -> MetricTable:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -473,6 +474,21 @@ def _criterion_domain(name: str, n: int, ks: Sequence[int]) -> list[int]:
     raise KstError(f"unknown criterion {name!r}")
 
 
+@contextmanager
+def _degenerate_notes() -> Iterator[list[str]]:
+    """The messages of the DegenerateResultWarnings raised in the block, in
+    order, instead of printing them; other warnings pass on."""
+    notes: list[str] = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateResultWarning)
+        yield notes
+    for w in caught:
+        if issubclass(w.category, DegenerateResultWarning):
+            notes.append(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
 def select_k(
     m: MetricTable,
     method: str = "agglomerative",
@@ -489,7 +505,9 @@ def select_k(
     Each criterion is scored on the k values where it is defined (the
     silhouette, for example, skips k=1 and k=n) and picks its best k; ties go
     to the smaller k. The consensus is the mode of the per-criterion picks,
-    again resolved toward smaller k.
+    again resolved toward smaller k. A degenerate score (a sentinel with a
+    :class:`DegenerateResultWarning`) is recorded in its criterion's note
+    with the k it occurred at, instead of being warned about.
     """
     if method not in CLUSTER_METHODS:
         raise KstError(f"unknown clustering method {method!r}")
@@ -546,28 +564,35 @@ def select_k(
                     note="single candidate k; gap rule not evaluated",
                 )
                 continue
-            gap_curve = gap_statistic(
-                m, method, gap_ks[-1], gap_b, seed,
-                k_min=gap_ks[0], n_init=n_init, max_iter=max_iter,
-                _merges=ward_merges,
-            )
-            note = None if _gap_rule_k(gap_curve) is not None else \
-                "no k satisfied the gap rule; largest candidate reported"
+            with _degenerate_notes() as notes:
+                gap_curve = gap_statistic(
+                    m, method, gap_ks[-1], gap_b, seed,
+                    k_min=gap_ks[0], n_init=n_init, max_iter=max_iter,
+                    _merges=ward_merges,
+                )
+            if _gap_rule_k(gap_curve) is None:
+                notes.append("no k satisfied the gap rule; largest candidate reported")
             results[name] = CriterionResult(
                 scores=dict(zip(gap_curve.ks, gap_curve.gap)),
                 selected_k=tibshirani_select(gap_curve),
-                note=note,
+                note="; ".join(notes) or None,
             )
             continue
         domain = _criterion_domain(name, n, ks)
         if not domain:
             raise KstError(f"criterion {name!r} is not defined on any k in {ks}")
-        scores = {k: float(score_fn[name](m, partitions[k])) for k in domain}
+        scores, degenerate = {}, {}
+        for k in domain:
+            with _degenerate_notes() as notes:
+                scores[k] = float(score_fn[name](m, partitions[k]))
+            for message in notes:
+                degenerate.setdefault(message, []).append(str(k))
         if name in MINIMIZED_CRITERIA:
             best = min(scores.items(), key=lambda kv: (kv[1], kv[0]))
         else:
             best = min(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        results[name] = CriterionResult(scores=scores, selected_k=best[0])
+        note = "; ".join(f"{msg} (k={','.join(at)})" for msg, at in degenerate.items())
+        results[name] = CriterionResult(scores=scores, selected_k=best[0], note=note or None)
 
     picks = [r.selected_k for r in results.values()]
     counts: dict[int, int] = {}

@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
-from .dataset import RawSample, aggregate_trials
+import numpy as np
+
+from .dataset import PLATFORMS, RawSample, _aggregate, _check_consistent, _Groups, _trial_columns
 from .errors import KstError
 
 REL_BASES = ("larger", "smaller", "symmetric")
@@ -69,6 +71,17 @@ class StabilityReport:
         }
 
 
+def _check_options(metrics: Sequence[str], threshold_pct: float, rel_base: str) -> list[str]:
+    if threshold_pct <= 0:
+        raise KstError(f"threshold_pct must be positive, got {threshold_pct}")
+    if rel_base not in REL_BASES:
+        raise KstError(f"rel_base must be one of {REL_BASES}, got {rel_base!r}")
+    metrics = list(metrics)
+    if not metrics:
+        raise KstError("metrics must be non-empty")
+    return metrics
+
+
 def stability_series(
     samples: Iterable[RawSample],
     metrics: Sequence[str],
@@ -82,51 +95,60 @@ def stability_series(
     on duplicated identical samples. At least two distinct sizes are needed,
     and every requested metric must be present at every size.
     """
-    if threshold_pct <= 0:
-        raise KstError(f"threshold_pct must be positive, got {threshold_pct}")
-    if rel_base not in REL_BASES:
-        raise KstError(f"rel_base must be one of {REL_BASES}, got {rel_base!r}")
-    metrics = list(metrics)
-    if not metrics:
-        raise KstError("metrics must be non-empty")
+    metrics = _check_options(metrics, threshold_pct, rel_base)
     samples = list(samples)
     if not samples:
         raise KstError("no samples supplied")
     idents = {(s.kernel, s.platform) for s in samples}
     if len(idents) > 1:
         raise KstError(f"samples span multiple kernels/platforms: {sorted(idents)}")
-    kernel, platform = idents.pop()
+    (report,) = _kernel_reports(_aggregate(_trial_columns(samples)), metrics,
+                                threshold_pct, rel_base)
+    return report
 
-    aggregated, _ = aggregate_trials(samples)
-    by_size = {s.problem_size_bytes: s for s in aggregated}
-    sizes = sorted(by_size)
-    if len(sizes) < 2:
-        raise KstError(f"kernel {kernel!r} needs at least 2 distinct sizes, got {len(sizes)}")
-    for size in sizes:
-        missing = [name for name in metrics if name not in by_size[size].values]
-        if missing:
-            raise KstError(f"kernel {kernel!r} at {size} bytes is missing metrics {missing}")
 
-    diffs = []
-    for small, large in zip(sizes, sizes[1:]):
-        vs, vl = by_size[small].values, by_size[large].values
-        diffs.append(max(_pct_diff(vs[name], vl[name], rel_base) for name in metrics))
+def _kernel_reports(
+    groups: _Groups, metrics: Sequence[str], threshold_pct: float, rel_base: str
+) -> list[StabilityReport]:
+    """One report per kernel of one platform's trial-averaged groups, in
+    kernel order; checks and errors as :func:`stability_series` per kernel."""
+    metrics = _check_options(metrics, threshold_pct, rel_base)
+    kernels, all_sizes = list(groups.keys.kernel), list(groups.keys.size)
+    kernel, size = groups.kernel.tolist(), groups.size.tolist()
+    absent = np.zeros(len(groups), dtype=bool)
+    means = [groups.values[m].tolist() if m in groups.values else None for m in metrics]
+    has = [groups.present.get(m, absent).tolist() for m in metrics]
+    starts = [g for g in range(len(kernel)) if not g or kernel[g] != kernel[g - 1]]
+    reports = []
+    for lo, hi in zip(starts, starts[1:] + [len(kernel)]):
+        _check_consistent(groups, lo, hi)
+        name = kernels[kernel[lo]]
+        sizes = [all_sizes[s] for s in size[lo:hi]]
+        if len(sizes) < 2:
+            raise KstError(f"kernel {name!r} needs at least 2 distinct sizes, got {len(sizes)}")
+        for g, at in zip(range(lo, hi), sizes):
+            missing = [m for m, h in zip(metrics, has) if not h[g]]
+            if missing:
+                raise KstError(f"kernel {name!r} at {at} bytes is missing metrics {missing}")
 
-    min_stable = None
-    for i in range(len(diffs)):
-        if all(d < threshold_pct for d in diffs[i:]):
-            min_stable = sizes[i]
-            break
-    return StabilityReport(
-        kernel=kernel,
-        platform=platform,
-        sizes=tuple(sizes),
-        pair_diff_pct=tuple(diffs),
-        min_stable_size=min_stable,
-        worst_residual_pct=diffs[-1],
-        threshold_pct=threshold_pct,
-        rel_base=rel_base,
-    )
+        diffs = [max(_pct_diff(col[g], col[g + 1], rel_base) for col in means)
+                 for g in range(lo, hi - 1)]
+        min_stable = None
+        for i in range(len(diffs)):
+            if all(d < threshold_pct for d in diffs[i:]):
+                min_stable = sizes[i]
+                break
+        reports.append(StabilityReport(
+            kernel=name,
+            platform=PLATFORMS[groups.platform[lo]],
+            sizes=tuple(sizes),
+            pair_diff_pct=tuple(diffs),
+            min_stable_size=min_stable,
+            worst_residual_pct=diffs[-1],
+            threshold_pct=threshold_pct,
+            rel_base=rel_base,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

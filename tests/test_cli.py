@@ -185,6 +185,29 @@ def test_select_k_criteria_subset(tmp_path, capsys, cpu_csv):
     assert sel["gap"] is None
 
 
+def test_select_k_records_degenerate_scores_in_notes(tmp_path, capsys):
+    # five kernels, two of them duplicated: k=3 is an exact partition
+    rows = [("k0", "0.1,0.8"), ("k1", "0.1,0.8"), ("k2", "0.6,0.2"), ("k3", "0.6,0.2"),
+            ("k4", "0.3,0.5")]
+    p = tmp_path / "five.csv"
+    p.write_text("kernel,platform,problem_size_bytes,trial,topdown.core_bound,"
+                 "topdown.memory_bound,topdown.fetch_latency,topdown.fetch_bandwidth\n"
+                 + "".join(f"{k},cpu,1024,0,{v},0.05,0.05\n" for k, v in rows))
+    code, stdout, err = run(capsys, "select-k", "--input", p, "--k-max", 3, "--criteria",
+                            "silhouette,calinski_harabasz,dunn,davies_bouldin,bic",
+                            "--out", tmp_path / "o")
+    assert (code, err) == (0, "")
+    criteria = parse_report((tmp_path / "o" / "selection.json").read_text())["selection"]["criteria"]
+    assert {name: c["note"] for name, c in criteria.items()} == {
+        "silhouette": None,
+        "calinski_harabasz": "WGSS is zero; Calinski-Harabasz reported as +inf (k=3)",
+        "dunn": "all clusters have zero diameter; Dunn reported as +inf (k=3)",
+        "davies_bouldin": None,
+        "bic": "zero pooled variance; BIC reported as -inf (k=3)",
+    }
+    assert "dunn: k=3  (all clusters have zero diameter" in stdout
+
+
 def test_select_k_bad_range(tmp_path, capsys, cpu_csv):
     code, _, err = run(capsys, "select-k", "--input", cpu_csv, "--size", 4194304,
                        "--k-min", 5, "--k-max", 3, "--out", tmp_path / "o")
@@ -331,6 +354,17 @@ def test_ingest_check_json_integer_too_large(tmp_path, capsys, digits, message):
     assert (code, stdout) == (2, "")
     doc = json.loads(err)
     assert doc["error"] == "ParseError" and doc["message"].startswith(message)
+
+
+@pytest.mark.parametrize("kernel", [None, True, [1], 5], ids=["null", "true", "list", "number"])
+def test_ingest_check_json_kernel_must_be_a_string(tmp_path, capsys, kernel):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps([{"kernel": kernel, "platform": "cpu", "problem_size_bytes": 1024,
+                              "trial": 0, "m": 1.0}]))
+    code, stdout, err = run(capsys, "ingest-check", "--input", p)
+    assert (code, stdout) == (2, "")
+    assert json.loads(err) == {"error": "ParseError",
+                               "message": f"record 0: kernel is not a string: {kernel!r}"}
 
 
 # ---------------------------------------------------------------- exit codes

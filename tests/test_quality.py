@@ -285,6 +285,21 @@ def test_gap_constant_feature_reported():
     assert all(math.isfinite(g) for g in c.gap)
 
 
+def test_select_k_notes_gap_warnings_instead_of_warning():
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=(12, 2))
+    x[:, 1] = 3.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = select_k(make_table(x), "kmeans", criteria=("gap", "bic"),
+                       k_range=range(1, 4), seed=0, gap_b=4)
+    assert caught == []
+    assert rep.criteria["gap"].note.startswith(
+        "features with a single observed value are constant in the gap reference "
+        "distribution: ['m1']")
+    assert rep.criteria["bic"].note is None
+
+
 def test_gap_parameter_validation(four_point_line):
     with pytest.raises(KstError):
         gap_statistic(four_point_line, "kmeans", k_max=3, b=1)
