@@ -24,25 +24,18 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .cluster import agglomerative_ward, cut_dendrogram, kmeans_fit
 from .dataset import (
     ALL_SIZES,
     DEFAULT_METRICS,
-    PLATFORMS,
     MetricTable,
-    _aggregate,
-    _check_consistent,
-    _Columns,
-    _Groups,
-    _derive_if_gpu,
-    _join,
-    _Keys,
-    _read,
-    _table,
+    Samples,
+    ingest_summary,
     merge_platforms,
+    platform_groups,
+    platform_table,
+    read_inputs,
 )
 from .errors import KstError
 from .preprocess import fit_transform
@@ -60,7 +53,7 @@ from .similarity import family_similarity
 from .stability import (
     DEFAULT_THRESHOLD_PCT,
     REL_BASES,
-    _kernel_reports,
+    kernel_reports,
     stability_summary,
     write_stability_csv,
 )
@@ -191,43 +184,8 @@ def _resolve_seed(flag: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _load_samples(args: argparse.Namespace) -> _Columns:
-    keys, parts = _Keys(), []
-    try:
-        for path in args.input:
-            fmt = args.format
-            if fmt == "auto":
-                fmt = "json" if path.endswith(".json") else "csv"
-            with open(path, "rb") as fh:
-                parts.append(_read(fh, fmt, keys))
-    except Exception:
-        _join(parts, keys)  # a key repeated across the files read before comes first
-        raise
-    samples = _join(parts, keys)
-    if not len(samples):
-        raise KstError("input files contain no samples")
-    return samples
-
-
-def _platforms(samples: _Columns) -> list[str]:
-    return [PLATFORMS[p] for p in np.unique(samples.platform).tolist()]
-
-
-def _platform_groups(samples: _Columns, platform: str) -> _Groups:
-    subset = samples.take(samples.platform == PLATFORMS.index(platform))
-    if not len(subset):
-        raise KstError(f"no {platform} samples in the input")
-    return _aggregate(_derive_if_gpu(subset) if platform == "gpu" else subset)
-
-
-def _platform_table(samples: _Columns, platform: str, size_policy: int | str) -> MetricTable:
-    groups = _platform_groups(samples, platform)
-    _check_consistent(groups)
-    return _table(groups, DEFAULT_METRICS[platform], size_policy)
-
-
-def _platform_mode(args: argparse.Namespace, samples: _Columns) -> str:
-    present = set(_platforms(samples))
+def _platform_mode(args: argparse.Namespace, samples: Samples) -> str:
+    present = set(samples.platforms())
     if args.platform != "auto":
         if args.platform in ("cpu", "gpu") and args.platform not in present:
             raise KstError(f"no {args.platform} samples in the input")
@@ -237,13 +195,13 @@ def _platform_mode(args: argparse.Namespace, samples: _Columns) -> str:
     return "both" if len(present) == 2 else present.pop()
 
 
-def _build_raw_table(args: argparse.Namespace, samples: _Columns) -> MetricTable:
+def _build_raw_table(args: argparse.Namespace, samples: Samples) -> MetricTable:
     mode = _platform_mode(args, samples)
     if mode in ("cpu", "gpu"):
-        return _platform_table(samples, mode, args.size)
+        return platform_table(samples, mode, args.size)
     gpu_size = args.gpu_size if args.gpu_size is not None else args.size
-    cpu_table = _platform_table(samples, "cpu", args.size)
-    gpu_table = _platform_table(samples, "gpu", gpu_size)
+    cpu_table = platform_table(samples, "cpu", args.size)
+    gpu_table = platform_table(samples, "gpu", gpu_size)
     return merge_platforms(cpu_table, gpu_table)
 
 
@@ -271,8 +229,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    samples = _load_samples(args)
-    raw = _build_raw_table(args, samples)
+    raw = _build_raw_table(args, read_inputs(args.input, args.format))
     std, spec = _standardize(args, raw)
     out = Path(args.out)
 
@@ -313,8 +270,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_select_k(args: argparse.Namespace) -> int:
-    samples = _load_samples(args)
-    raw = _build_raw_table(args, samples)
+    raw = _build_raw_table(args, read_inputs(args.input, args.format))
     std, _ = _standardize(args, raw)
     if args.k_min > args.k_max:
         raise KstError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
@@ -338,8 +294,7 @@ def cmd_select_k(args: argparse.Namespace) -> int:
 
 
 def cmd_similar(args: argparse.Namespace) -> int:
-    samples = _load_samples(args)
-    raw = _build_raw_table(args, samples)
+    raw = _build_raw_table(args, read_inputs(args.input, args.format))
     std, _ = _standardize(args, raw)
     report = family_similarity(std, args.target, args.family)
     _write(Path(args.out) / "family.json", emit_report({"family": report}))
@@ -358,8 +313,8 @@ def cmd_similar(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    samples = _load_samples(args)
-    present = _platforms(samples)
+    samples = read_inputs(args.input, args.format)
+    present = samples.platforms()
     platforms = [args.platform] if args.platform != "auto" else present
     missing = [p for p in platforms if p not in present]
     if missing:
@@ -367,8 +322,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
     reports = []
     for platform in platforms:
-        reports += _kernel_reports(_platform_groups(samples, platform), DEFAULT_METRICS[platform],
-                                   args.threshold_pct, args.rel_base)
+        reports += kernel_reports(platform_groups(samples, platform), DEFAULT_METRICS[platform],
+                                  args.threshold_pct, args.rel_base)
 
     out = Path(args.out) / "stability"
     multi_platform = len({r.kernel for r in reports}) != len(reports)
@@ -393,33 +348,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest_check(args: argparse.Namespace) -> int:
-    samples = _load_samples(args)
-    groups = _aggregate(samples)
-    _check_consistent(groups)
-    metrics = sorted(name for name, has in samples.present.items() if has.any())
-    # the first largest positive cv, groups in key order and metrics by name
-    worst_cv = 0.0
-    worst_at = ""
-    names = sorted(groups.cv)
-    if names:
-        cv = np.column_stack([groups.cv[n] for n in names])
-        cv[~(np.column_stack([groups.present[n] for n in names]) & (cv > 0))] = 0.0
-        g, j = divmod(int(np.argmax(cv)), len(names))
-        if cv[g, j] > 0:
-            worst_cv = float(cv[g, j])
-            worst_at = f"{list(samples.keys.kernel)[groups.kernel[g]]}/{names[j]}"
-    kernels = list(samples.keys.kernel)
-    sizes = list(samples.keys.size)
-    doc = {
-        "samples": len(samples),
-        "groups": len(groups),
-        "kernels": sorted(kernels[k] for k in np.unique(samples.kernel).tolist()),
-        "platforms": _platforms(samples),
-        "problem_sizes": sorted(sizes[s] for s in np.unique(samples.size).tolist()),
-        "metrics": metrics,
-        "worst_trial_cv": worst_cv,
-        "worst_trial_cv_at": worst_at,
-    }
+    doc = ingest_summary(read_inputs(args.input, args.format))
     sys.stdout.write(emit_report({"ingest": doc}))
     return 0
 

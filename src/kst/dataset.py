@@ -11,17 +11,19 @@ CPU metrics are pipeline-slot fractions from top-down analysis and live in
 kernel time; rates per second are derived from those while the raw counters
 stay for auditability.
 
-Ingest is columnar. Each file becomes key columns (integer codes for kernel,
-size and trial, interned in tables that all files of a run share, and a
-platform code) plus one float64 column and one presence mask per metric.
-Every check runs on whole columns and reports the first bad record in file
-order; duplicate keys are found by one sort within a file and one across
-files. GPU rates are column divisions. Trials are averaged by sorting the
-keys once and reducing one (groups, trials) block per trial count. The
-per-sample functions :func:`parse_samples`, :func:`derive_gpu_rates`,
-:func:`aggregate_trials` and :func:`build_table` (and
-:func:`kst.stability.stability_series`) are thin wrappers that convert
-:class:`RawSample` lists to and from these columns.
+Ingest is columnar. :func:`parse_samples` turns a file into a
+:class:`Samples` batch: key columns (integer codes for kernel, size, trial
+and the record's metric layout, interned per file, and a platform code) plus
+one float64 column and one presence mask per metric. Every check runs on
+whole columns and reports the first bad record in file order with its line
+or record number. :func:`read_inputs` joins the batches of several files and
+checks keys across them once. :func:`platform_groups` derives GPU rates as
+column divisions and averages trials by sorting the keys once and reducing
+one (groups, trials) block per trial count (:class:`TrialGroups`);
+:func:`platform_table` and :func:`ingest_summary` build on that. The
+per-sample functions :func:`derive_gpu_rates`, :func:`aggregate_trials` and
+:func:`build_table` (and :func:`kst.stability.stability_series`) are thin
+wrappers that convert :class:`RawSample` lists to and from these columns.
 """
 
 from __future__ import annotations
@@ -231,12 +233,13 @@ _PLATFORM_CODES = {name: code for code, name in enumerate(PLATFORMS)}
 @dataclass(eq=False)
 class _Keys:
     """Intern tables of the key columns: value -> integer code, in order of
-    first appearance. The batches of one run share them, so codes agree
-    across files."""
+    first appearance. A layout is the metric names of a record in the order
+    the record lists them."""
 
     kernel: dict[str, int] = field(default_factory=dict)
     size: dict[int, int] = field(default_factory=dict)
     trial: dict[int, int] = field(default_factory=dict)
+    layout: dict[tuple[str, ...], int] = field(default_factory=dict)
 
 
 def _intern(table: dict, value: Any) -> int:
@@ -262,26 +265,44 @@ def _flags(table: dict, test: Callable[[Any], bool]) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _Columns:
-    """Samples as columns: integer codes for the four keys (a platform code
-    indexes :data:`PLATFORMS`), and per metric one float64 column, NaN where
-    the metric is absent, and one presence mask."""
+class Samples(Sequence[RawSample]):
+    """Samples as columns, read as a sequence of :class:`RawSample` that are
+    built on access.
+
+    Integer codes for the four keys and for each record's layout (a platform
+    code indexes :data:`PLATFORMS`, the others the tables of ``keys``), and
+    per metric one float64 column, NaN where the metric is absent, and one
+    presence mask."""
 
     keys: _Keys
     kernel: np.ndarray
     platform: np.ndarray
     size: np.ndarray
     trial: np.ndarray
+    layout: np.ndarray
     values: dict[str, np.ndarray]
     present: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.kernel)
 
-    def take(self, rows: np.ndarray) -> _Columns:
-        return _Columns(
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _samples(self.take(np.arange(len(self))[index]))
+        return _samples(self.take([range(len(self))[index]]))[0]
+
+    def __iter__(self):
+        return iter(_samples(self))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Samples)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def take(self, rows: Any) -> Samples:
+        return Samples(
             self.keys, self.kernel[rows], self.platform[rows], self.size[rows],
-            self.trial[rows], {n: v[rows] for n, v in self.values.items()},
+            self.trial[rows], self.layout[rows], {n: v[rows] for n, v in self.values.items()},
             {n: p[rows] for n, p in self.present.items()},
         )
 
@@ -289,9 +310,13 @@ class _Columns:
         return (list(self.keys.kernel)[self.kernel[i]], PLATFORMS[self.platform[i]],
                 list(self.keys.size)[self.size[i]], list(self.keys.trial)[self.trial[i]])
 
+    def platforms(self) -> list[str]:
+        """The platforms the samples are on, in :data:`PLATFORMS` order."""
+        return [PLATFORMS[p] for p in np.unique(self.platform).tolist()]
+
 
 @dataclass(eq=False)
-class _Groups:
+class TrialGroups:
     """Trial-averaged samples, one group per (kernel, platform, size) in key
     order. Per metric: the mean over the trials (``values``), the coefficient
     of variation (``cv``) and whether every trial has the metric
@@ -310,19 +335,50 @@ class _Groups:
     def __len__(self) -> int:
         return len(self.kernel)
 
+    def labels(self) -> tuple[list[str], list[str], list[int]]:
+        """Each group's kernel name, platform and size in bytes."""
+        kernels, sizes = list(self.keys.kernel), list(self.keys.size)
+        return ([kernels[k] for k in self.kernel.tolist()],
+                [PLATFORMS[p] for p in self.platform.tolist()],
+                [sizes[s] for s in self.size.tolist()])
+
+    def check_consistent(self, lo: int = 0, hi: int | None = None) -> None:
+        """The first group in ``lo:hi`` whose trials differ in metric set is an error."""
+        bad = np.flatnonzero(~self.consistent[lo:hi])
+        if bad.size:
+            kernel, platform, size = (labels[lo + int(bad[0])] for labels in self.labels())
+            raise KstError(
+                f"inconsistent metric sets across trials of {kernel!r} ({platform}, {size} bytes)"
+            )
+
+    def worst_cv(self) -> tuple[float, str]:
+        """The largest positive coefficient of variation and where it is, as
+        ``kernel/metric``: the first, groups in key order and metrics by name.
+        (0.0, "") when no coefficient is positive."""
+        names = sorted(self.cv)
+        if not names:
+            return 0.0, ""
+        cv = np.column_stack([self.cv[n] for n in names])
+        cv[~(np.column_stack([self.present[n] for n in names]) & (cv > 0))] = 0.0
+        g, j = divmod(int(np.argmax(cv)), len(names))
+        if cv[g, j] > 0:
+            return float(cv[g, j]), f"{self.labels()[0][g]}/{names[j]}"
+        return 0.0, ""
+
 
 def _records(keys: _Keys, kernels: Sequence[str], platforms: Sequence[str],
              sizes: Sequence[int], trials: Sequence[int],
-             values: Sequence[dict[str, float]]) -> _Columns:
+             values: Sequence[dict[str, float]]) -> Samples:
     """Columns from per-record Python values."""
     n = len(kernels)
     names = dict.fromkeys(name for v in values for name in v)
-    cols = _Columns(
+    cols = Samples(
         keys,
         np.fromiter((_intern(keys.kernel, k) for k in kernels), np.intp, n),
         np.fromiter(map(_PLATFORM_CODES.__getitem__, platforms), np.intp, n),
         np.fromiter((_intern(keys.size, s) for s in sizes), np.intp, n),
         np.fromiter((_intern(keys.trial, t) for t in trials), np.intp, n),
+        np.fromiter((_intern(keys.layout, tuple(v)) for v in values), np.intp, n),
         {name: np.full(n, np.nan) for name in names},
         {name: np.zeros(n, dtype=bool) for name in names},
     )
@@ -333,13 +389,13 @@ def _records(keys: _Keys, kernels: Sequence[str], platforms: Sequence[str],
     return cols
 
 
-def _from_samples(samples: Sequence[RawSample]) -> _Columns:
+def _from_samples(samples: Sequence[RawSample]) -> Samples:
     return _records(_Keys(), [s.kernel for s in samples], [s.platform for s in samples],
                     [s.problem_size_bytes for s in samples], [s.trial for s in samples],
                     [s.values for s in samples])
 
 
-def _samples(cols: _Columns) -> list[RawSample]:
+def _samples(cols: Samples) -> list[RawSample]:
     kernels, sizes, trials = list(cols.keys.kernel), list(cols.keys.size), list(cols.keys.trial)
     metrics = [(n, v.tolist(), cols.present[n].tolist()) for n, v in cols.values.items()]
     keys = zip(cols.kernel.tolist(), cols.platform.tolist(), cols.size.tolist(),
@@ -398,7 +454,7 @@ def _raised(make: Callable[[], Any]) -> KstError:
     raise AssertionError("a record failed the column checks but not RawSample's")
 
 
-def _check_rows(cols: _Columns, first: _FirstBad, error_at: Callable[[int], Exception]) -> None:
+def _check_rows(cols: Samples, first: _FirstBad, error_at: Callable[[int], Exception]) -> None:
     """RawSample's rules on whole columns: a non-empty kernel name, a positive
     size, a non-negative trial, finite values and a positive GPU time.
     ``error_at(i)`` gives record i's error, in RawSample's words."""
@@ -435,45 +491,7 @@ def _as_int(text: str) -> int | None:
         return int(f) if math.isfinite(f) and f == int(f) else None
 
 
-def _read(source: str | bytes | IO[bytes] | IO[str], fmt: str, keys: _Keys) -> _Columns:
-    """One file's samples, checked record by record and for duplicate keys."""
-    text = _as_text(source)
-    if fmt == "csv":
-        cols = _csv_columns(text, keys)
-    elif fmt == "json":
-        cols = _json_columns(text, keys)
-    else:
-        raise KstError(f"unknown input format {fmt!r} (expected 'csv' or 'json')")
-    dup = _first_repeat(cols.trial, cols.size, cols.platform, cols.kernel)
-    if dup:
-        first, i = dup
-        raise ParseError(f"duplicate sample key {cols.key(i)!r} (records {first} and {i})")
-    return cols
-
-
-def _join(parts: Sequence[_Columns], keys: _Keys) -> _Columns:
-    """The batches of several files as one; a key repeated across them is an error."""
-    names = dict.fromkeys(name for p in parts for name in p.values)
-
-    def cat(arrays: list[np.ndarray], dtype: type) -> np.ndarray:
-        return np.concatenate(arrays) if arrays else np.empty(0, dtype)
-
-    cols = _Columns(
-        keys,
-        *(cat([getattr(p, a) for p in parts], np.intp)
-          for a in ("kernel", "platform", "size", "trial")),
-        {n: cat([p.values.get(n, np.full(len(p), np.nan)) for p in parts], float)
-         for n in names},
-        {n: cat([p.present.get(n, np.zeros(len(p), bool)) for p in parts], bool)
-         for n in names},
-    )
-    dup = _first_repeat(cols.trial, cols.size, cols.platform, cols.kernel)
-    if dup:
-        raise KstError(f"duplicate sample key {cols.key(dup[1])!r} across input files")
-    return cols
-
-
-def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -> list[RawSample]:
+def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -> Samples:
     """Parse raw samples from CSV or JSON.
 
     CSV layout: header ``kernel,platform,problem_size_bytes,trial,<metric>...``,
@@ -482,8 +500,69 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
     row (this is how mixed CPU/GPU files are expressed). JSON input is an
     array of objects with the same field names; the metrics are further
     fields, a ``values`` object mapping metric names to numbers, or both.
+    Every record is checked, and keys must be distinct; the first bad record
+    is reported. The result is a read-only sequence of :class:`RawSample`.
     """
-    return _samples(_read(source, fmt, _Keys()))
+    text = _as_text(source)
+    if fmt == "csv":
+        samples = _csv_columns(text)
+    elif fmt == "json":
+        samples = _json_columns(text)
+    else:
+        raise KstError(f"unknown input format {fmt!r} (expected 'csv' or 'json')")
+    dup = _first_repeat(samples.trial, samples.size, samples.platform, samples.kernel)
+    if dup:
+        first, i = dup
+        raise ParseError(f"duplicate sample key {samples.key(i)!r} (records {first} and {i})")
+    return samples
+
+
+def read_inputs(paths: Sequence[str], fmt: str = "auto") -> Samples:
+    """The samples of several files as one batch, each file read by
+    :func:`parse_samples`; ``fmt`` "auto" reads a ``.json`` file as JSON and
+    any other as CSV. A key repeated across the files is an error, and one
+    among the files read before a file that fails is reported first."""
+    parts: list[Samples] = []
+    try:
+        for path in paths:
+            with open(path, "rb") as fh:
+                parts.append(parse_samples(
+                    fh, fmt if fmt != "auto" else "json" if path.endswith(".json") else "csv"))
+    except Exception:
+        _join(parts)
+        raise
+    samples = _join(parts)
+    if not len(samples):
+        raise KstError("input files contain no samples")
+    return samples
+
+
+def _join(parts: Sequence[Samples]) -> Samples:
+    """The batches of several files as one, their codes interned again in one
+    set of tables; a key repeated across them is an error."""
+    keys = _Keys()
+    names = dict.fromkeys(name for p in parts for name in p.values)
+
+    def cat(arrays: list[np.ndarray], dtype: type) -> np.ndarray:
+        return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
+    def codes(column: str) -> np.ndarray:
+        table = getattr(keys, column)
+        return cat([np.array([_intern(table, v) for v in getattr(p.keys, column)],
+                             np.intp)[getattr(p, column)] for p in parts], np.intp)
+
+    samples = Samples(
+        keys, codes("kernel"), cat([p.platform for p in parts], np.intp), codes("size"),
+        codes("trial"), codes("layout"),
+        {n: cat([p.values.get(n, np.full(len(p), np.nan)) for p in parts], float)
+         for n in names},
+        {n: cat([p.present.get(n, np.zeros(len(p), bool)) for p in parts], bool)
+         for n in names},
+    )
+    dup = _first_repeat(samples.trial, samples.size, samples.platform, samples.kernel)
+    if dup:
+        raise KstError(f"duplicate sample key {samples.key(dup[1])!r} across input files")
+    return samples
 
 
 def _csv_line(text: str, index: int) -> int:
@@ -518,18 +597,15 @@ def _float_cells(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, int | No
     stripped = [c.strip() for c in cells]
     present = np.fromiter(map(bool, stripped), bool, len(stripped))
     values = np.full(len(stripped), np.nan)
-    try:
-        values[present] = list(map(float, filter(None, stripped)))
-    except ValueError:
-        for i in np.flatnonzero(present).tolist():
-            try:
-                values[i] = float(stripped[i])
-            except ValueError:
-                return values, present, i
+    for i in np.flatnonzero(present).tolist():
+        try:
+            values[i] = float(stripped[i])
+        except ValueError:
+            return values, present, i
     return values, present, None
 
 
-def _csv_columns(text: str, keys: _Keys) -> _Columns:
+def _csv_columns(text: str) -> Samples:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -561,6 +637,7 @@ def _csv_columns(text: str, keys: _Keys) -> _Columns:
     kernels, platforms, sizes, trials, *cells = (
         list(zip(*rows[:n])) if n else [()] * len(header))
 
+    keys = _Keys()
     kernel = _codes(kernels, {k: _intern(keys.kernel, k.strip()) for k in dict.fromkeys(kernels)})
     platform = _codes(platforms, {p: _PLATFORM_CODES.get(p.strip().lower(), -1)
                                   for p in dict.fromkeys(platforms)})
@@ -581,7 +658,8 @@ def _csv_columns(text: str, keys: _Keys) -> _Columns:
             f"metric {name!r} has non-finite value {column[i].strip()!r}", line(i)))
         values[name], present[name] = v, p
 
-    cols = _Columns(keys, kernel, platform, size, trial, values, present)
+    layout = np.full(n, _intern(keys.layout, tuple(metric_names)), np.intp)
+    cols = Samples(keys, kernel, platform, size, trial, layout, values, present)
     _check_rows(cols, first, lambda i: ParseError(
         str(_raised(lambda: _samples(cols.take([i])))), line(i)))
     first.raise_first()
@@ -630,7 +708,7 @@ def _json_record(i: int, obj: Any) -> tuple[str, str, int, int, dict[str, float]
     return kernel, platform, size, trial, values
 
 
-def _json_columns(text: str, keys: _Keys) -> _Columns:
+def _json_columns(text: str) -> Samples:
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
@@ -646,37 +724,55 @@ def _json_columns(text: str, keys: _Keys) -> _Columns:
             stop = exc
             break
     first = _FirstBad(len(records), stop)
-    cols = _records(keys, *(zip(*records) if records else [()] * 5))
+    cols = _records(_Keys(), *(zip(*records) if records else [()] * 5))
     _check_rows(cols, first, lambda i: ParseError(
         f"record {i}: {_raised(lambda: RawSample(*records[i]))}"))
     first.raise_first()
     return cols
 
 
-def _derive_rates(cols: _Columns, rows: np.ndarray) -> _Columns:
+def _derive_rates(cols: Samples, rows: np.ndarray) -> Samples:
     """``cols`` with every rate of :data:`RATE_SOURCES` set to its counter
     divided by the GPU time on ``rows``, which must have the time and every
-    counter. A negative counter there is an error."""
+    counter. A negative counter or a rate beyond the float range there is an
+    error (:func:`_rate_error`) at the first such row."""
     if not rows.any():
         return cols
-    bad = np.zeros(len(cols), dtype=bool)
-    for counter in RATE_SOURCES.values():
-        bad |= rows & (cols.values[counter] < 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        counter = next(c for c in RATE_SOURCES.values() if cols.values[c][i] < 0)
-        raise KstError(f"counter {counter!r} must be non-negative, "
-                       f"got {float(cols.values[counter][i])}")
-    values, present = dict(cols.values), dict(cols.present)
     t = cols.values[GPU_TIME_METRIC][rows]
-    for rate, counter in RATE_SOURCES.items():
+    rates, bad = {}, np.zeros(len(t), dtype=bool)
+    with np.errstate(over="ignore"):
+        for rate, counter in RATE_SOURCES.items():
+            count = cols.values[counter][rows]
+            rates[rate] = count / t
+            bad |= (count < 0) | ~np.isfinite(rates[rate])
+    if bad.any():
+        raise _rate_error(cols, int(np.flatnonzero(rows)[np.argmax(bad)]))
+    values, present = dict(cols.values), dict(cols.present)
+    for rate, derived in rates.items():
         values[rate] = values.get(rate, np.full(len(cols), np.nan)).copy()
-        values[rate][rows] = cols.values[counter][rows] / t
+        values[rate][rows] = derived
         present[rate] = present.get(rate, np.zeros(len(cols), dtype=bool)) | rows
     return replace(cols, values=values, present=present)
 
 
-def _derive_if_gpu(cols: _Columns) -> _Columns:
+def _rate_error(cols: Samples, i: int) -> KstError:
+    """Row i's error as the per-sample derivation raises it: the first
+    negative counter, else RawSample's check of the new values, which meets
+    the rates the record lists in its order and then the others in
+    :data:`RATE_SOURCES` order."""
+    for counter in RATE_SOURCES.values():
+        count = float(cols.values[counter][i])
+        if count < 0:
+            return KstError(f"counter {counter!r} must be non-negative, got {count}")
+    layout = list(cols.keys.layout)[cols.layout[i]]
+    own = [n for n in layout if n in RATE_SOURCES and cols.present[n][i]]
+    t = float(cols.values[GPU_TIME_METRIC][i])
+    return _raised(lambda: RawSample(*cols.key(i), {
+        rate: float(cols.values[RATE_SOURCES[rate]][i]) / t
+        for rate in own + [r for r in RATE_SOURCES if r not in own]}))
+
+
+def _derive_if_gpu(cols: Samples) -> Samples:
     """Rates for the GPU samples that have the time and every counter but
     not every rate."""
     def has(name: str) -> np.ndarray:
@@ -707,7 +803,7 @@ def derive_gpu_rates(sample: RawSample) -> RawSample:
     return replace(sample, values=derived.values)
 
 
-def _aggregate(cols: _Columns) -> _Groups:
+def _aggregate(cols: Samples) -> TrialGroups:
     """Average the trials of each (kernel, platform, size); keys must be unique.
 
     One lexsort puts the samples in key order, trials ascending. The groups
@@ -743,29 +839,28 @@ def _aggregate(cols: _Columns) -> _Groups:
         for name in names:
             m, s = mean[name], std[name]
             cv[name] = np.where(m == 0.0, np.where(s == 0.0, 0.0, np.inf), s / np.abs(m))
-    return _Groups(keys, kernel[starts], platform[starts], size[starts], trials, consistent,
-                   mean, cv, present)
+    return TrialGroups(keys, kernel[starts], platform[starts], size[starts], trials, consistent,
+                       mean, cv, present)
 
 
-def _check_consistent(groups: _Groups, lo: int = 0, hi: int | None = None) -> None:
-    """The first group in ``lo:hi`` whose trials differ in metric set is an error."""
-    bad = np.flatnonzero(~groups.consistent[lo:hi])
-    if bad.size:
-        g = lo + int(bad[0])
-        raise KstError(
-            f"inconsistent metric sets across trials of "
-            f"{list(groups.keys.kernel)[groups.kernel[g]]!r} ({PLATFORMS[groups.platform[g]]}, "
-            f"{list(groups.keys.size)[groups.size[g]]} bytes)"
-        )
-
-
-def _trial_columns(samples: Sequence[RawSample]) -> _Columns:
-    """Columns of samples whose keys must be distinct."""
+def trial_groups(samples: Iterable[RawSample]) -> TrialGroups:
+    """The trial-averaged groups of samples whose keys must be distinct."""
+    samples = list(samples)
     cols = _from_samples(samples)
     dup = _first_repeat(cols.trial, cols.size, cols.platform, cols.kernel)
     if dup:
         raise KstError(f"duplicate sample key {samples[dup[1]].key()!r}")
-    return cols
+    return _aggregate(cols)
+
+
+def platform_groups(samples: Samples, platform: str) -> TrialGroups:
+    """The trial-averaged groups of one platform's samples, GPU rates
+    derived first where a sample has the time and every counter but not
+    every rate."""
+    subset = samples.take(samples.platform == _PLATFORM_CODES[platform])
+    if not len(subset):
+        raise KstError(f"no {platform} samples in the input")
+    return _aggregate(_derive_if_gpu(subset))
 
 
 def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], list[TrialSpread]]:
@@ -776,23 +871,40 @@ def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], lis
     Groups are sorted by key, and trials are averaged in trial order, so the
     output does not depend on input ordering.
     """
-    groups = _aggregate(_trial_columns(list(samples)))
-    _check_consistent(groups)
-    kernels, sizes = list(groups.keys.kernel), list(groups.keys.size)
+    groups = trial_groups(samples)
+    groups.check_consistent()
     metrics = [(n, groups.values[n].tolist(), groups.cv[n].tolist(), groups.present[n].tolist())
                for n in groups.values]
     aggregated, spreads = [], []
-    for g, (k, p, s, c) in enumerate(zip(groups.kernel.tolist(), groups.platform.tolist(),
-                                         groups.size.tolist(), groups.trials.tolist())):
+    for g, (k, p, s, c) in enumerate(zip(*groups.labels(), groups.trials.tolist())):
         mine = [(n, mean[g], cv[g]) for n, mean, cv, has in metrics if has[g]]
-        aggregated.append(RawSample(kernels[k], PLATFORMS[p], sizes[s], 0,
-                                    {n: mean for n, mean, _ in mine}, meta={"trials": str(c)}))
-        spreads.append(TrialSpread(kernels[k], PLATFORMS[p], sizes[s], c,
-                                   {n: cv for n, _, cv in mine}))
+        aggregated.append(RawSample(k, p, s, 0, {n: mean for n, mean, _ in mine},
+                                    meta={"trials": str(c)}))
+        spreads.append(TrialSpread(k, p, s, c, {n: cv for n, _, cv in mine}))
     return aggregated, spreads
 
 
-def _table(rows: _Columns | _Groups, metric_names: Sequence[str],
+def ingest_summary(samples: Samples) -> dict:
+    """What ``kst ingest-check`` reports: the sample and group counts, the
+    kernels, platforms, problem sizes and metrics seen, and the worst
+    coefficient of variation across trials (:meth:`TrialGroups.worst_cv`)."""
+    groups = _aggregate(samples)
+    groups.check_consistent()
+    worst_cv, worst_at = groups.worst_cv()
+    kernels, sizes = list(samples.keys.kernel), list(samples.keys.size)
+    return {
+        "samples": len(samples),
+        "groups": len(groups),
+        "kernels": sorted(kernels[k] for k in np.unique(samples.kernel).tolist()),
+        "platforms": samples.platforms(),
+        "problem_sizes": sorted(sizes[s] for s in np.unique(samples.size).tolist()),
+        "metrics": sorted(name for name, has in samples.present.items() if has.any()),
+        "worst_trial_cv": worst_cv,
+        "worst_trial_cv_at": worst_at,
+    }
+
+
+def _table(rows: Samples | TrialGroups, metric_names: Sequence[str],
            size_policy: int | str) -> MetricTable:
     """The kernel x metric table of :func:`build_table` from columns."""
     if not len(rows):
@@ -867,6 +979,14 @@ def build_table(
     label so the table does not depend on input order.
     """
     return _table(_from_samples(list(samples)), metric_names, size_policy)
+
+
+def platform_table(samples: Samples, platform: str, size_policy: int | str) -> MetricTable:
+    """One platform's table of its :data:`DEFAULT_METRICS` from the
+    trial-averaged groups of :func:`platform_groups`."""
+    groups = platform_groups(samples, platform)
+    groups.check_consistent()
+    return _table(groups, DEFAULT_METRICS[platform], size_policy)
 
 
 def merge_platforms(cpu: MetricTable, gpu: MetricTable) -> MetricTable:

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import PLATFORMS, RawSample, _aggregate, _check_consistent, _Groups, _trial_columns
+from .dataset import RawSample, TrialGroups, trial_groups
 from .errors import KstError
 
 REL_BASES = ("larger", "smaller", "symmetric")
@@ -102,28 +102,26 @@ def stability_series(
     idents = {(s.kernel, s.platform) for s in samples}
     if len(idents) > 1:
         raise KstError(f"samples span multiple kernels/platforms: {sorted(idents)}")
-    (report,) = _kernel_reports(_aggregate(_trial_columns(samples)), metrics,
-                                threshold_pct, rel_base)
+    (report,) = kernel_reports(trial_groups(samples), metrics, threshold_pct, rel_base)
     return report
 
 
-def _kernel_reports(
-    groups: _Groups, metrics: Sequence[str], threshold_pct: float, rel_base: str
+def kernel_reports(
+    groups: TrialGroups, metrics: Sequence[str], threshold_pct: float, rel_base: str
 ) -> list[StabilityReport]:
     """One report per kernel of one platform's trial-averaged groups, in
     kernel order; checks and errors as :func:`stability_series` per kernel."""
     metrics = _check_options(metrics, threshold_pct, rel_base)
-    kernels, all_sizes = list(groups.keys.kernel), list(groups.keys.size)
-    kernel, size = groups.kernel.tolist(), groups.size.tolist()
+    kernels, platforms, all_sizes = groups.labels()
     absent = np.zeros(len(groups), dtype=bool)
     means = [groups.values[m].tolist() if m in groups.values else None for m in metrics]
     has = [groups.present.get(m, absent).tolist() for m in metrics]
-    starts = [g for g in range(len(kernel)) if not g or kernel[g] != kernel[g - 1]]
+    starts = [g for g in range(len(kernels)) if not g or kernels[g] != kernels[g - 1]]
     reports = []
-    for lo, hi in zip(starts, starts[1:] + [len(kernel)]):
-        _check_consistent(groups, lo, hi)
-        name = kernels[kernel[lo]]
-        sizes = [all_sizes[s] for s in size[lo:hi]]
+    for lo, hi in zip(starts, starts[1:] + [len(kernels)]):
+        groups.check_consistent(lo, hi)
+        name = kernels[lo]
+        sizes = all_sizes[lo:hi]
         if len(sizes) < 2:
             raise KstError(f"kernel {name!r} needs at least 2 distinct sizes, got {len(sizes)}")
         for g, at in zip(range(lo, hi), sizes):
@@ -140,7 +138,7 @@ def _kernel_reports(
                 break
         reports.append(StabilityReport(
             kernel=name,
-            platform=PLATFORMS[groups.platform[lo]],
+            platform=platforms[lo],
             sizes=tuple(sizes),
             pair_diff_pct=tuple(diffs),
             min_stable_size=min_stable,

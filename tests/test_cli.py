@@ -8,7 +8,7 @@ import pytest
 from kst.cli import SEED_ENV_VAR, build_parser, main
 from kst.report import parse_report
 
-from conftest import write_cpu_csv, write_gpu_csv
+from conftest import GPU_HEADER, csv_bytes, write_cpu_csv, write_gpu_csv
 
 
 @pytest.fixture
@@ -404,6 +404,25 @@ def test_duplicate_across_files_reported_before_later_files_parse(tmp_path, caps
         "error": "KstError",
         "message": "duplicate sample key ('Apps_K00', 'cpu', 1048576, 0) across input files",
     }
+
+
+@pytest.mark.parametrize("time, counters, rate", [
+    ("5e-324", ("7", "7", "7", "7"), "gpu.l1_rate"),
+    ("1e-10", ("7", "1e300", "7", "7"), "gpu.l2_rate"),
+])
+@pytest.mark.parametrize("command", ["cluster", "stability"])
+def test_gpu_rate_beyond_float_range_is_an_input_error(tmp_path, capsys, command, time,
+                                                       counters, rate):
+    rows = [[k, "gpu", size, 0, "1e-3", "5", "6", "7", "8"]
+            for k in ("A", "B") for size in (1024, 2048)]
+    rows[3][4:] = [time, *counters]
+    p = tmp_path / "gpu.csv"
+    p.write_text(csv_bytes(GPU_HEADER, rows))
+    code, out, err = run(capsys, command, "--input", p, "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "KstError",
+                               "message": f"metric {rate!r} has non-finite value inf"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_error_output_is_single_json_line(tmp_path, capsys):

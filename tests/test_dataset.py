@@ -177,6 +177,18 @@ def test_parse_csv_accepts_bytes_and_file_objects():
     assert parse_samples(text.encode()) == parse_samples(io.StringIO(text))
 
 
+def test_parsed_samples_read_as_a_sequence():
+    text = csv_bytes(CPU_HEADER, [["K", "cpu", 1024, t, 0.1, 0.7, 0.05, 0.05] for t in range(3)])
+    samples = parse_samples(text)
+    listed = list(samples)
+    assert [s.trial for s in listed] == [0, 1, 2]
+    assert samples[-1] == listed[-1] and samples[1:] == listed[1:]
+    assert samples == listed and listed == samples and samples != listed[:2]
+    assert listed[0] in samples and samples.index(listed[2]) == 2
+    with pytest.raises(IndexError):
+        samples[3]
+
+
 # --------------------------------------------------------------------- JSON
 
 def test_parse_json_basic():

@@ -34,6 +34,7 @@ from kst.dataset import (
     build_table,
     derive_gpu_rates,
     parse_samples,
+    read_inputs,
 )
 from kst.errors import KstError
 from kst.report import emit_report
@@ -66,6 +67,8 @@ BAD = {
     "zero time": (GPU_TIME_METRIC, 0.0),
     "negative time": (GPU_TIME_METRIC, -1.5),
     "negative counter": ("counter", -5.0),
+    "rate overflow": (GPU_TIME_METRIC, 5e-324),
+    "huge counter": ("counter", 1.5e308),
     "zero size": ("problem_size_bytes", 0),
     "negative size": ("problem_size_bytes", -1024),
     "text size": ("problem_size_bytes", "big"),
@@ -271,7 +274,7 @@ def _compare(files, size):
 
         for platform in ("auto", "cpu", "gpu", "both"):
             args = _namespace(paths, platform=platform, size=size, gpu_size=None)
-            new = _outcome(lambda a: cli._build_raw_table(a, cli._load_samples(a)), args)
+            new = _outcome(lambda a: cli._build_raw_table(a, read_inputs(a.input, a.format)), args)
             old = _outcome(lambda a: ref._build_raw_table(a, ref._load_samples(a)), args)
             _same(new, old, _table_key)
 
@@ -330,6 +333,43 @@ def test_each_kind_of_fault_matches_the_reference(fault, fmt):
     elif fault is not None:
         _inject(target, fault, lambda names: names[0])
     _compare([(fmt, records[:-4]), (fmt, records[-4:])], ALL_SIZES)
+
+
+@pytest.mark.parametrize("fmts", [("csv", "json"), ("json", "json-values"), ("json", "csv")])
+@pytest.mark.parametrize("drop", [None, "gpu.ips", "gpu.l1_rate"])
+def test_rate_overflow_reports_the_rate_the_record_lists_first(fmts, drop):
+    # a GPU time of 5e-324 sends every rate of the record beyond the float
+    # range; the reference reports the first in the record's own order, the
+    # rates it lists ahead of the ones derivation adds. The two files list
+    # the rates in opposite orders, and the bad record is in the second.
+    records = _base_records()
+    for r in records:
+        if r["platform"] == "gpu":
+            rates = ("gpu.ips", "gpu.l1_rate") if r["kernel"] == "a" else ("gpu.l1_rate", "gpu.ips")
+            r["values"].update({rate: 1.0 for rate in rates})
+    target = next(r for r in records if (r["kernel"], r["platform"]) == ("b", "gpu"))
+    target["values"][GPU_TIME_METRIC] = 5e-324
+    if drop:
+        del target["values"][drop]  # an empty cell in CSV
+    _compare([(fmts[0], [r for r in records if r["kernel"] == "a"]),
+              (fmts[1], [r for r in records if r["kernel"] == "b"])], ALL_SIZES)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("faults", [("overflow", "negative", "tiny time"),
+                                    ("negative", "tiny time", "overflow"),
+                                    ("tiny time", "overflow", "negative")])
+def test_rate_errors_report_the_first_bad_gpu_record(fmt, faults):
+    records = _base_records()
+    gpu = [r for r in records if r["platform"] == "gpu"]
+    for fault, r in zip(faults, gpu[1::3]):
+        if fault == "overflow":
+            r["values"].update({GPU_TIME_METRIC: 0.5, "gpu.hbm_transactions": 1.5e308})
+        elif fault == "negative":
+            r["values"]["gpu.l2_transactions"] = -1.0
+        else:
+            r["values"][GPU_TIME_METRIC] = 5e-324
+    _compare([(fmt, records)], ALL_SIZES)
 
 
 def test_mean_and_std_of_a_block_row_equal_the_1d_reduction():
