@@ -68,7 +68,6 @@ from .report import (
 from .rng import DEFAULT_SEED
 from .similarity import (
     FamilyReport,
-    distance,
     family_similarity,
     geometric_mean,
 )

@@ -216,10 +216,12 @@ def _standardize(args: argparse.Namespace, table: MetricTable):
 
 
 def _file_stem(label: str) -> str:
-    # percent-escape the path separators and "%" itself, so every label names
-    # a file inside the output directory and distinct labels distinct files;
-    # "summary" escapes its first letter so it cannot overwrite summary.json
-    stem = label.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
+    # percent-escape the path separators, NUL (which no file name may hold)
+    # and "%" itself, so every label names a file inside the output directory
+    # and distinct labels distinct files; "summary" escapes its first letter
+    # so it cannot overwrite summary.json
+    stem = (label.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
+            .replace("\x00", "%00"))
     return "%73ummary" if stem == "summary" else stem
 
 
@@ -250,7 +252,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     _write(out / "transform.json", spec.to_json())
 
     if len(std.column_names) >= 2:
-        centroids = _centroids(std, _check_partition(std, part), part.k)
+        centroids = _centroids(std.data, _check_partition(std, part), part.k)
         proj = pca_project(std, centroids)
         _write(out / "projection.json", emit_report({"projection": proj}))
 

@@ -7,8 +7,7 @@ Ward merges are computed with the Lance-Williams distance update; merge
 heights are on the distance scale (the square root of twice the increase in
 within-cluster sum of squares), so heights between singletons equal their
 Euclidean distance. Each merge also records the plain distance between the
-merged clusters' centroids, for dendrograms drawn on that scale instead; that
-one 1-D distance is taken with numpy's own ``sum``.
+merged clusters' centroids, for dendrograms drawn on that scale instead.
 
 Ward is the generic nearest-neighbour-cache algorithm of Müllner (2011,
 "Modern hierarchical, agglomerative clustering algorithms", arXiv:1109.2378):
@@ -22,10 +21,12 @@ k-means runs the ``n_init`` replicates of a fit batched through one Lloyd
 loop on (replicates, n, k) arrays; each replicate draws its k-means++ seeds
 from its own random sub-stream and stops on its own.
 
-Every squared distance between rows, and between rows and centers, goes
-through :func:`_sq_dist`, which adds the columns left to right. The order
-does not depend on how a table lies in memory, so tables with equal values
-give equal Ward heights, k-means fits and distance-based scores.
+Every squared distance between rows, between rows and centers and between
+centers goes through :func:`_sq_dist`, which adds the columns left to right.
+The order does not depend on how a table lies in memory, so tables with equal
+values give equal Ward heights, k-means fits and distance-based scores. The
+within-cluster scatter (k-means inertia, the WGSS of the quality criteria and
+the gap statistic's W_k) is one function too, :func:`_scatter`.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t *= t
         res += t
     return res
+
+
+def _scatter(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Within-cluster scatter of a batch of partitions of ``x`` (n, d): for
+    each partition r, the sum of squared distances from every row to its own
+    center, ``centers[r, assign[r]]``, with ``centers`` (b, k, d) and
+    ``assign`` (b, n). The squared differences of a partition are added as
+    one flat sum in row-major order, whatever the memory layout."""
+    diff = x - centers[np.arange(len(assign))[:, None], assign]
+    diff *= diff
+    return diff.reshape(len(assign), -1).sum(axis=1)
 
 
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
@@ -192,6 +204,7 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int, float]]
     nn_val = d2[np.arange(n), nn_idx]  # per row: that distance (inf once merged away)
 
     steps = []
+    merged = np.empty((2, n - 1, x.shape[1]))  # per merge: the two centroids joined
     for t in range(n - 1):
         dmin = float(nn_val.min())
         if not math.isfinite(dmin):
@@ -205,9 +218,9 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int, float]]
         r1 = partners[node_id[partners].argmin()]
         pi, pj = min(r0, r1), max(r0, r1)
         ni, nj = size[pi], size[pj]
-        cdist = float(np.sqrt(((centroid[pi] - centroid[pj]) ** 2).sum()))
+        merged[:, t] = centroid[pi], centroid[pj]
         left, right = sorted((int(node_id[pi]), int(node_id[pj])))
-        steps.append((left, right, float(np.sqrt(dmin)), int(ni + nj), cdist))
+        steps.append((left, right, float(np.sqrt(dmin)), int(ni + nj)))
 
         # Lance-Williams update against every other active cluster, on whole
         # rows: the inf entries (pi, pj, merged-away rows) stay inf
@@ -233,7 +246,8 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int, float]]
         sub = d2[rescan]
         nn_idx[rescan] = sub.argmin(axis=1)
         nn_val[rescan] = sub[np.arange(len(rescan)), nn_idx[rescan]]
-    return steps
+    cdist = np.sqrt(_sq_dist(merged[0], merged[1])).tolist()
+    return [step + (c,) for step, c in zip(steps, cdist)]
 
 
 def agglomerative_ward(m: MetricTable) -> Dendrogram:
@@ -405,9 +419,7 @@ def _lloyd(
         for j in range(d):
             new[:, :, j] = np.bincount(bins, xcols[j, :a * n], minlength=a * k).reshape(a, k)
         new /= counts[:, :, None]
-        diff = x - new[np.arange(a)[:, None], assign]
-        diff *= diff
-        inertia = diff.reshape(a, n * d).sum(axis=1)
+        inertia = _scatter(x, new, assign)
         for r, value in zip(live, inertia.tolist()):
             history[r].append(value)
         centers[live] = new

@@ -82,6 +82,9 @@ RATE_SOURCES = {
 DEFAULT_METRICS = {"cpu": CPU_TOPDOWN_METRICS, "gpu": GPU_RATE_METRICS}
 
 ALL_SIZES = "all"  # size policy: one row per (kernel, problem size)
+# joins a kernel name and a size ordinal in the row labels of ALL_SIZES
+# tables; kernel names may not contain it, so no two labels can collide
+VARIANT_SEPARATOR = "@"
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,9 @@ class RawSample:
     def __post_init__(self):
         if not self.kernel:
             raise KstError("kernel name must be non-empty")
+        if VARIANT_SEPARATOR in self.kernel:
+            raise KstError(f"kernel name must not contain {VARIANT_SEPARATOR!r}, "
+                           f"got {self.kernel!r}")
         if self.platform not in PLATFORMS:
             raise KstError(f"unknown platform {self.platform!r}")
         if not isinstance(self.problem_size_bytes, int) or self.problem_size_bytes <= 0:
@@ -455,11 +461,12 @@ def _raised(make: Callable[[], Any]) -> KstError:
 
 
 def _check_rows(cols: Samples, first: _FirstBad, error_at: Callable[[int], Exception]) -> None:
-    """RawSample's rules on whole columns: a non-empty kernel name, a positive
-    size, a non-negative trial, finite values and a positive GPU time.
+    """RawSample's rules on whole columns: a non-empty kernel name without
+    :data:`VARIANT_SEPARATOR`, a positive size, a non-negative trial, finite
+    values and a positive GPU time.
     ``error_at(i)`` gives record i's error, in RawSample's words."""
     keys = cols.keys
-    bad = _flags(keys.kernel, lambda k: not k)[cols.kernel]
+    bad = _flags(keys.kernel, lambda k: not k or VARIANT_SEPARATOR in k)[cols.kernel]
     bad |= _flags(keys.size, lambda s: s <= 0)[cols.size]
     bad |= _flags(keys.trial, lambda t: t < 0)[cols.trial]
     for name, v in cols.values.items():
@@ -930,12 +937,12 @@ def _table(rows: Samples | TrialGroups, metric_names: Sequence[str],
 
     order = np.lexsort((_ranks(rows.keys.size)[rows.size], _ranks(rows.keys.kernel)[rows.kernel]))
     if size_policy == ALL_SIZES:
-        # the smallest size keeps the bare label; larger sizes get _1, _2, ...
+        # the smallest size keeps the bare label; larger sizes get @1, @2, ...
         chosen = order
         labels, variant, previous = [], 0, None
         for k in rows.kernel[chosen].tolist():
             variant = variant + 1 if k == previous else 0
-            labels.append(kernels[k] if not variant else f"{kernels[k]}_{variant}")
+            labels.append(kernels[k] if not variant else f"{kernels[k]}{VARIANT_SEPARATOR}{variant}")
             previous = k
     else:
         chosen = order[rows.size[order] == rows.keys.size.get(size_policy, -1)]
@@ -975,8 +982,8 @@ def build_table(
     ``size_policy`` is either a problem size in bytes (one row per kernel at
     exactly that size) or :data:`ALL_SIZES` (one row per (kernel, size); the
     smallest size keeps the bare kernel label, larger sizes are labelled
-    ``<kernel>_<i>`` in ascending size order). Rows are sorted by kernel
-    label so the table does not depend on input order.
+    ``<kernel>@<i>`` in ascending size order). Rows are sorted by kernel
+    name so the table does not depend on input order.
     """
     return _table(_from_samples(list(samples)), metric_names, size_policy)
 

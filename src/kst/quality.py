@@ -16,22 +16,24 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .cluster import (
-    Dendrogram,
     Partition,
     _assign_at_k,
+    _canonical_ids,
     _kmeans_arrays,
     _pairwise_sq,
+    _scatter,
+    _sq_dist,
     _ward_merge_steps,
-    agglomerative_ward,
-    cut_dendrogram,
-    kmeans_fit,
 )
+# Not called here; kept importable as kst.quality.agglomerative_ward, the
+# name under which perfbench's tracer patches it.
+from .cluster import agglomerative_ward  # noqa: F401
 from .dataset import MetricTable
 from .errors import KstError
 from .rng import DEFAULT_SEED, subseed, substream
@@ -53,46 +55,40 @@ def _check_partition(m: MetricTable, p: Partition) -> np.ndarray:
     return np.array([p.labels[lab] for lab in m.rows], dtype=int)
 
 
-def _centroids(m: MetricTable, assign: np.ndarray, k: int) -> np.ndarray:
-    return np.array([m.data[assign == c].mean(axis=0) for c in range(k)])
+def _centroids(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    return np.array([x[assign == c].mean(axis=0) for c in range(k)])
+
+
+def _centroid_distances(m: MetricTable, p: Partition) -> np.ndarray:
+    """Euclidean distances between the partition's centroids, k x k."""
+    cents = _centroids(m.data, _check_partition(m, p), p.k)
+    return np.sqrt(_pairwise_sq(cents))
 
 
 def compactness(m: MetricTable, p: Partition) -> list[float]:
     """Mean member-to-centroid distance per cluster, ordered by cluster id."""
     assign = _check_partition(m, p)
-    cents = _centroids(m, assign, p.k)
-    out = []
-    for c in range(p.k):
-        pts = m.data[assign == c]
-        d = np.sqrt(((pts - cents[c]) ** 2).sum(axis=1))
-        out.append(float(d.mean()))
-    return out
+    cents = _centroids(m.data, assign, p.k)
+    d = np.sqrt(_sq_dist(m.data, cents[assign]))
+    return [float(d[assign == c].mean()) for c in range(p.k)]
 
 
 def separation(m: MetricTable, p: Partition) -> float:
     """Mean Euclidean distance over unordered centroid pairs."""
     if p.k < 2:
         raise KstError("separation requires at least 2 clusters")
-    assign = _check_partition(m, p)
-    cents = _centroids(m, assign, p.k)
-    dists = [
-        float(np.sqrt(((cents[a] - cents[b]) ** 2).sum()))
-        for a in range(p.k)
-        for b in range(a + 1, p.k)
-    ]
-    return float(np.mean(dists))
+    return float(np.mean(_centroid_distances(m, p)[np.triu_indices(p.k, 1)]))
 
 
 def sum_of_squares(m: MetricTable, p: Partition) -> tuple[float, float]:
     """(between-group, within-group) sums of squares; they add to the total
     sum of squared distances from the global mean."""
     assign = _check_partition(m, p)
-    cents = _centroids(m, assign, p.k)
-    grand = m.data.mean(axis=0)
+    cents = _centroids(m.data, assign, p.k)
+    grand = np.asfortranarray(m.data).mean(axis=0)  # the same sums on every layout
     counts = np.bincount(assign, minlength=p.k)
     bgss = float((counts * ((cents - grand) ** 2).sum(axis=1)).sum())
-    wgss = float(((m.data - cents[assign]) ** 2).sum())
-    return bgss, wgss
+    return bgss, float(_scatter(m.data, cents[None], assign[None])[0])
 
 
 @dataclass(frozen=True)
@@ -241,22 +237,14 @@ def davies_bouldin(m: MetricTable, p: Partition) -> float:
     """Average worst-case (S_i + S_j) / centroid distance; lower is better."""
     if p.k < 2:
         raise KstError("davies_bouldin requires at least 2 clusters")
-    assign = _check_partition(m, p)
-    cents = _centroids(m, assign, p.k)
+    gap = _centroid_distances(m, p)
+    np.fill_diagonal(gap, np.inf)  # a cluster is not compared with itself
+    if (gap == 0).any():
+        warnings.warn("coincident centroids; Davies-Bouldin reported as +inf",
+                      DegenerateResultWarning, stacklevel=2)
+        return math.inf
     scatter = np.array(compactness(m, p))
-    worst = []
-    for i in range(p.k):
-        best = -math.inf
-        for j in range(p.k):
-            if j == i:
-                continue
-            gap = float(np.sqrt(((cents[i] - cents[j]) ** 2).sum()))
-            if gap == 0:
-                warnings.warn("coincident centroids; Davies-Bouldin reported as +inf",
-                              DegenerateResultWarning, stacklevel=2)
-                return math.inf
-            best = max(best, (scatter[i] + scatter[j]) / gap)
-        worst.append(best)
+    worst = ((scatter[:, None] + scatter[None, :]) / gap).max(axis=1)
     return float(np.mean(worst))
 
 
@@ -310,37 +298,22 @@ class GapCurve:
 
 
 def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
-                n_init: int, max_iter: int, *stream_key: int,
-                merges: Sequence[tuple[int, int]] | None = None) -> dict[int, np.ndarray]:
-    """Cluster ``x`` once per k with the requested method. ``merges``, when
-    given, are the (left, right) Ward merges of ``x``, so Ward is not rerun."""
-    out = {}
+                n_init: int, max_iter: int, *stream_key: int) -> dict[int, np.ndarray]:
+    """Cluster ``x`` once per k with the requested method: one Ward run cut
+    at every k, or one k-means fit per k on sub-stream (seed, *stream_key, k).
+    Cluster ids are 0..k-1, every one of them used."""
     if method == "agglomerative":
-        if merges is None:
-            merges = [(s[0], s[1]) for s in _ward_merge_steps(x)]
-        for k in ks:
-            out[k] = _assign_at_k(merges, x.shape[0], k)
-    else:
-        for k in ks:
-            assign, _, _, _ = _kmeans_arrays(
-                x, k, subseed(seed, *stream_key, k), n_init, max_iter
-            )
-            out[k] = assign
-    return out
-
-
-def _pooled_within_dispersion(x: np.ndarray, labels: np.ndarray) -> float:
-    # sum over clusters of (1 / 2n_r) * sum of pairwise squared distances,
-    # which equals the within-cluster sum of squares around the mean
-    total = 0.0
-    for c in np.unique(labels):
-        pts = x[labels == c]
-        total += float(((pts - pts.mean(axis=0)) ** 2).sum())
-    return total
+        merges = _ward_merge_steps(x)
+        return {k: _assign_at_k(merges, x.shape[0], k) for k in ks}
+    return {k: _kmeans_arrays(x, k, subseed(seed, *stream_key, k), n_init, max_iter)[0]
+            for k in ks}
 
 
 def _log_dispersion(x: np.ndarray, labels: np.ndarray, k: int) -> float:
-    w = _pooled_within_dispersion(x, labels)
+    # W_k, the pooled within-cluster dispersion: the sum over clusters of
+    # (1 / 2n_r) * their pairwise squared distances, which is the scatter
+    # around the cluster means
+    w = float(_scatter(x, _centroids(x, labels, k)[None], labels[None])[0])
     if w <= 0.0:
         raise KstError(
             f"within-cluster dispersion is zero at k={k}; duplicate rows "
@@ -359,7 +332,7 @@ def gap_statistic(
     k_min: int = 1,
     n_init: int = 10,
     max_iter: int = 300,
-    _merges: Sequence[tuple[int, int]] | None = None,
+    _labels: Mapping[int, np.ndarray] | None = None,
 ) -> GapCurve:
     """Gap statistic over k_min..k_max with ``b`` uniform reference datasets.
 
@@ -367,8 +340,9 @@ def gap_statistic(
     features with a degenerate range are generated as constants (they add
     nothing to any distance) and reported in ``dropped_features``. The whole
     curve is a deterministic function of (table, method, parameters, seed).
-    ``_merges`` is private to :func:`select_k`: the (left, right) Ward merges
-    of ``m`` it has already computed.
+    ``_labels`` is private to :func:`select_k`: the labels of ``m`` per k
+    that it has already computed, as ``_labels_for`` gives them for stream
+    key 1.
     """
     if method not in CLUSTER_METHODS:
         raise KstError(f"unknown clustering method {method!r}")
@@ -395,7 +369,8 @@ def gap_statistic(
     rng = substream(seed, 0)
     refs = [rng.uniform(lo, hi, size=x.shape) for _ in range(b)]
 
-    labels_data = _labels_for(x, ks, method, seed, n_init, max_iter, 1, merges=_merges)
+    labels_data = _labels if _labels is not None else _labels_for(
+        x, ks, method, seed, n_init, max_iter, 1)
     log_w = [_log_dispersion(x, labels_data[k], k) for k in ks]
 
     log_w_ref = np.empty((b, len(ks)))
@@ -526,24 +501,17 @@ def select_k(
     if ks[0] < 1 or ks[-1] > n:
         raise KstError(f"k_range must stay within 1..{n}, got {ks[0]}..{ks[-1]}")
 
-    # one partition per needed k
+    # One clustering of m per k serves the partitions the criteria score and
+    # the gap statistic's data labels: Ward runs once, k-means once per k.
     needed = set()
     for name in criteria:
         if name != "gap":
             needed.update(_criterion_domain(name, n, ks))
-    partitions: dict[int, Partition] = {}
-    ward_merges = None  # reused by the gap statistic, so Ward runs once on m
-    if needed:
-        if method == "agglomerative":
-            dendro = agglomerative_ward(m)
-            ward_merges = [(mg.left, mg.right) for mg in dendro.merges]
-            for k in sorted(needed):
-                partitions[k] = cut_dendrogram(dendro, k)
-        else:
-            for k in sorted(needed):
-                partitions[k] = kmeans_fit(
-                    m, k, subseed(seed, 3, k), n_init, max_iter
-                ).partition()
+    gap_ks = [k for k in ks if k <= n - 1]  # dispersion vanishes at k = n
+    fit_ks = sorted(needed.union(gap_ks if "gap" in criteria and len(gap_ks) >= 2 else ()))
+    labels = _labels_for(m.data, fit_ks, method, seed, n_init, max_iter, 1) if fit_ks else {}
+    partitions = {k: Partition(_canonical_ids(m.rows, labels[k].tolist(), k)[0], k)
+                  for k in needed}
 
     score_fn = {
         "silhouette": silhouette,
@@ -557,7 +525,6 @@ def select_k(
     gap_curve = None
     for name in criteria:
         if name == "gap":
-            gap_ks = [k for k in ks if k <= n - 1]  # dispersion vanishes at k = n
             if len(gap_ks) < 2:
                 results[name] = CriterionResult(
                     scores={}, selected_k=gap_ks[0] if gap_ks else ks[0],
@@ -568,7 +535,7 @@ def select_k(
                 gap_curve = gap_statistic(
                     m, method, gap_ks[-1], gap_b, seed,
                     k_min=gap_ks[0], n_init=n_init, max_iter=max_iter,
-                    _merges=ward_merges,
+                    _labels=labels,
                 )
             if _gap_rule_k(gap_curve) is None:
                 notes.append("no k satisfied the gap rule; largest candidate reported")

@@ -1,4 +1,4 @@
-"""Euclidean distance between kernels and family similarity on top of it.
+"""Family similarity of kernels by Euclidean distance.
 
 Smaller distance means more similar behavior. :func:`family_similarity`
 compares one kernel with a glob-defined family of rows and with the closest
@@ -9,28 +9,15 @@ row outside it; equal distances are broken by lexicographic label order.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .cluster import _sq_dist
-from .dataset import MetricTable
+from .dataset import VARIANT_SEPARATOR, MetricTable
 from .errors import KstError
-
-_VARIANT_SUFFIX = re.compile(r"_\d+$")
-
-
-def distance(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray) -> float:
-    """Euclidean distance between two metric vectors."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise KstError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    d = p - q
-    return float(np.sqrt((d * d).sum()))
 
 
 @dataclass(frozen=True)
@@ -70,8 +57,8 @@ class FamilyReport:
 
 
 def _base_kernel(label: str) -> str:
-    # strip one size-variant suffix: "Apps_LTIMES_2" -> "Apps_LTIMES"
-    return _VARIANT_SUFFIX.sub("", label)
+    # the kernel of a size-variant label: "Apps_LTIMES@2" -> "Apps_LTIMES"
+    return label.partition(VARIANT_SEPARATOR)[0]
 
 
 def family_similarity(

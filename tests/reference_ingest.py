@@ -264,8 +264,8 @@ def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], lis
 
 
 def _variant_labels(kernel: str, n_sizes: int) -> list[str]:
-    # reference row is the smallest size; larger sizes get _1, _2, ... ascending
-    return [kernel] + [f"{kernel}_{i}" for i in range(1, n_sizes)]
+    # reference row is the smallest size; larger sizes get @1, @2, ... ascending
+    return [kernel] + [f"{kernel}@{i}" for i in range(1, n_sizes)]
 
 
 def build_table(
@@ -278,7 +278,7 @@ def build_table(
     ``size_policy`` is either a problem size in bytes (one row per kernel at
     exactly that size) or :data:`ALL_SIZES` (one row per (kernel, size); the
     smallest size keeps the bare kernel label, larger sizes are labelled
-    ``<kernel>_<i>`` in ascending size order). Rows are sorted by kernel
+    ``<kernel>@<i>`` in ascending size order). Rows are sorted by kernel
     label so the table does not depend on input order.
     """
     samples = list(samples)

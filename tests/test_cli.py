@@ -8,7 +8,7 @@ import pytest
 from kst.cli import SEED_ENV_VAR, build_parser, main
 from kst.report import parse_report
 
-from conftest import GPU_HEADER, csv_bytes, write_cpu_csv, write_gpu_csv
+from conftest import CPU_HEADER, GPU_HEADER, csv_bytes, write_cpu_csv, write_gpu_csv
 
 
 @pytest.fixture
@@ -140,6 +140,34 @@ def test_cluster_merged_platforms(tmp_path, capsys, cpu_csv, gpu_csv):
     metrics = set(box["clusters"]["0"])
     assert "topdown.memory_bound" in metrics and "gpu.ips" in metrics
     assert box["source"] == "raw"
+
+
+def test_size_variant_labels_do_not_collide_with_kernel_names(tmp_path, capsys):
+    # a kernel named like another's size variant under the old "_1" labels
+    inputs = tmp_path / "cpu.csv"
+    write_cpu_csv(inputs, kernels=["foo", "foo_1", "bar"])
+    code, _, err = run(capsys, "cluster", "--input", inputs, "--out", tmp_path / "o")
+    assert (code, err) == (0, "")
+    labels = parse_report((tmp_path / "o" / "partition.json").read_text())["partition"]["labels"]
+    assert sorted(labels) == ["bar", "bar@1", "foo", "foo@1", "foo_1", "foo_1@1"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_name_with_variant_separator_is_an_input_error(tmp_path, capsys, fmt):
+    rows = [[kernel, "cpu", 1024, 0, 0.5, 0.3, 0.1, 0.1] for kernel in ("ok", "a@b", "c@d")]
+    p = tmp_path / f"s.{fmt}"
+    if fmt == "csv":
+        p.write_text(csv_bytes(CPU_HEADER, rows))
+        where = "line 3"
+    else:
+        p.write_text(json.dumps([dict(zip(CPU_HEADER, row)) for row in rows]))
+        where = "record 1"
+    code, stdout, err = run(capsys, "cluster", "--input", p, "--out", tmp_path / "o")
+    assert (code, stdout) == (2, "")
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": f"{where}: kernel name must not contain '@', got 'a@b'"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_cluster_explicit_log_requires_metric_list(tmp_path, capsys, cpu_csv):
@@ -295,6 +323,21 @@ def test_stability_file_names_stay_inside_out(tmp_path, capsys):
                             "a%5Cb.json", "plain.json", "summary.json", "summary.csv"])
     doc = parse_report((out / "stability" / "a%252Fb.json").read_text())
     assert doc["stability"]["kernel"] == "a%2Fb"
+
+
+def test_stability_kernel_name_with_nul_gets_a_file(tmp_path, capsys):
+    # NUL cannot be in a file name; it is written as %00
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps([
+        dict(zip(CPU_HEADER, ["k\x00", "cpu", size, 0, value, 0.3, 0.1, 0.1]))
+        for size, value in ((1024, 0.5), (2048, 0.6))
+    ]))
+    code, _, err = run(capsys, "stability", "--input", p, "--out", tmp_path / "o")
+    assert (code, err) == (0, "")
+    out = tmp_path / "o" / "stability"
+    assert sorted(q.name for q in out.iterdir()) == [
+        "k%00.json", "summary.csv", "summary.json"]
+    assert parse_report((out / "k%00.json").read_text())["stability"]["kernel"] == "k\x00"
 
 
 def test_stability_kernel_named_summary_keeps_its_report(tmp_path, capsys):

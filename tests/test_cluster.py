@@ -23,7 +23,7 @@ from kst.cluster import (
     cut_dendrogram,
     kmeans_fit,
 )
-from kst.cluster import _kmeans_arrays, _kmeanspp_init, _lloyd, _pairwise_sq, _sq_dist
+from kst.cluster import _kmeans_arrays, _kmeanspp_init, _lloyd, _pairwise_sq, _scatter, _sq_dist
 from kst.errors import KstError
 from kst.rng import substream
 
@@ -528,6 +528,23 @@ def test_kmeanspp_weights_equal_reference():
         got = _RecordingRng()
         assert np.array_equal(_kmeanspp_init(x, 6, got), centers)
         assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights, strict=True))
+
+def test_scatter_equals_lloyds_inertia_expression():
+    # Lloyd's inertia before the scatter helper replaced it: a flat
+    # row-major sum of the squared differences, one per replicate
+    rng = np.random.default_rng(31)
+    a, n, k, d = 4, 50, 3, 9
+    centers = rng.normal(size=(a, k, d))
+    assign = rng.integers(0, k, size=(a, n))
+    x = rng.normal(size=(n, d)) * 3.0
+    for x in (x, np.asfortranarray(x)):
+        diff = x - centers[np.arange(a)[:, None], assign]
+        diff *= diff
+        want = diff.reshape(a, n * d).sum(axis=1)
+        assert np.array_equal(_scatter(x, centers, assign), want)
+        for r in range(a):  # a batch of one, as WGSS and the gap statistic take it
+            assert _scatter(x, centers[r:r + 1], assign[r:r + 1])[0] == want[r]
+
 
 def test_lloyd_distance_order_ignores_layout():
     # seven squares of 2^-54 vanish when added one by one after 1, the order

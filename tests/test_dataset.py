@@ -61,6 +61,8 @@ def test_raw_sample_validation():
     assert ok.key() == ("k", "cpu", 1024, 0)
     with pytest.raises(KstError):
         RawSample("", "cpu", 1024, 0, {})
+    with pytest.raises(KstError, match="must not contain '@'"):
+        RawSample("k@1", "cpu", 1024, 0, {})  # the size-variant label separator
     with pytest.raises(KstError):
         RawSample("k", "cpu", 0, 0, {})
     with pytest.raises(KstError):
@@ -351,8 +353,8 @@ def test_build_table_all_sizes_variant_labels():
     samples = [_cpu_sample("A", s, **{"topdown.core_bound": cb})
                for s, cb in ((4096, 0.3), (1024, 0.1), (2048, 0.2))]
     t = build_table(samples, CPU_TOPDOWN_METRICS, size_policy="all")
-    # smallest size keeps the bare name; larger sizes get _1, _2 ascending
-    assert t.rows == ("A", "A_1", "A_2")
+    # smallest size keeps the bare name; larger sizes get @1, @2 ascending
+    assert t.rows == ("A", "A@1", "A@2")
     assert t.meta["size_policy"] == "all"
     assert list(t.column_values("topdown.core_bound")) == [0.1, 0.2, 0.3]
 

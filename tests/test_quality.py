@@ -8,10 +8,17 @@ import pytest
 
 import kst.cluster
 import kst.quality
-from kst.cluster import Partition, _pairwise_sq, agglomerative_ward, cut_dendrogram, kmeans_fit
+from kst.cluster import (
+    Partition,
+    _canonical_ids,
+    _pairwise_sq,
+    agglomerative_ward,
+    cut_dendrogram,
+)
 from kst.errors import KstError
 from kst.preprocess import apply_transform, fit_transform
 from kst.quality import (
+    _labels_for,
     ALL_CRITERIA,
     CLUSTER_METHODS,
     DEFAULT_CRITERIA,
@@ -384,6 +391,42 @@ def test_select_k_runs_ward_once_on_the_data(two_blob_table, monkeypatch):
     assert rep.gap_curve == gap_statistic(t, "agglomerative", 8, 50, 5)
 
 
+def test_select_k_fits_kmeans_once_per_k_on_the_data(two_blob_table, monkeypatch):
+    t, _ = two_blob_table
+    calls = []
+    fit = kst.cluster._kmeans_arrays
+
+    def counted(x, k, *args):
+        calls.append(k)
+        return fit(x, k, *args)
+
+    monkeypatch.setattr(kst.cluster, "_kmeans_arrays", counted)
+    monkeypatch.setattr(kst.quality, "_kmeans_arrays", counted)
+    select_k(t, "kmeans", k_range=range(1, 9), seed=5, gap_b=50, n_init=1)
+    # k = 1..8 on the data, shared by the criteria and the gap statistic,
+    # then k = 1..8 on each of the 50 references
+    assert len(calls) == 8 + 50 * 8
+
+
+def test_select_k_scores_the_gap_statistics_data_labels(two_blob_table, monkeypatch):
+    t, _ = two_blob_table
+    scored = {}
+
+    def spy(m, p):
+        scored[p.k] = p
+        return dunn_index(m, p)
+
+    monkeypatch.setattr(kst.quality, "dunn_index", spy)
+    ks = range(1, 9)
+    rep = select_k(t, "kmeans", criteria=("dunn", "gap"), k_range=ks, seed=4, gap_b=4,
+                   n_init=1)
+    labels = _labels_for(t.data, ks, "kmeans", 4, 1, 300, 1)
+    assert sorted(scored) == list(range(2, 9))
+    for k, p in scored.items():
+        assert p == Partition(_canonical_ids(t.rows, labels[k].tolist(), k)[0], k)
+    assert rep.gap_curve == gap_statistic(t, "kmeans", 8, 4, 4, n_init=1)
+
+
 def test_select_k_domain_clipping():
     t = make_table([[0.0], [1.0], [10.0], [11.0]])
     with warnings.catch_warnings():
@@ -459,6 +502,10 @@ def test_equal_tables_score_equally_on_both_layouts(d):
     p = cut_dendrogram(dendro, 3)
     assert silhouette(fitted, p) == silhouette(applied, p)
     assert dunn_index(fitted, p) == dunn_index(applied, p)
+    assert compactness(fitted, p) == compactness(applied, p)
+    assert separation(fitted, p) == separation(applied, p)
+    assert davies_bouldin(fitted, p) == davies_bouldin(applied, p)
+    assert sum_of_squares(fitted, p) == sum_of_squares(applied, p)
     assert family_similarity(fitted, "k00", ["k0*"]) == family_similarity(applied, "k00", ["k0*"])
     for method in CLUSTER_METHODS:
         assert gap_statistic(fitted, method, k_max=4, b=3, seed=5, n_init=3) == \
