@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -82,9 +83,12 @@ def _annotation(text: str) -> tuple[str, float]:
             f"annotations take the form name=bytes, got {text!r}"
         )
     try:
-        return name, float(value)
+        number = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"annotation value is not a number: {text!r}") from None
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"annotation value is not finite: {text!r}")
+    return name, number
 
 
 def _comma_list(text: str) -> list[str]:
@@ -316,12 +320,8 @@ def cmd_similar(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     samples = read_inputs(args.input, args.format)
-    present = samples.platforms()
-    platforms = [args.platform] if args.platform != "auto" else present
-    missing = [p for p in platforms if p not in present]
-    if missing:
-        raise KstError(f"no {missing[0]} samples in the input")
-
+    mode = _platform_mode(args, samples)
+    platforms = ["cpu", "gpu"] if mode == "both" else [mode]
     reports = []
     for platform in platforms:
         reports += kernel_reports(platform_groups(samples, platform), DEFAULT_METRICS[platform],

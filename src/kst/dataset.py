@@ -816,7 +816,9 @@ def _aggregate(cols: Samples) -> TrialGroups:
     One lexsort puts the samples in key order, trials ascending. The groups
     with c trials form one C-contiguous (groups, c) block per metric, and
     ``mean(axis=1)``/``std(axis=1)`` of a block row equal numpy's 1-D
-    ``mean()``/``std()`` of that group's trials bit for bit.
+    ``mean()``/``std()`` of that group's trials bit for bit. A group whose
+    moments overflow is averaged again after dividing its trials by their
+    largest magnitude, and scaled back.
     """
     keys, n = cols.keys, len(cols)
     order = np.lexsort((_ranks(keys.trial)[cols.trial], _ranks(keys.size)[cols.size],
@@ -839,8 +841,15 @@ def _aggregate(cols: Samples) -> TrialGroups:
         rows = order[starts[groups, None] + np.arange(c)]
         for name in names:
             block = cols.values[name][rows]
-            mean[name][groups] = block.mean(axis=1)
-            std[name][groups] = block.std(axis=1)  # population
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu, sd = block.mean(axis=1), block.std(axis=1)  # population
+            # absent cells are NaN; finite trials with non-finite moments overflowed
+            big = ~(np.isfinite(mu) & np.isfinite(sd)) & np.isfinite(block).all(axis=1)
+            if big.any():
+                scale = np.abs(block[big]).max(axis=1)
+                unit = block[big] / scale[:, None]
+                mu[big], sd[big] = unit.mean(axis=1) * scale, unit.std(axis=1) * scale
+            mean[name][groups], std[name][groups] = mu, sd
     cv = {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for name in names:

@@ -4,13 +4,15 @@ Metrics that span orders of magnitude (GPU transaction rates, instruction
 rates) are log-transformed before standardization so that huge-valued
 columns do not dominate Euclidean distances. Every retained column is then
 shifted and scaled to zero mean and unit variance (population variance).
-The fitted parameters are captured in a :class:`TransformSpec` so the exact
-transform can be re-applied to other tables.
+The fitted parameters are captured in a :class:`TransformSpec`, which
+:func:`fit_transform` applies through :func:`apply_transform`: a replayed
+table is the fitted one bit for bit, column-major layout included.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -88,6 +90,8 @@ def _resolve_log_columns(
             )
         if auto_ratio <= 0:
             raise KstError(f"auto log ratio must be positive, got {auto_ratio}")
+        if not math.isfinite(auto_ratio):
+            raise KstError(f"auto log ratio must be finite, got {auto_ratio}")
         chosen = set()
         for j, col in enumerate(table.columns):
             # fractions are never log-compressed; unknown-kind columns are
@@ -106,14 +110,16 @@ def _resolve_log_columns(
     if unknown:
         raise KstError(f"log policy names metrics not in the table: {unknown}")
     for name in names:
-        vals = table.column_values(name)
-        bad = np.nonzero(vals <= 0)[0]
-        if len(bad):
-            raise KstError(
-                f"log target column {name!r} has non-positive value at row "
-                f"{table.rows[bad[0]]!r}"
-            )
+        _check_log_target(table, name)
     return set(names)
+
+
+def _check_log_target(table: MetricTable, name: str) -> None:
+    bad = np.nonzero(table.column_values(name) <= 0)[0]
+    if len(bad):
+        raise KstError(
+            f"log target column {name!r} has non-positive value at row {table.rows[bad[0]]!r}"
+        )
 
 
 def fit_transform(
@@ -126,8 +132,9 @@ def fit_transform(
 
     ``log_policy`` is ``"auto"`` (apply the natural log to strictly positive
     rate/count/time columns whose max/min exceeds ``auto_ratio``), ``"none"``,
-    or an explicit iterable of metric names. Zero-variance columns are
-    dropped and recorded in the output table's meta.
+    or an explicit iterable of metric names; ``auto_ratio`` must be finite
+    and positive. Zero-variance columns are dropped and recorded in the
+    output table's meta. The table is ``apply_transform(table, spec)``.
     """
     if not table.rows:
         raise KstError("cannot standardize an empty table")
@@ -141,38 +148,26 @@ def fit_transform(
     means = work.mean(axis=0)
     stds = work.std(axis=0)  # population variance
     keep = [j for j in range(work.shape[1]) if stds[j] > 0.0]
-    dropped = [table.columns[j].name for j in range(work.shape[1]) if stds[j] == 0.0]
     if not keep:
         raise KstError("all columns have zero variance; nothing to standardize")
-
-    out = (work[:, keep] - means[keep]) / stds[keep]
-    spec = TransformSpec(
-        tuple(
-            ColumnTransform(
-                table.columns[j].name,
-                table.columns[j].name in log_columns,
-                float(means[j]),
-                float(stds[j]),
-            )
-            for j in keep
-        )
-    )
-    columns = tuple(
-        MetricDescriptor(table.columns[j].name, SCORE, table.columns[j].platform, "z-score")
+    spec = TransformSpec(tuple(
+        ColumnTransform(table.columns[j].name, table.columns[j].name in log_columns,
+                        float(means[j]), float(stds[j]))
         for j in keep
-    )
-    meta = dict(table.meta)
-    meta["space"] = "standardized"
-    meta["log_metrics"] = ",".join(sorted(log_columns))
-    meta["dropped_zero_variance"] = ",".join(dropped)
-    return MetricTable(table.rows, columns, out, meta), spec
+    ))
+    out = apply_transform(table, spec)
+    out.meta["log_metrics"] = ",".join(sorted(log_columns))
+    out.meta["dropped_zero_variance"] = ",".join(
+        table.columns[j].name for j in range(work.shape[1]) if stds[j] == 0.0)
+    return out, spec
 
 
 def apply_transform(table: MetricTable, spec: TransformSpec) -> MetricTable:
     """Apply a fitted spec to a table whose columns cover the spec's metrics.
 
-    Output has exactly the spec's columns in spec order. Applying a spec to
-    the table it was fitted on reproduces :func:`fit_transform` output.
+    Output has exactly the spec's columns in spec order, stored
+    column-major. Applying a spec to the table it was fitted on reproduces
+    :func:`fit_transform` output, data and layout.
     """
     names = set(table.column_names)
     missing = [c.metric for c in spec.columns if c.metric not in names]
@@ -181,17 +176,12 @@ def apply_transform(table: MetricTable, spec: TransformSpec) -> MetricTable:
     if not spec.columns:
         raise KstError("transform spec has no columns")
 
-    out = np.empty((len(table.rows), len(spec.columns)), dtype=float)
+    out = np.empty((len(table.rows), len(spec.columns)), dtype=float, order="F")
     columns = []
     for j, ct in enumerate(spec.columns):
         vals = np.array(table.column_values(ct.metric), dtype=float)
         if ct.log:
-            bad = np.nonzero(vals <= 0)[0]
-            if len(bad):
-                raise KstError(
-                    f"log target column {ct.metric!r} has non-positive value at row "
-                    f"{table.rows[bad[0]]!r}"
-                )
+            _check_log_target(table, ct.metric)
             vals = np.log(vals)
         out[:, j] = (vals - ct.mean) / ct.std
         src = table.columns[table.column_names.index(ct.metric)]

@@ -192,15 +192,15 @@ def silhouette(m: MetricTable, p: Partition) -> float:
     for c in range(p.k):
         sums[:, c] = dmat[:, assign == c].sum(axis=1)
 
-    scores = np.zeros(n)
-    for i in range(n):
-        c = assign[i]
-        if counts[c] == 1:
-            continue  # singleton: s(i) = 0
-        a = sums[i, c] / (counts[c] - 1)
-        b = min(sums[i, o] / counts[o] for o in range(p.k) if o != c)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    rows = np.arange(n)
+    size = counts[assign]
+    mean_to = sums / counts
+    mean_to[rows, assign] = np.inf
+    b = mean_to.min(axis=1)  # nearest other cluster
+    with np.errstate(divide="ignore", invalid="ignore"):  # singletons divide 0 by 0
+        a = sums[rows, assign] / (size - 1)
+        denom = np.maximum(a, b)
+        scores = np.where((size == 1) | (denom == 0), 0.0, (b - a) / denom)
     return float(scores.mean())
 
 
@@ -392,20 +392,20 @@ def gap_statistic(
     )
 
 
-def _gap_rule_k(curve: GapCurve) -> int | None:
-    """Smallest k with Gap(k) >= Gap(k+1) - s(k+1), or None when none qualifies."""
+def _gap_rule_k(curve: GapCurve) -> tuple[int, bool]:
+    """(smallest k with Gap(k) >= Gap(k+1) - s(k+1), True), or (k_max, False)
+    when none qualifies."""
     for i in range(len(curve.ks) - 1):
         if curve.gap[i] >= curve.gap[i + 1] - curve.s[i + 1]:
-            return curve.ks[i]
-    return None
+            return curve.ks[i], True
+    return curve.ks[-1], False
 
 
 def tibshirani_select(curve: GapCurve) -> int:
     """Smallest k with Gap(k) >= Gap(k+1) - s(k+1); k_max when none qualifies."""
     if len(curve.ks) < 2:
         raise KstError("the gap selection rule needs at least 2 curve points")
-    k = _gap_rule_k(curve)
-    return curve.ks[-1] if k is None else k
+    return _gap_rule_k(curve)[0]
 
 
 @dataclass(frozen=True)
@@ -537,11 +537,12 @@ def select_k(
                     k_min=gap_ks[0], n_init=n_init, max_iter=max_iter,
                     _labels=labels,
                 )
-            if _gap_rule_k(gap_curve) is None:
+            picked, satisfied = _gap_rule_k(gap_curve)
+            if not satisfied:
                 notes.append("no k satisfied the gap rule; largest candidate reported")
             results[name] = CriterionResult(
                 scores=dict(zip(gap_curve.ks, gap_curve.gap)),
-                selected_k=tibshirani_select(gap_curve),
+                selected_k=picked,
                 note="; ".join(notes) or None,
             )
             continue

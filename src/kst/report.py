@@ -8,7 +8,6 @@ order so identical inputs yield byte-identical documents.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -17,6 +16,7 @@ import numpy as np
 from .cluster import Partition
 from .dataset import FRACTION, MetricDescriptor, MetricTable
 from .errors import KstError, ParseError
+from .quality import _check_partition
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +40,8 @@ CANONICAL_SECTIONS = (
 )
 
 _RANK_TOL = 1e-12  # eigenvalues below this fraction of the largest count as zero
+_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+_FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,35 +147,26 @@ def export_boxplot_data(
 ) -> BoxplotSummary:
     """min/q1/median/q3/max per cluster and metric.
 
-    Quantiles use linear interpolation. When ``raw`` is given, statistics
-    are computed over its (pre-standardization) values for the same row
-    labels; otherwise over ``m`` itself.
+    Rows map to clusters as in the quality measures, and one
+    linear-interpolation quantile call gives the five numbers of all of a
+    cluster's metrics. When ``raw`` is given, statistics are computed over
+    its (pre-standardization) values for the same row labels, in whatever
+    order ``raw`` holds them; otherwise over ``m`` itself.
     """
-    if set(p.labels) != set(m.rows):
-        raise KstError("partition labels do not match table rows")
+    assign = _check_partition(m, p)
     source_table = m if raw is None else raw
     source_name = "standardized" if raw is None and m.meta.get("space") == "standardized" else "raw"
-    if raw is not None:
-        missing = [lab for lab in m.rows if lab not in raw.rows]
-        if missing:
-            raise KstError(f"raw table is missing rows {missing}")
+    where = {lab: i for i, lab in enumerate(source_table.rows)}
+    missing = [lab for lab in m.rows if lab not in where]
+    if missing:
+        raise KstError(f"raw table is missing rows {missing}")
+    idx = np.array([where[lab] for lab in m.rows], dtype=np.intp)
 
     clusters: dict[int, dict[str, dict[str, float]]] = {}
     for c in range(p.k):
-        members = [lab for lab in m.rows if p.labels[lab] == c]
-        idx = [source_table.index_of(lab) for lab in members]
-        stats: dict[str, dict[str, float]] = {}
-        for j, col in enumerate(source_table.columns):
-            vals = source_table.data[idx, j]
-            q = np.quantile(vals, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
-            stats[col.name] = {
-                "min": float(q[0]),
-                "q1": float(q[1]),
-                "median": float(q[2]),
-                "q3": float(q[3]),
-                "max": float(q[4]),
-            }
-        clusters[c] = stats
+        q = np.quantile(source_table.data[idx[assign == c]], _QUANTILES, axis=0, method="linear")
+        clusters[c] = {col.name: dict(zip(_FIVE_NUMBERS, q[:, j].tolist()))
+                       for j, col in enumerate(source_table.columns)}
     return BoxplotSummary(source=source_name, clusters=clusters)
 
 

@@ -74,6 +74,8 @@ class StabilityReport:
 def _check_options(metrics: Sequence[str], threshold_pct: float, rel_base: str) -> list[str]:
     if threshold_pct <= 0:
         raise KstError(f"threshold_pct must be positive, got {threshold_pct}")
+    if not math.isfinite(threshold_pct):
+        raise KstError(f"threshold_pct must be finite, got {threshold_pct}")
     if rel_base not in REL_BASES:
         raise KstError(f"rel_base must be one of {REL_BASES}, got {rel_base!r}")
     metrics = list(metrics)

@@ -249,8 +249,12 @@ def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], lis
         means, cv = {}, {}
         for name in sorted(names):
             vals = np.array([t.values[name] for t in trials], dtype=float)
-            mean = float(vals.mean())
-            std = float(vals.std())  # population
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, std = float(vals.mean()), float(vals.std())  # population
+            if not (math.isfinite(mean) and math.isfinite(std)):  # overflow
+                scale = float(np.abs(vals).max())
+                unit = vals / scale
+                mean, std = float(unit.mean()) * scale, float(unit.std()) * scale
             means[name] = mean
             if mean == 0.0:
                 cv[name] = 0.0 if std == 0.0 else math.inf

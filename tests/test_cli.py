@@ -1,6 +1,12 @@
 """Command-line interface: outputs, seed resolution, exit codes, determinism."""
 
+import csv
+import importlib.util
+import io
 import json
+import math
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -358,6 +364,29 @@ def test_stability_requested_platform_must_exist(tmp_path, capsys, cpu_csv):
     assert "gpu" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_stability_annotation_must_be_finite(tmp_path, capsys, cpu_csv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--input", str(cpu_csv), "--annotate", f"l2={value}",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"annotation value is not finite: 'l2={value}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("stability", "--threshold-pct", "nan"), "threshold_pct must be finite, got nan"),
+    (("stability", "--threshold-pct", "inf"), "threshold_pct must be finite, got inf"),
+    (("cluster", "--log-ratio", "nan"), "auto log ratio must be finite, got nan"),
+    (("cluster", "--log-ratio", "inf"), "auto log ratio must be finite, got inf"),
+], ids=["threshold-nan", "threshold-inf", "log-ratio-nan", "log-ratio-inf"])
+def test_non_finite_option_is_an_input_error(tmp_path, capsys, cpu_csv, argv, message):
+    code, out, err = run(capsys, *argv, "--input", cpu_csv, "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "KstError", "message": message}
+    assert not (tmp_path / "o").exists()
+
+
 # -------------------------------------------------------------- ingest-check
 
 def test_ingest_check_summary(capsys, cpu_csv):
@@ -383,6 +412,37 @@ def test_ingest_check_json_input(tmp_path, capsys):
     code, stdout, _ = run(capsys, "ingest-check", "--input", p)
     assert code == 0
     assert parse_report(stdout)["ingest"]["samples"] == 2
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_ingest_check_averages_huge_trials_without_overflow(tmp_path, capsys):
+    # one trial's counter near the float maximum: its square overflows, the
+    # coefficient of variation does not
+    rows = list(csv.reader(io.StringIO(
+        _perfbench_gen().gpu_csv(40, (16777216, 67108864), 3, 7).decode())))
+    col = rows[0].index("gpu.hbm_transactions")
+    rows[5][col] = "1.5e308"
+    p = tmp_path / "gpu.csv"
+    p.write_text("".join(",".join(r) + "\n" for r in rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        code, stdout, err = run(capsys, "ingest-check", "--input", p)
+    assert (code, err) == (0, "")
+    doc = parse_report(stdout)["ingest"]
+    assert doc["worst_trial_cv_at"] == f"{rows[5][0]}/gpu.hbm_transactions"
+    trials = [Fraction(r[col]) for r in rows[1:] if r[0] == rows[5][0] and r[2] == rows[5][2]]
+    mean = sum(trials) / len(trials)
+    var = sum((t - mean) ** 2 for t in trials) / len(trials)
+    exact = math.sqrt(var / mean ** 2)
+    assert math.isfinite(doc["worst_trial_cv"])
+    assert abs(doc["worst_trial_cv"] - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("digits, message", [

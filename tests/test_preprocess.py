@@ -8,6 +8,7 @@ import pytest
 from kst.dataset import MetricDescriptor, MetricTable
 from kst.errors import KstError
 from kst.preprocess import TransformSpec, apply_transform, fit_transform
+from kst.report import pca_project
 
 from conftest import make_table
 
@@ -166,3 +167,36 @@ def test_apply_transform_log_rejects_nonpositive():
     bad = _kinded([0.0, 1.0], "rate")
     with pytest.raises(KstError):
         apply_transform(bad, spec)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fit_transform_output_is_apply_transform_of_its_spec(order):
+    # a log column, a zero-variance column and two linear ones, on either layout
+    rng = np.random.default_rng(21)
+    data = np.column_stack([np.exp(rng.normal(size=40) * 3), rng.normal(size=40),
+                            np.full(40, 2.5), rng.uniform(size=40)])
+    cols = tuple(MetricDescriptor(name, kind, "any", "") for name, kind in
+                 (("wide", "rate"), ("signed", "score"), ("flat", "rate"), ("share", "fraction")))
+    raw = MetricTable(tuple(f"k{i:02d}" for i in range(40)), cols, np.asarray(data, order=order))
+    assert raw.data.flags[f"{order}_CONTIGUOUS"]
+    fitted, spec = fit_transform(raw, "auto")
+    assert [(c.metric, c.log) for c in spec.columns] == [
+        ("wide", True), ("signed", False), ("share", False)]
+    assert fitted.meta["dropped_zero_variance"] == "flat"
+    replayed = apply_transform(raw, spec)
+    assert fitted.data.tobytes(order="A") == replayed.data.tobytes(order="A")
+    assert fitted.data.flags.f_contiguous and replayed.data.flags.f_contiguous
+    assert fitted.columns == replayed.columns
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_replayed_table_projects_like_the_fitted_one(seed):
+    raw = make_table(np.random.default_rng(seed).normal(size=(200, 6)) * 3.0 + 1.0)
+    fitted, spec = fit_transform(raw, "none")
+    assert pca_project(apply_transform(raw, spec)).to_dict() == pca_project(fitted).to_dict()
+
+
+@pytest.mark.parametrize("ratio", [math.nan, math.inf])
+def test_auto_log_ratio_must_be_finite(ratio):
+    with pytest.raises(KstError, match="must be finite"):
+        fit_transform(_kinded([1.0, 10.0, 1000.0], "rate"), "auto", auto_ratio=ratio)

@@ -16,7 +16,8 @@ from kst.cluster import (
     cut_dendrogram,
 )
 from kst.errors import KstError
-from kst.preprocess import apply_transform, fit_transform
+from kst.dataset import MetricTable
+from kst.preprocess import fit_transform
 from kst.quality import (
     _labels_for,
     ALL_CRITERIA,
@@ -486,12 +487,11 @@ def test_criteria_constants():
 
 @pytest.mark.parametrize("d", [8, 9, 12, 130])
 def test_equal_tables_score_equally_on_both_layouts(d):
-    # fit_transform builds a column-major table, apply_transform of its spec
-    # a row-major one with the same values: every distance-based result must
-    # not depend on which
+    # fit_transform builds a column-major table; its row-major twin holds the
+    # same values: every distance-based result must not depend on which
     raw = make_table(np.random.default_rng(d).normal(size=(60, d)) * 4.0 + 1.0)
-    fitted, spec = fit_transform(raw, "none")
-    applied = apply_transform(raw, spec)
+    fitted, _ = fit_transform(raw, "none")
+    applied = MetricTable(fitted.rows, fitted.columns, np.ascontiguousarray(fitted.data))
     assert np.array_equal(fitted.data, applied.data)
     assert fitted.data.flags.f_contiguous and not fitted.data.flags.c_contiguous
     assert applied.data.flags.c_contiguous and not applied.data.flags.f_contiguous
@@ -510,3 +510,48 @@ def test_equal_tables_score_equally_on_both_layouts(d):
     for method in CLUSTER_METHODS:
         assert gap_statistic(fitted, method, k_max=4, b=3, seed=5, n_init=3) == \
             gap_statistic(applied, method, k_max=4, b=3, seed=5, n_init=3)
+
+
+def _per_point_silhouette(m, p):
+    """Silhouette as a loop over points, the form the vectorized one replaced."""
+    n = len(m.rows)
+    assign = np.array([p.labels[lab] for lab in m.rows], dtype=int)
+    dmat = np.sqrt(_pairwise_sq(m.data))
+    counts = np.bincount(assign, minlength=p.k)
+    sums = np.zeros((n, p.k))
+    for c in range(p.k):
+        sums[:, c] = dmat[:, assign == c].sum(axis=1)
+    scores = np.zeros(n)
+    for i in range(n):
+        c = assign[i]
+        if counts[c] == 1:
+            continue
+        a = sums[i, c] / (counts[c] - 1)
+        b = min(sums[i, o] / counts[o] for o in range(p.k) if o != c)
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_silhouette_equals_the_per_point_loop(seed):
+    # 27 scattered points (rounded, so distances tie) in three clusters, then
+    # three coincident points: two form a cluster, the third is a singleton,
+    # so the pair has a(i) = b(i) = 0
+    rng = np.random.default_rng(seed)
+    x = np.vstack([rng.normal(size=(27, 3)).round(1), np.full((3, 3), 0.5)])
+    x[7] = x[3]
+    assign = np.concatenate([rng.permutation(np.arange(27) % 3), [3, 3, 4]])
+    t = make_table(x)
+    p = Partition(dict(zip(t.rows, assign.tolist())), 5)
+    assert silhouette(t, p) == _per_point_silhouette(t, p)
+
+
+def test_select_k_evaluates_the_gap_rule_once(two_blob_table, monkeypatch):
+    calls = []
+    rule = kst.quality._gap_rule_k
+    monkeypatch.setattr(kst.quality, "_gap_rule_k", lambda curve: calls.append(1) or rule(curve))
+    t, _ = two_blob_table
+    report = select_k(t, "kmeans", criteria=["gap"], k_range=range(1, 5), seed=3, gap_b=4)
+    assert len(calls) == 1
+    assert report.criteria["gap"].selected_k == tibshirani_select(report.gap_curve)

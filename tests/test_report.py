@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kst.cluster import Partition, kmeans_fit
-from kst.dataset import descriptor_for
+from kst.dataset import MetricTable, descriptor_for
 from kst.errors import KstError
 from kst.report import (
     CANONICAL_SECTIONS,
@@ -137,6 +137,21 @@ def test_boxplot_raw_override():
     missing = make_table([[100.0]], rows=("a",))
     with pytest.raises(KstError):
         export_boxplot_data(std, p, raw=missing)
+
+
+def test_boxplot_finds_raw_rows_by_label_in_any_order():
+    rng = np.random.default_rng(8)
+    raw = make_table(rng.normal(size=(25, 3)) * 5.0)
+    std = make_table((raw.data - 1.0) / 5.0)
+    p = Partition({lab: i % 3 for i, lab in enumerate(std.rows)}, 3)
+    backwards = MetricTable(raw.rows[::-1], raw.columns, raw.data[::-1])
+    bp = export_boxplot_data(std, p, raw=backwards)
+    for c in range(3):
+        idx = [i for i, lab in enumerate(raw.rows) if p.labels[lab] == c]
+        for j, name in enumerate(raw.column_names):
+            q = np.quantile(raw.data[idx, j], [0.0, 0.25, 0.5, 0.75, 1.0])
+            assert bp.clusters[c][name] == dict(zip(("min", "q1", "median", "q3", "max"),
+                                                    q.tolist()))
 
 
 def test_boxplot_partition_mismatch():

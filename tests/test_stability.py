@@ -5,11 +5,12 @@ import math
 
 import pytest
 
-from kst.dataset import RawSample
+from kst.dataset import RawSample, trial_groups
 from kst.errors import KstError
 from kst.stability import (
     StabilityReport,
     _pct_diff,
+    kernel_reports,
     stability_series,
     stability_summary,
     write_stability_csv,
@@ -134,6 +135,15 @@ def test_series_validation():
     with pytest.raises(KstError) as exc:
         stability_series(missing, ["m"])
     assert "missing" in str(exc.value)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_threshold_must_be_finite(threshold):
+    samples = _series("K", {1 * MB: 1.0, 2 * MB: 2.0})
+    with pytest.raises(KstError, match="must be finite"):
+        stability_series(samples, ["m"], threshold_pct=threshold)
+    with pytest.raises(KstError, match="must be finite"):
+        kernel_reports(trial_groups(samples), ["m"], threshold, "larger")
 
 
 # ------------------------------------------------------------------ summary
