@@ -1,0 +1,42 @@
+"""JSON-ready conversion of result objects.
+
+A :class:`FieldDict` result's JSON object is its dataclass fields in
+declaration order; a result whose JSON is not its fields writes a ``to_dict``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields
+from typing import Any, Mapping
+
+import numpy as np
+
+from .errors import KstError
+
+
+class FieldDict:
+    """Mixin for dataclasses whose JSON object is their fields, in order."""
+
+    def to_dict(self) -> dict:
+        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
+def to_jsonable(obj: Any) -> Any:
+    """Recursively convert report objects to JSON-serializable values."""
+    if isinstance(obj, FieldDict):
+        return obj.to_dict()  # already converted
+    if hasattr(obj, "to_dict"):
+        return to_jsonable(obj.to_dict())
+    if isinstance(obj, Mapping):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise KstError(f"cannot serialize {type(obj).__name__} into a report")

@@ -88,6 +88,8 @@ def _annotation(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"annotation value is not a number: {text!r}") from None
     if not math.isfinite(number):
         raise argparse.ArgumentTypeError(f"annotation value is not finite: {text!r}")
+    if number <= 0:
+        raise argparse.ArgumentTypeError(f"annotation bytes must be positive: {text!r}")
     return name, number
 
 
@@ -210,13 +212,13 @@ def _build_raw_table(args: argparse.Namespace, samples: Samples) -> MetricTable:
 
 
 def _standardize(args: argparse.Namespace, table: MetricTable):
-    if args.log_policy == "explicit":
-        if not args.log_metrics:
-            raise KstError("--log explicit requires --log-metrics")
-        policy: str | list[str] = args.log_metrics
-    else:
-        policy = args.log_policy
-    return fit_transform(table, policy, auto_ratio=args.log_ratio)
+    if args.log_policy != "explicit":
+        if args.log_metrics:
+            raise KstError("--log-metrics requires --log explicit")
+        return fit_transform(table, args.log_policy, auto_ratio=args.log_ratio)
+    if not args.log_metrics:
+        raise KstError("--log explicit requires --log-metrics")
+    return fit_transform(table, args.log_metrics, auto_ratio=args.log_ratio)
 
 
 def _file_stem(label: str) -> str:
@@ -319,6 +321,10 @@ def cmd_similar(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
+    names = [name for name, _ in args.annotate]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise KstError(f"--annotate names {repeated[0]!r} more than once")
     samples = read_inputs(args.input, args.format)
     mode = _platform_mode(args, samples)
     platforms = ["cpu", "gpu"] if mode == "both" else [mode]

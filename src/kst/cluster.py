@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._json import FieldDict
 from .dataset import MetricTable
 from .errors import KstError
 from .rng import DEFAULT_SEED, substream
@@ -91,7 +92,7 @@ def _pairwise_sq(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Merge:
+class Merge(FieldDict):
     """One merge step: child node ids, height, merged leaf count."""
 
     left: int
@@ -100,18 +101,9 @@ class Merge:
     size: int
     centroid_distance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "height": self.height,
-            "size": self.size,
-            "centroid_distance": self.centroid_distance,
-        }
-
 
 @dataclass(frozen=True)
-class Dendrogram:
+class Dendrogram(FieldDict):
     """Full merge history. Leaves are nodes 0..n-1 (table row order); merge
     t creates node n+t."""
 
@@ -137,9 +129,6 @@ class Dendrogram:
                 raise KstError("merge heights must be non-decreasing")
         if self.merges and self.merges[-1].size != n:
             raise KstError("final merge must contain every leaf")
-
-    def to_dict(self) -> dict:
-        return {"leaves": list(self.leaves), "merges": [m.to_dict() for m in self.merges]}
 
 
 @dataclass(frozen=True)
@@ -298,7 +287,7 @@ def cut_dendrogram(d: Dendrogram, k: int) -> Partition:
 
 
 @dataclass(frozen=True, eq=False)
-class KMeansModel:
+class KMeansModel(FieldDict):
     """Best-of-n_init k-means result. ``inertia_history`` tracks the winning
     replicate's inertia after each Lloyd iteration."""
 
@@ -322,17 +311,6 @@ class KMeansModel:
 
     def partition(self) -> Partition:
         return Partition(self.assignments, self.k)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "assignments": dict(self.assignments),
-            "centroids": self.centroids.tolist(),
-            "inertia": self.inertia,
-            "seed": self.seed,
-            "iterations": self.iterations,
-            "inertia_history": list(self.inertia_history),
-        }
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

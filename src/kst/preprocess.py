@@ -18,14 +18,15 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .dataset import COUNT, RATE, SCORE, TIME, MetricDescriptor, MetricTable
+from ._json import FieldDict, to_jsonable
+from .dataset import COUNT, RATE, SCORE, TIME, MetricDescriptor, MetricTable, _as_text
 from .errors import KstError, ParseError
 
 AUTO_LOG_RATIO = 100.0  # max/min above this triggers the log under the auto policy
 
 
 @dataclass(frozen=True)
-class ColumnTransform:
+class ColumnTransform(FieldDict):
     """Fitted parameters for one column: optional log, then (v - mean) / std."""
 
     metric: str
@@ -40,24 +41,14 @@ class TransformSpec:
 
     columns: tuple[ColumnTransform, ...]
 
-    def metric_names(self) -> tuple[str, ...]:
-        return tuple(c.metric for c in self.columns)
-
     def to_json(self) -> str:
-        records = [
-            {"metric": c.metric, "log": c.log, "mean": c.mean, "std": c.std}
-            for c in self.columns
-        ]
-        return json.dumps(records, indent=2) + "\n"
+        return json.dumps(to_jsonable(self.columns), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, source: str | bytes | IO[str] | IO[bytes]) -> "TransformSpec":
-        if hasattr(source, "read"):
-            source = source.read()
-        if isinstance(source, bytes):
-            source = source.decode("utf-8")
+        """Read :meth:`to_json` output from text, bytes (BOM skipped) or a file."""
         try:
-            records = json.loads(source)
+            records = json.loads(_as_text(source))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid transform spec JSON: {exc}") from None
         if not isinstance(records, list):

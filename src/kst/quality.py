@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._json import FieldDict
 from .cluster import (
     Partition,
     _assign_at_k,
@@ -92,7 +93,7 @@ def sum_of_squares(m: MetricTable, p: Partition) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class QualityReport:
+class QualityReport(FieldDict):
     """Descriptive statistics of one partition."""
 
     compactness: tuple[float, ...]
@@ -101,16 +102,6 @@ class QualityReport:
     compactness_ratio: float | None = None  # cluster 1 / cluster 0, two-cluster case
     bgss: float = 0.0
     wgss: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "compactness": list(self.compactness),
-            "separation": self.separation,
-            "sizes": list(self.sizes),
-            "compactness_ratio": self.compactness_ratio,
-            "bgss": self.bgss,
-            "wgss": self.wgss,
-        }
 
 
 def quality_report(m: MetricTable, p: Partition) -> QualityReport:
@@ -131,21 +122,13 @@ def quality_report(m: MetricTable, p: Partition) -> QualityReport:
 
 
 @dataclass(frozen=True)
-class RatioReport:
+class RatioReport(FieldDict):
     """Two-cluster compactness ratios per method plus cross-method spreads."""
 
     ratios: dict[str, float]       # method -> compactness[1] / compactness[0]
     separations: dict[str, float]  # method -> separation
     compactness_relative: float    # max(ratio) / min(ratio) across methods
     separation_relative: float     # max(separation) / min(separation)
-
-    def to_dict(self) -> dict:
-        return {
-            "ratios": dict(self.ratios),
-            "separations": dict(self.separations),
-            "compactness_relative": self.compactness_relative,
-            "separation_relative": self.separation_relative,
-        }
 
 
 def ratio_report(reports: Mapping[str, QualityReport]) -> RatioReport:
@@ -431,12 +414,11 @@ class KSelectionReport:
     gap_curve: GapCurve | None = None
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "criteria": {name: c.to_dict() for name, c in self.criteria.items()},
             "consensus_k": self.consensus_k,
+            "gap": self.gap_curve.to_dict() if self.gap_curve else None,
         }
-        doc["gap"] = self.gap_curve.to_dict() if self.gap_curve else None
-        return doc
 
 
 def _criterion_domain(name: str, n: int, ks: Sequence[int]) -> list[int]:

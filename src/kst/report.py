@@ -2,19 +2,21 @@
 
 Everything written to disk goes through :func:`emit_report`, which produces
 versioned JSON (``schema_version: 1``) with sections in a fixed canonical
-order so identical inputs yield byte-identical documents.
+order so identical inputs yield byte-identical documents. Sections convert
+through :func:`to_jsonable`; :func:`parse_report` reads like ``parse_samples``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import IO, Any, Mapping, Sequence
 
 import numpy as np
 
+from ._json import FieldDict, to_jsonable
 from .cluster import Partition
-from .dataset import FRACTION, MetricDescriptor, MetricTable
+from .dataset import FRACTION, MetricDescriptor, MetricTable, _as_text
 from .errors import KstError, ParseError
 from .quality import _check_partition
 
@@ -45,7 +47,7 @@ _FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
 
 
 @dataclass(frozen=True, eq=False)
-class Projection2D:
+class Projection2D(FieldDict):
     """Top-two principal directions of the table rows.
 
     Components follow a sign convention (each component's largest-magnitude
@@ -58,15 +60,6 @@ class Projection2D:
     coords: dict[str, tuple[float, float]]
     centroid_coords: dict[int, tuple[float, float]]
     degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "components": self.components.tolist(),
-            "explained_variance_ratio": list(self.explained_variance_ratio),
-            "coords": {lab: list(xy) for lab, xy in self.coords.items()},
-            "centroid_coords": {str(c): list(xy) for c, xy in self.centroid_coords.items()},
-            "degenerate": self.degenerate,
-        }
 
 
 def pca_project(
@@ -122,7 +115,7 @@ def pca_project(
 
 
 @dataclass(frozen=True)
-class BoxplotSummary:
+class BoxplotSummary(FieldDict):
     """Five-number summaries per (cluster, metric).
 
     ``source`` names whether the numbers come from raw or standardized
@@ -131,15 +124,6 @@ class BoxplotSummary:
 
     source: str  # "raw" or "standardized"
     clusters: dict[int, dict[str, dict[str, float]]]
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "clusters": {
-                str(c): {m: dict(stats) for m, stats in metrics.items()}
-                for c, metrics in self.clusters.items()
-            },
-        }
 
 
 def export_boxplot_data(
@@ -181,25 +165,6 @@ def format_metric_value(descriptor: MetricDescriptor, value: float) -> str:
     return f"{value:.4f}"
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert report objects to JSON-serializable values."""
-    if hasattr(obj, "to_dict"):
-        return to_jsonable(obj.to_dict())
-    if isinstance(obj, Mapping):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise KstError(f"cannot serialize {type(obj).__name__} into a report")
-
-
 def emit_report(sections: Mapping[str, Any]) -> str:
     """Serialize a bundle of report sections as versioned JSON.
 
@@ -217,12 +182,10 @@ def emit_report(sections: Mapping[str, Any]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_report(source: str | bytes) -> dict:
+def parse_report(source: str | bytes | IO[str] | IO[bytes]) -> dict:
     """Parse a document produced by :func:`emit_report`."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
-        doc = json.loads(source)
+        doc = json.loads(_as_text(source))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid report JSON: {exc}") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:

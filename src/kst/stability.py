@@ -20,6 +20,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._json import FieldDict
 from .dataset import RawSample, TrialGroups, trial_groups
 from .errors import KstError
 
@@ -46,7 +47,7 @@ def _pct_diff(v_small: float, v_large: float, rel_base: str) -> float:
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(FieldDict):
     """Adjacent-size percent differences and the stabilization point."""
 
     kernel: str
@@ -57,18 +58,6 @@ class StabilityReport:
     worst_residual_pct: float           # last pair's difference
     threshold_pct: float
     rel_base: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "platform": self.platform,
-            "sizes": list(self.sizes),
-            "pair_diff_pct": list(self.pair_diff_pct),
-            "min_stable_size": self.min_stable_size,
-            "worst_residual_pct": self.worst_residual_pct,
-            "threshold_pct": self.threshold_pct,
-            "rel_base": self.rel_base,
-        }
 
 
 def _check_options(metrics: Sequence[str], threshold_pct: float, rel_base: str) -> list[str]:

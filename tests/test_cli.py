@@ -183,6 +183,30 @@ def test_cluster_explicit_log_requires_metric_list(tmp_path, capsys, cpu_csv):
     assert "log-metrics" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("cluster",),
+    ("cluster", "--log", "none"),
+    ("select-k",),
+    ("similar", "--target", "Apps_K00", "--family", "Apps_*"),
+], ids=["cluster", "cluster-log-none", "select-k", "similar"])
+def test_log_metrics_requires_explicit_log(tmp_path, capsys, cpu_csv, argv):
+    code, out, err = run(capsys, *argv, "--input", cpu_csv, "--log-metrics",
+                         "topdown.core_bound", "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "KstError",
+                               "message": "--log-metrics requires --log explicit"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_cluster_explicit_log_applies_to_the_named_metric_only(tmp_path, capsys, cpu_csv):
+    code, _, err = run(capsys, "cluster", "--input", cpu_csv, "--log", "explicit",
+                       "--log-metrics", "topdown.core_bound", "--out", tmp_path / "o")
+    assert (code, err) == (0, "")
+    spec = json.loads((tmp_path / "o" / "transform.json").read_text())
+    assert {c["metric"]: c["log"] for c in spec} == {
+        name: name == "topdown.core_bound" for name in CPU_HEADER[4:]}
+
+
 def test_cluster_rerun_is_byte_identical(tmp_path, capsys, cpu_csv, gpu_csv):
     args = ("cluster", "--input", cpu_csv, "--input", gpu_csv, "--platform", "both",
             "--size", 4194304, "--gpu-size", 67108864, "--method", "kmeans")
@@ -371,6 +395,25 @@ def test_stability_annotation_must_be_finite(tmp_path, capsys, cpu_csv, value):
               "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert f"annotation value is not finite: 'l2={value}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_stability_annotation_must_be_positive(tmp_path, capsys, cpu_csv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--input", str(cpu_csv), "--annotate", f"l2={value}",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"annotation bytes must be positive: 'l2={value}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_stability_annotation_name_must_not_repeat(tmp_path, capsys, cpu_csv):
+    code, out, err = run(capsys, "stability", "--input", cpu_csv, "--annotate", "l2=1",
+                         "--annotate", "l2=2", "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "KstError",
+                               "message": "--annotate names 'l2' more than once"}
     assert not (tmp_path / "o").exists()
 
 

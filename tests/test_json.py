@@ -1,0 +1,155 @@
+"""Results serialize from their fields; spec and report JSON share the sample reader.
+
+The reference expressions below are the hand-written ``to_dict`` bodies the
+field-order conversion replaced, kept as the contract it must meet.
+"""
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+from kst.cluster import agglomerative_ward, cut_dendrogram, kmeans_fit
+from kst.dataset import parse_samples
+from kst.errors import KstError, ParseError
+from kst.preprocess import TransformSpec, fit_transform
+from kst.quality import quality_report, ratio_report
+from kst.report import emit_report, export_boxplot_data, parse_report, pca_project
+from kst.stability import stability_series
+
+from conftest import CPU_HEADER, make_table, two_blob_array, write_cpu_csv
+
+
+def _merge(m):
+    return {"left": m.left, "right": m.right, "height": m.height, "size": m.size,
+            "centroid_distance": m.centroid_distance}
+
+
+def _dendrogram(d):
+    return {"leaves": list(d.leaves), "merges": [_merge(m) for m in d.merges]}
+
+
+def _kmeans(m):
+    return {"k": m.k, "assignments": dict(m.assignments), "centroids": m.centroids.tolist(),
+            "inertia": m.inertia, "seed": m.seed, "iterations": m.iterations,
+            "inertia_history": list(m.inertia_history)}
+
+
+def _quality(q):
+    return {"compactness": list(q.compactness), "separation": q.separation,
+            "sizes": list(q.sizes), "compactness_ratio": q.compactness_ratio,
+            "bgss": q.bgss, "wgss": q.wgss}
+
+
+def _ratio(r):
+    return {"ratios": dict(r.ratios), "separations": dict(r.separations),
+            "compactness_relative": r.compactness_relative,
+            "separation_relative": r.separation_relative}
+
+
+def _projection(p):
+    return {"components": p.components.tolist(),
+            "explained_variance_ratio": list(p.explained_variance_ratio),
+            "coords": {lab: list(xy) for lab, xy in p.coords.items()},
+            "centroid_coords": {str(c): list(xy) for c, xy in p.centroid_coords.items()},
+            "degenerate": p.degenerate}
+
+
+def _boxplot(b):
+    return {"source": b.source,
+            "clusters": {str(c): {m: dict(stats) for m, stats in metrics.items()}
+                         for c, metrics in b.clusters.items()}}
+
+
+def _stability(s):
+    return {"kernel": s.kernel, "platform": s.platform, "sizes": list(s.sizes),
+            "pair_diff_pct": list(s.pair_diff_pct), "min_stable_size": s.min_stable_size,
+            "worst_residual_pct": s.worst_residual_pct, "threshold_pct": s.threshold_pct,
+            "rel_base": s.rel_base}
+
+
+def _column(c):
+    return {"metric": c.metric, "log": c.log, "mean": c.mean, "std": c.std}
+
+
+def _results(tmp_path):
+    """One result of each field-serialized class, computed by the library."""
+    data, _ = two_blob_array(n=12, d=3)
+    table = make_table(data)
+    dendro = agglomerative_ward(table)
+    part = cut_dendrogram(dendro, 2)
+    model = kmeans_fit(table, 2, 7, 3, 50)
+    ward_q, kmeans_q = quality_report(table, part), quality_report(table, model.partition())
+    write_cpu_csv(tmp_path / "cpu.csv", kernels=["a"])
+    samples = parse_samples((tmp_path / "cpu.csv").read_bytes())
+    _, spec = fit_transform(make_table(np.exp(data)), "auto")
+    return {
+        "Merge": dendro.merges[0],
+        "Dendrogram": dendro,
+        "KMeansModel": model,
+        "QualityReport": ward_q,
+        "RatioReport": ratio_report({"ward": ward_q, "kmeans": kmeans_q}),
+        "Projection2D": pca_project(table, model.centroids),
+        "BoxplotSummary": export_boxplot_data(table, part),
+        "StabilityReport": stability_series(samples, CPU_HEADER[4:]),
+        "ColumnTransform": spec.columns[0],
+    }
+
+
+def _plain(value):
+    """True when ``value`` holds only dicts with str keys, lists and Python scalars."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_plain(v) for v in value)
+    return value is None or type(value) in (bool, int, float, str)
+
+
+REFERENCES = {
+    "Merge": _merge, "Dendrogram": _dendrogram, "KMeansModel": _kmeans,
+    "QualityReport": _quality, "RatioReport": _ratio, "Projection2D": _projection,
+    "BoxplotSummary": _boxplot, "StabilityReport": _stability, "ColumnTransform": _column,
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCES))
+def test_field_dict_equals_the_hand_written_one(tmp_path, name):
+    obj, reference = _results(tmp_path)[name], REFERENCES[name]
+    assert type(obj).__name__ == name
+    doc = obj.to_dict()
+    assert _plain(doc)
+    assert doc == reference(obj)
+    assert json.dumps(doc) == json.dumps(reference(obj))
+
+
+def test_spec_json_equals_the_record_list():
+    _, spec = fit_transform(make_table(np.exp(two_blob_array(n=12, d=3)[0])), "auto")
+    records = [_column(c) for c in spec.columns]
+    assert spec.to_json() == json.dumps(records, indent=2) + "\n"
+
+
+def _sources(text):
+    raw = text.encode("utf-8")
+    bom = b"\xef\xbb\xbf" + raw
+    return [text, raw, bom, io.BytesIO(bom), io.StringIO(text)]
+
+
+def test_spec_reads_every_source_form():
+    _, spec = fit_transform(make_table(np.exp(two_blob_array(n=12, d=3)[0])), "auto")
+    for source in _sources(spec.to_json()):
+        assert TransformSpec.from_json(source) == spec
+
+
+def test_report_reads_every_source_form():
+    text = emit_report({"quality": {"a": 1.5}})
+    for source in _sources(text):
+        assert parse_report(source) == json.loads(text)
+
+
+@pytest.mark.parametrize("read", [TransformSpec.from_json, parse_report])
+def test_unsupported_source_type_is_an_input_error(read):
+    with pytest.raises(KstError, match="unsupported input source type int"):
+        read(3)
+    with pytest.raises(ParseError):
+        read(b"\xef\xbb\xbf[")

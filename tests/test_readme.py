@@ -1,9 +1,11 @@
-"""The README's input examples run as documented."""
+"""The README's input and library examples run as documented."""
 
 import csv
+import gc
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 from kst.cli import main
@@ -62,3 +64,16 @@ def test_readme_json_examples_parse(tmp_path, capsys):
         assert code == 0, err
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_readme_library_example(tmp_path, capsys, monkeypatch):
+    (tmp_path / "runs.csv").write_text(readme_block("csv"))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # an unclosed file shows as a ResourceWarning
+        exec(readme_block("python"), {})
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+    quality, consensus = capsys.readouterr().out.splitlines()
+    assert quality.startswith("{'compactness': [")
+    assert int(consensus) >= 1
