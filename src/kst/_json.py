@@ -1,17 +1,37 @@
-"""JSON-ready conversion of result objects.
+"""Input text and JSON in, JSON-ready result objects out.
 
-A :class:`FieldDict` result's JSON object is its dataclass fields in
+:func:`_as_text` reads every input, and :func:`load_json` every JSON one. A
+:class:`FieldDict` result's JSON object is its dataclass fields in
 declaration order; a result whose JSON is not its fields writes a ``to_dict``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
-from typing import Any, Mapping
+from typing import IO, Any, Mapping
 
 import numpy as np
 
-from .errors import KstError
+from .errors import KstError, ParseError
+
+
+def _as_text(source: str | bytes | IO[bytes] | IO[str]) -> str:
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, bytes):
+        return source.decode("utf-8-sig")
+    if isinstance(source, str):
+        return source
+    raise KstError(f"unsupported input source type {type(source).__name__}")
+
+
+def load_json(source: str | bytes | IO[bytes] | IO[str], what: str) -> Any:
+    """``source``'s document; any ValueError is a ParseError ``invalid <what>: ...``."""
+    try:
+        return json.loads(_as_text(source))
+    except ValueError as exc:
+        raise ParseError(f"invalid {what}: {exc}") from None
 
 
 class FieldDict:

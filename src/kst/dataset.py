@@ -21,22 +21,24 @@ checks keys across them once. :func:`platform_groups` derives GPU rates as
 column divisions and averages trials by sorting the keys once and reducing
 one (groups, trials) block per trial count (:class:`TrialGroups`);
 :func:`platform_table` and :func:`ingest_summary` build on that. The
-per-sample functions :func:`derive_gpu_rates`, :func:`aggregate_trials` and
-:func:`build_table` (and :func:`kst.stability.stability_series`) are thin
-wrappers that convert :class:`RawSample` lists to and from these columns.
+per-sample functions :func:`aggregate_trials` and :func:`build_table` (and
+:func:`kst.stability.stability_series`) are thin wrappers that convert
+:class:`RawSample` lists, whose metrics keep their record's order, to and from
+these columns. :func:`derive_gpu_rates` states the rate rule once, per sample;
+the column division raises its error for the first sample it rejects.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import IO, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._json import _as_text, load_json
 from .errors import KstError, ParseError
 
 # Metric kinds. The first four constrain the value range of raw tables;
@@ -194,14 +196,7 @@ class MetricTable:
             raise KstError("column names must be unique")
         if data.size and not np.isfinite(data).all():
             raise KstError("table contains non-finite values")
-        for j, col in enumerate(self.columns):
-            vals = data[:, j]
-            if not len(vals):
-                continue
-            if col.kind == FRACTION and ((vals < 0).any() or (vals > 1).any()):
-                raise KstError(f"fraction metric {col.name!r} has values outside [0, 1]")
-            if col.kind in (RATE, COUNT, TIME) and (vals < 0).any():
-                raise KstError(f"{col.kind} metric {col.name!r} has negative values")
+        check_kind_ranges(self.columns, data)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -218,6 +213,18 @@ class MetricTable:
         if name not in names:
             raise KstError(f"unknown metric {name!r}")
         return self.data[:, names.index(name)]
+
+
+def check_kind_ranges(columns: Sequence[MetricDescriptor], data: np.ndarray) -> None:
+    """Each column of ``data`` must lie in the range its kind allows:
+    fractions in [0, 1], rates, counts and times non-negative."""
+    lo = np.array([-np.inf if c.kind == SCORE else 0.0 for c in columns])
+    hi = np.array([1.0 if c.kind == FRACTION else np.inf for c in columns])
+    bad = np.flatnonzero(((data < lo) | (data > hi)).any(axis=0))
+    if bad.size:
+        name, kind = columns[bad[0]].name, columns[bad[0]].kind
+        raise KstError(f"fraction metric {name!r} has values outside [0, 1]" if kind == FRACTION
+                       else f"{kind} metric {name!r} has negative values")
 
 
 @dataclass(frozen=True)
@@ -312,10 +319,6 @@ class Samples(Sequence[RawSample]):
             {n: p[rows] for n, p in self.present.items()},
         )
 
-    def key(self, i: int) -> tuple[str, str, int, int]:
-        return (list(self.keys.kernel)[self.kernel[i]], PLATFORMS[self.platform[i]],
-                list(self.keys.size)[self.size[i]], list(self.keys.trial)[self.trial[i]])
-
     def platforms(self) -> list[str]:
         """The platforms the samples are on, in :data:`PLATFORMS` order."""
         return [PLATFORMS[p] for p in np.unique(self.platform).tolist()]
@@ -402,14 +405,18 @@ def _from_samples(samples: Sequence[RawSample]) -> Samples:
 
 
 def _samples(cols: Samples) -> list[RawSample]:
+    """The samples, each listing its metrics in its record's order, then any derived since."""
     kernels, sizes, trials = list(cols.keys.kernel), list(cols.keys.size), list(cols.keys.trial)
-    metrics = [(n, v.tolist(), cols.present[n].tolist()) for n, v in cols.values.items()]
+    columns = {n: (n, v.tolist(), cols.present[n].tolist()) for n, v in cols.values.items()}
+    layouts = list(cols.keys.layout)
+    metrics = {c: [columns[n] for n in dict.fromkeys(layouts[c] + tuple(columns))]
+               for c in np.unique(cols.layout).tolist()}
     keys = zip(cols.kernel.tolist(), cols.platform.tolist(), cols.size.tolist(),
-               cols.trial.tolist())
+               cols.trial.tolist(), cols.layout.tolist())
     return [
         RawSample(kernels[k], PLATFORMS[p], sizes[s], trials[t],
-                  {n: v[i] for n, v, has in metrics if has[i]})
-        for i, (k, p, s, t) in enumerate(keys)
+                  {n: v[i] for n, v, has in metrics[c] if has[i]})
+        for i, (k, p, s, t, c) in enumerate(keys)
     ]
 
 
@@ -452,12 +459,12 @@ class _FirstBad:
 
 
 def _raised(make: Callable[[], Any]) -> KstError:
-    """The KstError that ``make()`` raises."""
+    """The KstError that ``make()``, a record's per-sample rule, raises."""
     try:
         make()
     except KstError as exc:
         return exc
-    raise AssertionError("a record failed the column checks but not RawSample's")
+    raise AssertionError("a record failed a column check but not its per-sample rule")
 
 
 def _check_rows(cols: Samples, first: _FirstBad, error_at: Callable[[int], Exception]) -> None:
@@ -474,16 +481,6 @@ def _check_rows(cols: Samples, first: _FirstBad, error_at: Callable[[int], Excep
     if GPU_TIME_METRIC in cols.values:
         bad |= cols.present[GPU_TIME_METRIC] & (cols.values[GPU_TIME_METRIC] <= 0)
     first.check(bad, error_at)
-
-
-def _as_text(source: str | bytes | IO[bytes] | IO[str]) -> str:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    if isinstance(source, str):
-        return source
-    raise KstError(f"unsupported input source type {type(source).__name__}")
 
 
 def _as_int(text: str) -> int | None:
@@ -520,7 +517,7 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
     dup = _first_repeat(samples.trial, samples.size, samples.platform, samples.kernel)
     if dup:
         first, i = dup
-        raise ParseError(f"duplicate sample key {samples.key(i)!r} (records {first} and {i})")
+        raise ParseError(f"duplicate sample key {samples[i].key()!r} (records {first} and {i})")
     return samples
 
 
@@ -568,7 +565,7 @@ def _join(parts: Sequence[Samples]) -> Samples:
     )
     dup = _first_repeat(samples.trial, samples.size, samples.platform, samples.kernel)
     if dup:
-        raise KstError(f"duplicate sample key {samples.key(dup[1])!r} across input files")
+        raise KstError(f"duplicate sample key {samples[dup[1]].key()!r} across input files")
     return samples
 
 
@@ -618,6 +615,8 @@ def _csv_columns(text: str) -> Samples:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty input") from None
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise ParseError(str(exc), reader.line_num) from None
     header = [h.strip() for h in header]
     if tuple(header[: len(IDENTITY_COLUMNS)]) != IDENTITY_COLUMNS:
         raise ParseError(
@@ -631,7 +630,7 @@ def _csv_columns(text: str) -> Samples:
     try:
         rows.extend(filter(None, reader))  # a blank line holds no record
     except csv.Error as exc:  # raised after the records before it are checked
-        stop = exc
+        stop = ParseError(str(exc), reader.line_num)
     first = _FirstBad(len(rows), stop)
 
     def line(i: int) -> int:
@@ -716,10 +715,7 @@ def _json_record(i: int, obj: Any) -> tuple[str, str, int, int, dict[str, float]
 
 
 def _json_columns(text: str) -> Samples:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = load_json(text, "JSON")
     if not isinstance(doc, list):
         raise ParseError("JSON input must be an array of objects")
     records = []
@@ -738,50 +734,9 @@ def _json_columns(text: str) -> Samples:
     return cols
 
 
-def _derive_rates(cols: Samples, rows: np.ndarray) -> Samples:
-    """``cols`` with every rate of :data:`RATE_SOURCES` set to its counter
-    divided by the GPU time on ``rows``, which must have the time and every
-    counter. A negative counter or a rate beyond the float range there is an
-    error (:func:`_rate_error`) at the first such row."""
-    if not rows.any():
-        return cols
-    t = cols.values[GPU_TIME_METRIC][rows]
-    rates, bad = {}, np.zeros(len(t), dtype=bool)
-    with np.errstate(over="ignore"):
-        for rate, counter in RATE_SOURCES.items():
-            count = cols.values[counter][rows]
-            rates[rate] = count / t
-            bad |= (count < 0) | ~np.isfinite(rates[rate])
-    if bad.any():
-        raise _rate_error(cols, int(np.flatnonzero(rows)[np.argmax(bad)]))
-    values, present = dict(cols.values), dict(cols.present)
-    for rate, derived in rates.items():
-        values[rate] = values.get(rate, np.full(len(cols), np.nan)).copy()
-        values[rate][rows] = derived
-        present[rate] = present.get(rate, np.zeros(len(cols), dtype=bool)) | rows
-    return replace(cols, values=values, present=present)
-
-
-def _rate_error(cols: Samples, i: int) -> KstError:
-    """Row i's error as the per-sample derivation raises it: the first
-    negative counter, else RawSample's check of the new values, which meets
-    the rates the record lists in its order and then the others in
-    :data:`RATE_SOURCES` order."""
-    for counter in RATE_SOURCES.values():
-        count = float(cols.values[counter][i])
-        if count < 0:
-            return KstError(f"counter {counter!r} must be non-negative, got {count}")
-    layout = list(cols.keys.layout)[cols.layout[i]]
-    own = [n for n in layout if n in RATE_SOURCES and cols.present[n][i]]
-    t = float(cols.values[GPU_TIME_METRIC][i])
-    return _raised(lambda: RawSample(*cols.key(i), {
-        rate: float(cols.values[RATE_SOURCES[rate]][i]) / t
-        for rate in own + [r for r in RATE_SOURCES if r not in own]}))
-
-
 def _derive_if_gpu(cols: Samples) -> Samples:
     """Rates for the GPU samples that have the time and every counter but
-    not every rate."""
+    not every rate; :func:`derive_gpu_rates` raises the first bad one's error."""
     def has(name: str) -> np.ndarray:
         return cols.present.get(name, np.zeros(len(cols), dtype=bool))
 
@@ -790,24 +745,46 @@ def _derive_if_gpu(cols: Samples) -> Samples:
     for counter, rate in zip(GPU_COUNTER_METRICS, GPU_RATE_METRICS):
         rows &= has(counter)
         every_rate &= has(rate)
-    return _derive_rates(cols, rows & ~every_rate)
+    rows &= ~every_rate
+    if not rows.any():
+        return cols
+    t = cols.values[GPU_TIME_METRIC][rows]
+    values, present = dict(cols.values), dict(cols.present)
+    bad = np.zeros(len(t), dtype=bool)
+    with np.errstate(over="ignore"):
+        for rate, counter in RATE_SOURCES.items():
+            count = cols.values[counter][rows]
+            values[rate] = values.get(rate, np.full(len(cols), np.nan)).copy()
+            values[rate][rows] = count / t
+            bad |= (count < 0) | ~np.isfinite(values[rate][rows])
+            present[rate] = has(rate) | rows
+    if bad.any():
+        raise _raised(lambda: derive_gpu_rates(cols[int(np.flatnonzero(rows)[np.argmax(bad)])]))
+    return replace(cols, values=values, present=present)
 
 
 def derive_gpu_rates(sample: RawSample) -> RawSample:
     """Add transaction-per-second and instruction-per-second metrics.
 
-    Each raw counter is divided by the kernel GPU time. Raw counters stay in
-    the sample so derivations remain auditable.
+    Each raw counter (non-negative) is divided by the kernel GPU time; a rate
+    beyond the float range fails RawSample's check. Raw counters stay in the
+    sample so derivations remain auditable.
     """
     if sample.platform != "gpu":
         raise KstError(f"derive_gpu_rates requires a gpu sample, got platform {sample.platform!r}")
-    if GPU_TIME_METRIC not in sample.values:
+    t = sample.values.get(GPU_TIME_METRIC)
+    if t is None:
         raise KstError(f"sample {sample.kernel!r} is missing {GPU_TIME_METRIC}")
     missing = [c for c in GPU_COUNTER_METRICS if c not in sample.values]
     if missing:
         raise KstError(f"sample {sample.kernel!r} is missing counters {missing}")
-    (derived,) = _samples(_derive_rates(_from_samples([sample]), np.ones(1, dtype=bool)))
-    return replace(sample, values=derived.values)
+    values = dict(sample.values)
+    for rate, counter in RATE_SOURCES.items():
+        count = sample.values[counter]
+        if count < 0:
+            raise KstError(f"counter {counter!r} must be non-negative, got {count}")
+        values[rate] = count / t
+    return replace(sample, values=values)
 
 
 def _aggregate(cols: Samples) -> TrialGroups:

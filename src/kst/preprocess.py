@@ -18,8 +18,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from ._json import FieldDict, to_jsonable
-from .dataset import COUNT, RATE, SCORE, TIME, MetricDescriptor, MetricTable, _as_text
+from ._json import FieldDict, load_json, to_jsonable
+from .dataset import COUNT, RATE, SCORE, TIME, MetricDescriptor, MetricTable
 from .errors import KstError, ParseError
 
 AUTO_LOG_RATIO = 100.0  # max/min above this triggers the log under the auto policy
@@ -34,6 +34,17 @@ class ColumnTransform(FieldDict):
     mean: float
     std: float
 
+    def __post_init__(self):
+        if not isinstance(self.metric, str):
+            raise KstError(f"metric must be a string, got {self.metric!r}")
+        if not isinstance(self.log, bool):
+            raise KstError(f"log must be a boolean, got {self.log!r}")
+        for name, value in (("mean", self.mean), ("std", self.std)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise KstError(f"{name} must be a finite number, got {value!r}")
+        if self.std <= 0:
+            raise KstError(f"std must be positive, got {self.std!r}")
+
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -47,26 +58,18 @@ class TransformSpec:
     @classmethod
     def from_json(cls, source: str | bytes | IO[str] | IO[bytes]) -> "TransformSpec":
         """Read :meth:`to_json` output from text, bytes (BOM skipped) or a file."""
-        try:
-            records = json.loads(_as_text(source))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid transform spec JSON: {exc}") from None
+        records = load_json(source, "transform spec JSON")
         if not isinstance(records, list):
             raise ParseError("transform spec must be a JSON array")
         cols = []
         for i, rec in enumerate(records):
             try:
-                cols.append(
-                    ColumnTransform(str(rec["metric"]), bool(rec["log"]),
-                                    float(rec["mean"]), float(rec["std"]))
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                cols.append(ColumnTransform(rec["metric"], rec["log"], rec["mean"], rec["std"]))
+            except KeyError as exc:
+                raise ParseError(f"transform spec record {i}: missing field {exc}") from None
+            except (TypeError, OverflowError, KstError) as exc:  # a huge int overflows isfinite
                 raise ParseError(f"transform spec record {i}: {exc}") from None
-        spec = cls(tuple(cols))
-        for c in spec.columns:
-            if c.std <= 0:
-                raise ParseError(f"transform spec column {c.metric!r} has non-positive std")
-        return spec
+        return cls(tuple(cols))
 
 
 def _resolve_log_columns(

@@ -14,9 +14,9 @@ from typing import IO, Any, Mapping, Sequence
 
 import numpy as np
 
-from ._json import FieldDict, to_jsonable
+from ._json import FieldDict, load_json, to_jsonable
 from .cluster import Partition
-from .dataset import FRACTION, MetricDescriptor, MetricTable, _as_text
+from .dataset import FRACTION, MetricDescriptor, MetricTable
 from .errors import KstError, ParseError
 from .quality import _check_partition
 
@@ -184,10 +184,7 @@ def emit_report(sections: Mapping[str, Any]) -> str:
 
 def parse_report(source: str | bytes | IO[str] | IO[bytes]) -> dict:
     """Parse a document produced by :func:`emit_report`."""
-    try:
-        doc = json.loads(_as_text(source))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid report JSON: {exc}") from None
+    doc = load_json(source, "report JSON")
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ParseError("report documents must be objects with a schema_version")
     if doc["schema_version"] != SCHEMA_VERSION:

@@ -21,7 +21,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from ._json import FieldDict
-from .dataset import RawSample, TrialGroups, trial_groups
+from .dataset import RawSample, TrialGroups, check_kind_ranges, descriptor_for, trial_groups
 from .errors import KstError
 
 REL_BASES = ("larger", "smaller", "symmetric")
@@ -84,7 +84,8 @@ def stability_series(
     ``samples`` must all belong to one (kernel, platform); repeated trials
     are averaged internally, so the result does not depend on trial order or
     on duplicated identical samples. At least two distinct sizes are needed,
-    and every requested metric must be present at every size.
+    and every requested metric must be present at every size, its trial
+    means in the range its kind allows (:func:`~kst.dataset.check_kind_ranges`).
     """
     metrics = _check_options(metrics, threshold_pct, rel_base)
     samples = list(samples)
@@ -103,6 +104,7 @@ def kernel_reports(
     """One report per kernel of one platform's trial-averaged groups, in
     kernel order; checks and errors as :func:`stability_series` per kernel."""
     metrics = _check_options(metrics, threshold_pct, rel_base)
+    columns = [descriptor_for(m) for m in metrics]
     kernels, platforms, all_sizes = groups.labels()
     absent = np.zeros(len(groups), dtype=bool)
     means = [groups.values[m].tolist() if m in groups.values else None for m in metrics]
@@ -119,6 +121,7 @@ def kernel_reports(
             missing = [m for m, h in zip(metrics, has) if not h[g]]
             if missing:
                 raise KstError(f"kernel {name!r} at {at} bytes is missing metrics {missing}")
+        check_kind_ranges(columns, np.array([col[lo:hi] for col in means]).T)
 
         diffs = [max(_pct_diff(col[g], col[g + 1], rel_base) for col in means)
                  for g in range(lo, hi - 1)]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from kst import cli
 from kst.cli import SEED_ENV_VAR, build_parser, main
 from kst.report import parse_report
 
@@ -381,6 +382,19 @@ def test_stability_kernel_named_summary_keeps_its_report(tmp_path, capsys):
     assert parse_report((out / "%73ummary.json").read_text())["stability"]["kernel"] == "summary"
     assert "stability_summary" in parse_report((out / "summary.json").read_text())
 
+def test_stability_checks_metric_ranges_as_cluster_does(tmp_path, capsys):
+    rows = [[k, "cpu", size, 0, 0.1, 0.2, 0.3, 0.4] for k in ("a", "b") for size in (1024, 2048)]
+    rows[0][4:6] = [1.5, -0.2]
+    p = tmp_path / "s.csv"
+    p.write_text(csv_bytes(CPU_HEADER, rows))
+    error = {"error": "KstError",
+             "message": "fraction metric 'topdown.core_bound' has values outside [0, 1]"}
+    for command in ("cluster", "stability"):
+        code, stdout, err = run(capsys, command, "--input", p, "--out", tmp_path / command)
+        assert (code, stdout, json.loads(err)) == (2, "", error)
+        assert not (tmp_path / command).exists()
+
+
 def test_stability_requested_platform_must_exist(tmp_path, capsys, cpu_csv):
     code, _, err = run(capsys, "stability", "--input", cpu_csv, "--platform", "gpu",
                        "--out", tmp_path / "o")
@@ -513,7 +527,31 @@ def test_ingest_check_json_kernel_must_be_a_string(tmp_path, capsys, kernel):
                                "message": f"record 0: kernel is not a string: {kernel!r}"}
 
 
+@pytest.mark.parametrize("bad_first, message", [
+    (False, "line 4: field larger than field limit (131072)"),
+    (True, "line 3: unknown platform 'tpu'"),  # the earlier bad record is still reported
+], ids=["cell", "bad-record-first"])
+def test_ingest_check_oversized_csv_cell_is_an_input_error(tmp_path, capsys, bad_first, message):
+    rows = [["a", "cpu", 1024, 0, 0.1, 0.2, 0.3, 0.4],
+            ["a", "tpu" if bad_first else "cpu", 2048, 0, 0.1, 0.2, 0.3, 0.4],
+            ["b", "cpu", 1024, 0, "1" * 200_000, 0.2, 0.3, 0.4]]
+    p = tmp_path / "s.csv"
+    p.write_text(csv_bytes(CPU_HEADER, rows))
+    code, stdout, err = run(capsys, "ingest-check", "--input", p)
+    assert (code, stdout) == (2, "")
+    assert json.loads(err) == {"error": "ParseError", "message": message}
+
+
 # ---------------------------------------------------------------- exit codes
+
+def test_internal_error_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch, cpu_csv):
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "cluster", fail)
+    code, stdout, err = run(capsys, "cluster", "--input", cpu_csv, "--out", tmp_path / "o")
+    assert (code, stdout, err) == (1, "", '{"error": "RuntimeError", "message": "boom"}\n')
+
 
 def test_missing_input_file(tmp_path, capsys):
     code, _, err = run(capsys, "cluster", "--input", tmp_path / "nope.csv",

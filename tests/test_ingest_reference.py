@@ -404,6 +404,25 @@ def test_a_record_with_several_faults_reports_the_first_check(row):
 
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "json-values"])
+def test_samples_list_their_metrics_in_their_records_order(fmt):
+    rng = np.random.default_rng(3)
+    records = _base_records()
+    for r in records:
+        names = list(r["values"])
+        r["values"] = {n: r["values"][n] for n in rng.permutation(names).tolist()}
+    text = _render(fmt, records)
+    kind = "csv" if fmt == "csv" else "json"
+    assert ([list(s.values) for s in parse_samples(text, kind)]
+            == [list(s.values) for s in ref.parse_samples(text, kind)])
+
+
+def test_derive_gpu_rates_keeps_the_callers_value_types_and_order():
+    s = RawSample("k", "gpu", 1024, 0, {"gpu.ips": 7, GPU_TIME_METRIC: 2,
+                                        **dict.fromkeys(GPU_COUNTER_METRICS, 6)})
+    assert repr(derive_gpu_rates(s)) == repr(ref.derive_gpu_rates(s))
+
+
 def test_aggregate_trials_matches_reference_with_many_trials():
     # pairwise summation differs from a running sum from 8 trials up, and a
     # block only differs from single rows with several groups per trial count

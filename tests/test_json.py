@@ -147,6 +147,14 @@ def test_report_reads_every_source_form():
         assert parse_report(source) == json.loads(text)
 
 
+@pytest.mark.parametrize("read, what", [(TransformSpec.from_json, "transform spec"),
+                                        (parse_report, "report")])
+def test_an_integer_beyond_the_digit_limit_is_a_parse_error(read, what):
+    # json.loads raises a plain ValueError for an integer of over 4300 digits
+    with pytest.raises(ParseError, match=f"^invalid {what} JSON: Exceeds the limit"):
+        read(f'[{{"std": 1{"0" * 5000}}}]')
+
+
 @pytest.mark.parametrize("read", [TransformSpec.from_json, parse_report])
 def test_unsupported_source_type_is_an_input_error(read):
     with pytest.raises(KstError, match="unsupported input source type int"):

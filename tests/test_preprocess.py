@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from kst.dataset import MetricDescriptor, MetricTable
-from kst.errors import KstError
-from kst.preprocess import TransformSpec, apply_transform, fit_transform
+from kst.errors import KstError, ParseError
+from kst.preprocess import ColumnTransform, TransformSpec, apply_transform, fit_transform
 from kst.report import pca_project
 
 from conftest import make_table
@@ -126,6 +126,31 @@ def test_spec_json_round_trip():
 def test_spec_rejects_nonpositive_std():
     with pytest.raises(KstError):
         TransformSpec.from_json('[{"metric": "m", "log": false, "mean": 0.0, "std": 0.0}]')
+
+
+@pytest.mark.parametrize("record, message", [
+    ('"metric": "m", "log": "false", "mean": "1.5", "std": 2', "log must be a boolean, got 'false'"),
+    ('"metric": "m", "log": false, "mean": "1.5", "std": 2', "mean must be a finite number, got '1.5'"),
+    ('"metric": "m", "log": false, "mean": true, "std": 2', "mean must be a finite number, got True"),
+    ('"metric": "m0", "log": false, "mean": 0, "std": Infinity', "std must be a finite number, got inf"),
+    ('"metric": "m0", "log": false, "mean": 0, "std": NaN', "std must be a finite number, got nan"),
+    ('"metric": 5, "log": false, "mean": 0, "std": 1', "metric must be a string, got 5"),
+    ('"metric": "m", "log": false, "mean": 0', "missing field 'std'"),
+    (f'"metric": "m", "log": false, "mean": 1{"0" * 400}, "std": 1', "int too large"),
+], ids=["text-log", "text-mean", "bool-mean", "inf-std", "nan-std", "number-metric",
+        "missing-std", "huge-mean"])
+def test_spec_records_need_their_json_types_and_finite_numbers(record, message):
+    # values that bool()/float() coercion or a lone std > 0 check would accept
+    good = '{"metric": "a", "log": true, "mean": 0.5, "std": 2}'
+    with pytest.raises(ParseError, match=f"^transform spec record 1: {message}"):
+        TransformSpec.from_json(f"[{good}, {{{record}}}]")
+
+
+def test_spec_records_take_integers_and_column_transform_checks_itself():
+    (col,) = TransformSpec.from_json('[{"metric": "m", "log": false, "mean": 1, "std": 2}]').columns
+    assert col == ColumnTransform("m", False, 1.0, 2.0)
+    with pytest.raises(KstError, match="std must be positive, got -1.0"):
+        ColumnTransform("m", False, 0.0, -1.0)
 
 
 def test_apply_transform_replays_fit_exactly():

@@ -308,6 +308,23 @@ def test_select_k_notes_gap_warnings_instead_of_warning():
     assert rep.criteria["bic"].note is None
 
 
+def test_select_k_notes_when_no_k_satisfies_the_gap_rule():
+    # two far blobs and candidates 1 and 2: Gap(1) < Gap(2) - s(2)
+    x, _ = two_blob_array(n=12, d=2)
+    rep = select_k(make_table(x), "kmeans", criteria=("gap",), k_range=range(1, 3), seed=0,
+                   gap_b=4)
+    assert rep.criteria["gap"].selected_k == 2
+    assert rep.criteria["gap"].note == "no k satisfied the gap rule; largest candidate reported"
+
+
+def test_degenerate_notes_pass_other_warnings_on():
+    with pytest.warns(RuntimeWarning, match="other"):
+        with kst.quality._degenerate_notes() as notes:
+            warnings.warn("degenerate", DegenerateResultWarning)
+            warnings.warn("other", RuntimeWarning)
+    assert notes == ["degenerate"]
+
+
 def test_gap_parameter_validation(four_point_line):
     with pytest.raises(KstError):
         gap_statistic(four_point_line, "kmeans", k_max=3, b=1)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import pytest
 
@@ -137,6 +138,29 @@ def test_series_validation():
     assert "missing" in str(exc.value)
 
 
+@pytest.mark.parametrize("metric, value, message", [
+    ("topdown.core_bound", 1.5, "fraction metric 'topdown.core_bound' has values outside [0, 1]"),
+    ("gpu.l1_rate", -1.0, "rate metric 'gpu.l1_rate' has negative values"),
+])
+def test_series_trial_means_must_lie_in_their_kinds_range(metric, value, message):
+    samples = _series("K", {1 * MB: 0.5, 2 * MB: value}, metric=metric)
+    with pytest.raises(KstError, match=re.escape(message)):
+        stability_series(samples, [metric])
+
+
+def test_range_errors_come_in_kernel_order_after_missing_metrics():
+    metric = "topdown.core_bound"
+    out_of_range = _series("a", {1 * MB: 0.5, 2 * MB: 1.5}, metric=metric)
+    missing = [RawSample("b", "cpu", 1 * MB, 0, {metric: 0.5}),
+               RawSample("b", "cpu", 2 * MB, 0, {"other": 0.5})]
+    with pytest.raises(KstError, match="outside"):
+        kernel_reports(trial_groups(out_of_range + missing), [metric], 5.0, "larger")
+    renamed = [RawSample("0", s.platform, s.problem_size_bytes, s.trial, s.values)
+               for s in missing]
+    with pytest.raises(KstError, match="missing"):
+        kernel_reports(trial_groups(out_of_range + renamed), [metric], 5.0, "larger")
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf])
 def test_threshold_must_be_finite(threshold):
     samples = _series("K", {1 * MB: 1.0, 2 * MB: 2.0})
@@ -179,3 +203,11 @@ def test_stability_csv_format():
     assert lines[0] == "kernel,min_stable_size_bytes,worst_residual_pct"
     assert lines[1] == f"a,{2 * MB},0.5"
     assert lines[2] == "b,,16.7"
+
+
+def test_stability_csv_to_a_path(tmp_path):
+    reports = [_report("a", 2 * MB, residual=0.5), _report("b", None, 16.7)]
+    buf = io.StringIO()
+    write_stability_csv(reports, buf)
+    write_stability_csv(reports, str(tmp_path / "s.csv"))
+    assert (tmp_path / "s.csv").read_bytes() == buf.getvalue().encode()
