@@ -17,9 +17,13 @@ matrix. It merges in exactly the greedy order, ties included (NN-chain would
 reorder them). Memory is O(n^2); time is O(n^2) on typical data and grows
 towards O(n^3) only when many distances tie at a shared nearest neighbour.
 
-k-means runs the ``n_init`` replicates of a fit batched through one Lloyd
-loop on (replicates, n, k) arrays; each replicate draws its k-means++ seeds
-from its own random sub-stream and stops on its own.
+k-means seeds the ``n_init`` replicates of a fit together and runs them
+batched through one Lloyd loop. Each replicate draws its k-means++ seeds from
+its own random sub-stream and stops on its own. Lloyd's distances are
+centre-major (replicates, k, n) arrays, so the work runs along contiguous
+rows, and the inertia is computed once per replicate at the end; the
+per-pass inertia history is built only for :func:`kmeans_fit`, which reports
+it.
 
 Every squared distance between rows, between rows and centers and between
 centers goes through :func:`_sq_dist`, which adds the columns left to right.
@@ -313,22 +317,35 @@ class KMeansModel(FieldDict):
         return Partition(self.assignments, self.k)
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, the rest weighted by squared
-    distance to the nearest chosen center."""
+def _kmeanspp_init(
+    x: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """k-means++ seeding of one replicate per generator in ``rngs``, batched:
+    first center uniform, the rest weighted by squared distance to the
+    nearest chosen center. Returns (replicates, k, d) centers.
+
+    The replicates share (replicates, n) distance arrays but each draws only
+    from its own generator. A weighted draw is the inverse-CDF lookup that
+    ``rng.choice(n, p=d2 / total)`` runs (normalised cumsum, one uniform,
+    ``searchsorted(side="right")``), so it picks the same index and leaves
+    the generator in the same state, without ``choice``'s checks.
+    """
     n = x.shape[0]
-    centers = np.empty((k, x.shape[1]), dtype=float)
-    idx = int(rng.integers(n))
-    centers[0] = x[idx]
-    d2 = _sq_dist(x, centers[0])
+    centers = np.empty((len(rngs), k, x.shape[1]), dtype=float)
+    centers[:, 0] = x[[int(rng.integers(n)) for rng in rngs]]
+    d2 = _sq_dist(x[None], centers[:, :1])
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))  # all remaining mass zero: uniform fallback
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, _sq_dist(x, centers[j]))
+        total = d2.sum(axis=1)
+        if not np.isfinite(total).all():
+            raise KstError("k-means++ distances overflow float64; rescale the data")
+        drawn = total > 0  # all remaining mass zero: uniform fallback
+        cdf = (d2[drawn] / total[drawn, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        rows = iter(cdf)
+        idx = [int(next(rows).searchsorted(rng.random(), side="right")) if w
+               else int(rng.integers(n)) for rng, w in zip(rngs, drawn.tolist())]
+        centers[:, j] = x[idx]
+        np.minimum(d2, _sq_dist(x[None], centers[:, j:j + 1]), out=d2)
     return centers
 
 
@@ -357,79 +374,97 @@ def _repair_empty(
 
 
 def _lloyd(
-    x: np.ndarray, centers: np.ndarray, max_iter: int
+    x: np.ndarray, centers: np.ndarray, max_iter: int, *, history: bool = True
 ) -> list[tuple[np.ndarray, np.ndarray, float, list[float]]]:
     """Lloyd's algorithm for a batch of replicates started from ``centers``
     of shape (replicates, k, d); returns (assign, centers, inertia, history)
     per replicate.
 
-    Each pass moves every live replicate one step on (replicates, n, k)
-    arrays. A replicate stops once its assignment repeats with no repair and
-    then leaves the batch, so each ends exactly where it would alone.
+    Each pass moves every live replicate one step. Distances are built
+    centre-major, as a (replicates, k, n) array from one column-major copy
+    of ``x``, so every column difference runs along contiguous rows. Each
+    row then takes the lowest cluster id among the centres at its smallest
+    distance, as ``argmin`` over the k slabs would (``x`` is finite, so no
+    distance is NaN). A replicate stops once its assignment repeats with no
+    repair and then leaves the batch, so each ends exactly where it would
+    alone.
+
+    ``inertia`` is each final partition's scatter, from one batched
+    :func:`_scatter` after the loop. ``history``, the inertia after every
+    pass, is built only when asked for and is empty otherwise; its last
+    entry equals ``inertia``.
     """
     n, d = x.shape
     k = centers.shape[1]
     centers = np.array(centers, dtype=float)
-    xcols = np.tile(x.T, (1, len(centers)))  # column j of x once per replicate
+    xf = np.asfortranarray(x)
+    xcols = np.tile(xf.T, (1, len(centers)))  # column j of x once per replicate
     live = np.arange(len(centers))
-    history: list[list[float]] = [[] for _ in live]
-    out: list = [None] * len(live)
+    histories: list[list[float]] = [[] for _ in live]
+    final: list = [None] * len(live)
     prev = None
     for _ in range(max_iter):
-        d2 = _sq_dist(x[None, :, None, :], centers[live][:, None, :, :])
-        assign = d2.argmin(axis=2)  # ties go to the lowest cluster id
+        d2 = _sq_dist(xf[None, None], centers[live][:, :, None, :])
+        nearest = d2.min(axis=1)
+        assign = np.full(nearest.shape, k - 1, dtype=np.intp)
+        for c in range(k - 2, -1, -1):  # ties go to the lowest cluster id
+            np.putmask(assign, d2[:, c] == nearest, c)
         offset = k * np.arange(len(live))[:, None]
         counts = np.bincount((assign + offset).ravel(), minlength=offset.size * k).reshape(-1, k)
         repaired = np.zeros(len(live), dtype=bool)
         for i in np.flatnonzero((counts == 0).any(axis=1)):
-            repaired[i] = _repair_empty(x, d2[i], assign[i], counts[i], centers[live[i]])
+            repaired[i] = _repair_empty(x, d2[i].T, assign[i], counts[i], centers[live[i]])
         if prev is not None:
             done = ~repaired & (assign == prev).all(axis=1)
-            for i in np.flatnonzero(done):
-                r = live[i]
-                out[r] = (prev[i], centers[r], history[r][-1], history[r])
-            live, assign, counts = live[~done], assign[~done], counts[~done]
-            if not len(live):
-                return out
+            if done.any():
+                for i in np.flatnonzero(done):
+                    final[live[i]] = prev[i]
+                live, assign, counts = live[~done], assign[~done], counts[~done]
+                if not len(live):
+                    break
         a = len(live)
         bins = (assign + k * np.arange(a)[:, None]).ravel()
         new = np.empty((a, k, d))
         for j in range(d):
             new[:, :, j] = np.bincount(bins, xcols[j, :a * n], minlength=a * k).reshape(a, k)
         new /= counts[:, :, None]
-        inertia = _scatter(x, new, assign)
-        for r, value in zip(live, inertia.tolist()):
-            history[r].append(value)
+        if history:
+            for r, value in zip(live, _scatter(x, new, assign).tolist()):
+                histories[r].append(value)
         centers[live] = new
         prev = assign
     for i, r in enumerate(live):
-        out[r] = (prev[i], centers[r], history[r][-1], history[r])
-    return out
+        final[r] = prev[i]
+    inertia = _scatter(x, centers, np.array(final)).tolist()
+    return list(zip(final, centers, inertia, histories))
 
 
 def _kmeans_arrays(
-    x: np.ndarray, k: int, seed: int, n_init: int, max_iter: int
+    x: np.ndarray, k: int, seed: int, n_init: int, max_iter: int, history: bool = True
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Best of n_init replicates; replicate r draws its k-means++ seeds from
     sub-stream (seed, r), and ties on inertia keep the earliest replicate.
 
-    The replicates run batched through one Lloyd loop, as many per batch as
-    keep the (replicates, n, k) distance array near ``_BLOCK_ELEMENTS``
-    entries. Distances add their columns left to right on every memory
-    layout, so the result depends only on the values of ``x``. For d >= 2
-    every replicate's result is bit-identical to a one-replicate Lloyd loop
-    that takes each centroid as the cluster's ``mean``. Centroid sums here
-    are added in row order, and for d = 1 such a ``mean`` adds pairwise
-    instead, so at d = 1 centroids and inertia can differ from it in the
-    last bits (ULP), and on tied distances so can an assignment.
+    The replicates are seeded and run through one Lloyd loop in batches, as
+    many per batch as keep the (replicates, k, n) distance array near
+    ``_BLOCK_ELEMENTS`` entries. Distances add their columns left to right
+    on every memory layout, so the result depends only on the values of
+    ``x``. For d >= 2 every replicate's result is bit-identical to a
+    one-replicate Lloyd loop that takes each centroid as the cluster's
+    ``mean``. Centroid sums here are added in row order, and for d = 1 such
+    a ``mean`` adds pairwise instead, so at d = 1 centroids and inertia can
+    differ from it in the last bits (ULP), and on tied distances so can an
+    assignment. ``history=False`` skips the per-pass inertia (the returned
+    history is then empty) for callers that only use the partition.
     """
     if n_init < 1 or max_iter < 1:
         raise KstError("n_init and max_iter must be >= 1")
-    init = np.array([_kmeanspp_init(x, k, substream(seed, r)) for r in range(n_init)])
+    rngs = [substream(seed, r) for r in range(n_init)]
     batch = max(1, _BLOCK_ELEMENTS // (x.shape[0] * k))
     best = None
     for lo in range(0, n_init, batch):
-        for result in _lloyd(x, init[lo:lo + batch], max_iter):
+        init = _kmeanspp_init(x, k, rngs[lo:lo + batch])
+        for result in _lloyd(x, init, max_iter, history=history):
             if best is None or result[2] < best[2]:
                 best = result
     return best

@@ -158,7 +158,12 @@ class RawSample:
         if not isinstance(self.trial, int) or self.trial < 0:
             raise KstError(f"trial must be a non-negative integer, got {self.trial!r}")
         for name, value in self.values.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+            try:
+                finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                          and math.isfinite(value))
+            except OverflowError:  # an int beyond the float range
+                raise KstError(f"metric {name!r} is too large for a float") from None
+            if not finite:
                 raise KstError(f"metric {name!r} has non-finite value {value!r}")
         t = self.values.get(GPU_TIME_METRIC)
         if t is not None and t <= 0:
@@ -787,6 +792,25 @@ def derive_gpu_rates(sample: RawSample) -> RawSample:
     return replace(sample, values=values)
 
 
+def moments(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of a 2-D array along ``axis``: numpy's own
+    ``mean``/``std``, bit for bit, wherever those are finite. Where finite
+    values give non-finite moments (the squares or the sum overflowed), they
+    are taken again after dividing those values by their largest magnitude,
+    and scaled back, so they stay finite. Lines holding a NaN or an infinity
+    keep numpy's result."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = values.mean(axis=axis), values.std(axis=axis)
+    big = ~(np.isfinite(mu) & np.isfinite(sd)) & np.isfinite(values).all(axis=axis)
+    if big.any():
+        sub = np.compress(big, values, axis=1 - axis)
+        scale = np.abs(sub).max(axis=axis, keepdims=True)
+        unit = sub / scale
+        scale = scale.squeeze(axis)
+        mu[big], sd[big] = unit.mean(axis=axis) * scale, unit.std(axis=axis) * scale
+    return mu, sd
+
+
 def _aggregate(cols: Samples) -> TrialGroups:
     """Average the trials of each (kernel, platform, size); keys must be unique.
 
@@ -817,16 +841,8 @@ def _aggregate(cols: Samples) -> TrialGroups:
         groups = np.flatnonzero(trials == c)
         rows = order[starts[groups, None] + np.arange(c)]
         for name in names:
-            block = cols.values[name][rows]
-            with np.errstate(over="ignore", invalid="ignore"):
-                mu, sd = block.mean(axis=1), block.std(axis=1)  # population
-            # absent cells are NaN; finite trials with non-finite moments overflowed
-            big = ~(np.isfinite(mu) & np.isfinite(sd)) & np.isfinite(block).all(axis=1)
-            if big.any():
-                scale = np.abs(block[big]).max(axis=1)
-                unit = block[big] / scale[:, None]
-                mu[big], sd[big] = unit.mean(axis=1) * scale, unit.std(axis=1) * scale
-            mean[name][groups], std[name][groups] = mu, sd
+            # absent cells are NaN, and so are their group's moments
+            mean[name][groups], std[name][groups] = moments(cols.values[name][rows], axis=1)
     cv = {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for name in names:

@@ -19,7 +19,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from ._json import FieldDict, load_json, to_jsonable
-from .dataset import COUNT, RATE, SCORE, TIME, MetricDescriptor, MetricTable
+from .dataset import COUNT, RATE, SCORE, TIME, MetricDescriptor, MetricTable, moments
 from .errors import KstError, ParseError
 
 AUTO_LOG_RATIO = 100.0  # max/min above this triggers the log under the auto policy
@@ -139,8 +139,7 @@ def fit_transform(
         if col.name in log_columns:
             work[:, j] = np.log(work[:, j])
 
-    means = work.mean(axis=0)
-    stds = work.std(axis=0)  # population variance
+    means, stds = moments(work, axis=0)  # population variance, finite on finite columns
     keep = [j for j in range(work.shape[1]) if stds[j] > 0.0]
     if not keep:
         raise KstError("all columns have zero variance; nothing to standardize")

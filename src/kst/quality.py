@@ -288,7 +288,8 @@ def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
     if method == "agglomerative":
         merges = _ward_merge_steps(x)
         return {k: _assign_at_k(merges, x.shape[0], k) for k in ks}
-    return {k: _kmeans_arrays(x, k, subseed(seed, *stream_key, k), n_init, max_iter)[0]
+    # history=False: the partitions only, no per-pass inertia
+    return {k: _kmeans_arrays(x, k, subseed(seed, *stream_key, k), n_init, max_iter, False)[0]
             for k in ks}
 
 

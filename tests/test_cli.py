@@ -609,6 +609,26 @@ def test_gpu_rate_beyond_float_range_is_an_input_error(tmp_path, capsys, command
     assert not (tmp_path / "o").exists()
 
 
+def test_cluster_log_none_standardizes_a_rate_whose_squares_overflow(tmp_path, capsys):
+    # gpu.l1_rate is 1e200 for kernel A and about 1-5 for the rest: its
+    # population std overflows numpy's squares, but the column is still
+    # standardized, with no RuntimeWarning
+    rows = [[k, "gpu", 1024, t, "1e-3", "1e197" if k == "A" else str(1e-3 * (i + 1 + t / 2)),
+             5 + i, 6 + 2 * i + t, 8 + i * i]
+            for i, k in enumerate("ABCDE") for t in range(2)]
+    p = tmp_path / "gpu.csv"
+    p.write_text(csv_bytes(GPU_HEADER, rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "cluster", "--input", p, "--log", "none", "-k", "2",
+                           "--out", tmp_path / "o")
+    assert (code, err) == (0, "")
+    spec = {c["metric"]: c for c in json.loads((tmp_path / "o" / "transform.json").read_text())}
+    assert spec["gpu.l1_rate"]["log"] is False
+    assert spec["gpu.l1_rate"]["mean"] == pytest.approx(2e199)
+    assert spec["gpu.l1_rate"]["std"] == pytest.approx(4e199)
+
+
 def test_error_output_is_single_json_line(tmp_path, capsys):
     code, out, err = run(capsys, "cluster", "--input", tmp_path / "nope.csv",
                          "--out", tmp_path / "o")

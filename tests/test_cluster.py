@@ -214,6 +214,13 @@ def test_ward_rejects_overflowing_distances():
         agglomerative_ward(make_table([[0.0], [1e200], [2e200]]))
 
 
+def test_kmeanspp_rejects_overflowing_distances():
+    # the inverse-CDF draw makes none of rng.choice's checks on the weights,
+    # so the seeder rejects an overflowed total itself
+    with np.errstate(over="ignore"), pytest.raises(KstError, match="overflow"):
+        kmeans_fit(make_table([[0.0], [1e200], [2e200]]), 2)
+
+
 def test_ward_matches_scipy_linkage():
     hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
     x = np.random.default_rng(23).normal(size=(200, 4))
@@ -493,41 +500,79 @@ def test_batched_kmeans_equals_reference(kind, n, d, data):
     if data.draw(st.booleans(), label="column_major"):  # the layout the CLI builds
         x = np.asfortranarray(x)
     block = data.draw(st.sampled_from([None, 1, 200]), label="block")  # 1: one replicate per batch
+    track = data.draw(st.booleans(), label="history")
     with mock.patch.object(kst.cluster, "_BLOCK_ELEMENTS", block or kst.cluster._BLOCK_ELEMENTS):
-        assign, centers, inertia, history = _kmeans_arrays(x, k, seed, n_init, max_iter)
+        assign, centers, inertia, history = _kmeans_arrays(x, k, seed, n_init, max_iter,
+                                                           history=track)
     # numpy adds a column-major table's columns left to right, as _sq_dist
     # does on both layouts
     want = reference_kmeans(np.asfortranarray(x), k, seed, n_init, max_iter)
     assert np.array_equal(assign, want[0])
     assert np.array_equal(centers, want[1])
     assert inertia == want[2]
-    assert history == want[3]
+    assert history == (want[3] if track else [])
 
 
-class _RecordingRng:
-    """Stands in for a Generator: records the k-means++ weights it is given."""
-
-    def __init__(self):
-        self.weights = []
-
-    def integers(self, n):
-        return 0
-
-    def choice(self, n, p):
-        self.weights.append(p)
-        return int(p.argmax())
+@pytest.mark.parametrize("track", [True, False])
+def test_batched_kmeans_split_across_batches_equals_reference(track):
+    # 60 entries per block at n = 10, k = 2: batches of 3, 3 and 1 replicates
+    x = _ward_input("normal", 10, 3, 5)
+    with mock.patch.object(kst.cluster, "_BLOCK_ELEMENTS", 60):
+        with mock.patch.object(kst.cluster, "_lloyd", wraps=kst.cluster._lloyd) as lloyd:
+            got = _kmeans_arrays(x, 2, 9, 7, 300, history=track)
+    assert [len(call.args[1]) for call in lloyd.call_args_list] == [3, 3, 1]
+    want = reference_kmeans(np.asfortranarray(x), 2, 9, 7, 300)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert got[3] == (want[3] if track else [])
 
 
 def test_kmeanspp_weights_equal_reference():
-    x = np.random.default_rng(27).normal(size=(40, 12)) * 3.0
-    xf = np.asfortranarray(x)  # numpy adds the columns of this layout left to right
-    want = _RecordingRng()
-    centers = _reference_kmeanspp_init(xf, 6, want)
-    assert len(want.weights) == 5
-    for x in (x, xf):  # the same weights on both layouts
-        got = _RecordingRng()
-        assert np.array_equal(_kmeanspp_init(x, 6, got), centers)
-        assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights, strict=True))
+    # the batched seeder against the one-replicate reference, replicate by
+    # replicate on real sub-streams: the same centers, and each generator
+    # left in the same state. Three distinct rows and k = 6 exhaust the
+    # weights, so every replicate ends on uniform draws. In `tiny`, t^2
+    # underflows to 0 but (2t)^2 does not: under seed 11, replicates 1 and 2
+    # start on row 1 and fall back at once, while the others start on row 2
+    # and still draw by weight, in the same batch.
+    rng = np.random.default_rng(27)
+    few = rng.normal(size=(3, 12))[rng.integers(3, size=40)]
+    tiny = np.zeros((3, 12))
+    tiny[:, 0] = [0.0, 1.2e-162, 2.4e-162]
+    for x in (rng.normal(size=(40, 12)) * 3.0, few, tiny):
+        xf = np.asfortranarray(x)  # numpy adds the columns of this layout left to right
+        for k in range(1, min(6, len(x)) + 1):
+            for layout in (x, xf):  # the same centers on both layouts
+                got_rngs = [substream(11, r) for r in range(7)]
+                got = _kmeanspp_init(layout, k, got_rngs)
+                assert got.shape == (7, k, 12)
+                for r, got_rng in enumerate(got_rngs):
+                    want_rng = substream(11, r)
+                    assert np.array_equal(got[r], _reference_kmeanspp_init(xf, k, want_rng))
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("weights", [
+    np.array([0.0, 3.0, 0.0, 1.0, 0.0, 0.0]),
+    np.array([0.0, 0.0, 5.0, 0.0]),
+    np.random.default_rng(1).random(50) * 1e-300,
+    np.random.default_rng(2).random(50) * 1e300,
+    np.random.default_rng(3).random(300) ** 8,
+    np.array([2.0]),
+], ids=["zeros", "one-nonzero", "1e-300", "1e300", "skewed", "n=1"])
+def test_inverse_cdf_draw_equals_choice(weights):
+    # the k-means++ draw replaces rng.choice(n, p=w) with the lookup choice
+    # runs itself: same index, same generator state afterwards
+    p = weights / weights.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for seed in range(5):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            want = int(numpys.choice(len(p), p=p))
+            assert int(cdf.searchsorted(ours.random(), side="right")) == want
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
 
 def test_scatter_equals_lloyds_inertia_expression():
     # Lloyd's inertia before the scatter helper replaced it: a flat

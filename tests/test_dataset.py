@@ -73,6 +73,16 @@ def test_raw_sample_validation():
         RawSample("k", "gpu", 1024, 0, {"gpu.time_sec": 0.0})
 
 
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), 10 ** 5000],
+                         ids=["1e400", "-1e400", "5001-digits"])
+def test_raw_sample_int_beyond_float_range_names_metric(value):
+    # math.isfinite raises OverflowError on such an int; the digits are not
+    # echoed (a 5,000-digit int has no str() under Python's default limit)
+    with pytest.raises(KstError, match="metric 'm' is too large for a float"):
+        RawSample("k", "cpu", 1, 0, {"m": value})
+    assert RawSample("k", "cpu", 1, 0, {"m": 10 ** 300}).values["m"] == 10 ** 300
+
+
 # ---------------------------------------------------------------- MetricTable
 
 def test_table_data_is_locked_and_copied():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kst.dataset import MetricDescriptor, MetricTable
+from kst.dataset import MetricDescriptor, MetricTable, moments
 from kst.errors import KstError, ParseError
 from kst.preprocess import ColumnTransform, TransformSpec, apply_transform, fit_transform
 from kst.report import pca_project
@@ -225,3 +225,45 @@ def test_replayed_table_projects_like_the_fitted_one(seed):
 def test_auto_log_ratio_must_be_finite(ratio):
     with pytest.raises(KstError, match="must be finite"):
         fit_transform(_kinded([1.0, 10.0, 1000.0], "rate"), "auto", auto_ratio=ratio)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fit_transform_standardizes_a_column_whose_squares_overflow(order):
+    # numpy's std of {1e200, 1, 2, 3, 4} squares 8e199 and overflows; the
+    # unit-scale moments keep it finite, and the ordinary column keeps
+    # numpy's own moments bit for bit
+    data = np.array([[1e200, 1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 2.0, 0.25, 3.0]]).T
+    cols = (MetricDescriptor("big", "rate", "any", ""), MetricDescriptor("plain", "score", "any", ""))
+    raw = MetricTable(tuple(f"k{i}" for i in range(5)), cols, np.asarray(data, order=order))
+    with np.errstate(over="raise"):
+        fitted, spec = fit_transform(raw, "none")
+    big, plain = spec.columns
+    assert big.mean == pytest.approx(2e199, rel=1e-15)
+    assert big.std == pytest.approx(4e199, rel=1e-15)
+    assert (plain.mean, plain.std) == (float(data[:, 1].mean()), float(data[:, 1].std()))
+    assert fitted.data[:, 0].mean() == pytest.approx(0.0, abs=1e-15)
+    assert fitted.data[:, 0].std() == pytest.approx(1.0)
+
+
+def test_moments_keep_numpys_bits_and_rescue_overflow():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(30, 7)) * 10.0 ** rng.integers(-5, 5, size=7)
+    x[3, 2] = 1e300  # column 2's squares overflow
+    x[4, 5] = np.nan  # column 5 keeps numpy's NaN
+    for arr in (x, np.asfortranarray(x)):
+        for axis, lines in ((0, arr.T), (1, arr)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = arr.mean(axis=axis), arr.std(axis=axis)
+            mu, sd = moments(arr, axis=axis)
+            finite = np.isfinite(want[0]) & np.isfinite(want[1])
+            assert np.array_equal(mu[finite], want[0][finite])
+            assert np.array_equal(sd[finite], want[1][finite])
+            for i in np.flatnonzero(~finite):
+                line = lines[i]
+                if np.isnan(line).any():
+                    assert np.isnan(mu[i]) and np.isnan(sd[i])
+                else:
+                    unit = line / np.abs(line).max()
+                    assert mu[i] == pytest.approx(unit.mean() * 1e300)
+                    assert sd[i] == pytest.approx(unit.std() * 1e300)
+                    assert np.isfinite(sd[i])
