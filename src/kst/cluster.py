@@ -14,8 +14,14 @@ Ward is the generic nearest-neighbour-cache algorithm of Müllner (2011,
 every row caches its smallest Ward distance and where it occurs, so a merge
 step reads the global minimum from n cached values instead of the whole
 matrix. It merges in exactly the greedy order, ties included (NN-chain would
-reorder them). Memory is O(n^2); time is O(n^2) on typical data and grows
-towards O(n^3) only when many distances tie at a shared nearest neighbour.
+reorder them). The distance matrix is cut down to the live clusters each time
+they fall to half its dimension, so memory starts at O(n^2) and shrinks as
+the merges proceed; time is O(n^2) on typical data and grows towards O(n^3)
+only when many distances tie at a shared nearest neighbour. The merge loop
+keeps no centroids: :func:`agglomerative_ward` computes the centroid
+distances after it, and the quality criteria and the gap statistic, which
+read only the merges, never compute them. Cuts at several k come from one
+walk over the merges.
 
 k-means seeds the ``n_init`` replicates of a fit together and runs them
 batched through one Lloyd loop. Each replicate draws its k-means++ seeds from
@@ -163,15 +169,22 @@ class Partition:
         return {"k": self.k, "labels": dict(self.labels), "sizes": self.sizes()}
 
 
-def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int, float]]:
+def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int]]:
     """Lance-Williams Ward merges on raw coordinates.
 
-    Returns (left, right, height, size, centroid_distance) per step, with
-    node ids as in :class:`Dendrogram`. Ties on merge distance are broken by
-    the smallest (min id, max id) pair; the merged cluster takes the lower of
-    the two array positions.
+    Returns (left, right, height, size) per step, with node ids as in
+    :class:`Dendrogram`; centroids are not tracked here (see
+    :func:`agglomerative_ward`). Ties on merge distance are broken by the
+    smallest (min id, max id) pair; the merged cluster takes the lower of
+    the two array positions. A position is a cluster's row and column in the
+    working matrix, which holds the live clusters in the order of their
+    smallest member rows. Compaction drops dead rows and columns but never
+    reorders the live ones, so "lower position" names the same cluster
+    before and after it. Positions decide which rows are rescanned, never a
+    merge: the update is symmetric in the pair (addition commutes) and ties
+    are broken by node id.
 
-    Each active row caches its smallest squared Ward distance and the column
+    Each live row caches its smallest squared Ward distance and the column
     where it occurs. A step takes the minimum of the cached values; only the
     rows whose cached value equals it can be in a pair at that distance, so
     the tie rule looks at just those rows. After a merge, the merged row and
@@ -181,86 +194,122 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int, float]]
     Lance-Williams update, so the merges are bit-identical to those of a
     search over the whole distance matrix at every step.
 
-    Cost: O(n^2) memory. O(n^2) time on typical data; rescans push it
-    towards O(n^3) only when many rows share one nearest neighbour, as
-    with many duplicate rows.
+    A merged-away cluster's column and cached distance are set to inf and its
+    cached column to -1; its row is never read again. Once the live clusters
+    are at most half the matrix dimension, the matrix is cut down to their
+    rows and columns (``d2[np.ix_(keep, keep)]``) and the cached columns are
+    renumbered to match. Memory shrinks as the merges proceed, each step
+    works on at most twice the live count, and the copies add up to at most
+    n^2 / 3 entries.
+
+    Cost: O(n^2) memory at the start. O(n^2) time on typical data; rescans
+    push it towards O(n^3) only when many rows share one nearest neighbour,
+    as with many duplicate rows.
     """
     n = x.shape[0]
     if n < 2:
         return []
-    node_id = np.arange(n)
-    size = np.ones(n, dtype=float)
-    centroid = np.array(x, dtype=float)
-    d2 = _pairwise_sq(x)               # squared Ward distances; inf off the active set
+    node_id = list(range(n))           # per position
+    size = np.ones(n)                  # per position: leaf count
+    d2 = _pairwise_sq(x)               # squared Ward distances; inf in dead columns
     np.fill_diagonal(d2, np.inf)
-    nn_idx = d2.argmin(axis=1)         # per row: column of its smallest distance
-    nn_val = d2[np.arange(n), nn_idx]  # per row: that distance (inf once merged away)
+    nn_idx = d2.argmin(axis=1)         # per row: column of its smallest distance (-1 once dead)
+    nn_val = d2.min(axis=1)            # per row: that distance (inf once dead)
 
     steps = []
-    merged = np.empty((2, n - 1, x.shape[1]))  # per merge: the two centroids joined
     for t in range(n - 1):
-        dmin = float(nn_val.min())
+        if 2 * (n - t) <= len(nn_idx):  # compact: keep the live positions, in order
+            alive = nn_idx >= 0
+            keep = alive.nonzero()[0]
+            d2 = d2[np.ix_(keep, keep)]
+            nn_idx = (alive.cumsum() - 1)[nn_idx[keep]]
+            nn_val, size = nn_val[keep], size[keep]
+            node_id = [node_id[p] for p in keep.tolist()]
+        dmin = nn_val.item(nn_val.argmin())
         if not math.isfinite(dmin):
             raise KstError("Ward distances overflow float64; rescale the data")
         # Every row whose cached value is dmin has a partner at dmin, so the
         # smallest (min id, max id) pair joins the row with the smallest node
         # id to its partner with the smallest node id.
-        rows = np.flatnonzero(nn_val == dmin)
-        r0 = rows[node_id[rows].argmin()]
-        partners = rows[d2[r0, rows] == dmin]
-        r1 = partners[node_id[partners].argmin()]
+        rows = (nn_val == dmin).nonzero()[0].tolist()
+        r0 = min(rows, key=node_id.__getitem__)
+        r1 = min((r for r in rows if d2.item(r0, r) == dmin), key=node_id.__getitem__)
         pi, pj = min(r0, r1), max(r0, r1)
-        ni, nj = size[pi], size[pj]
-        merged[:, t] = centroid[pi], centroid[pj]
-        left, right = sorted((int(node_id[pi]), int(node_id[pj])))
-        steps.append((left, right, float(np.sqrt(dmin)), int(ni + nj)))
+        ni, nj = size.item(pi), size.item(pj)
+        left, right = sorted((node_id[pi], node_id[pj]))
+        steps.append((left, right, math.sqrt(dmin), int(ni + nj)))
 
-        # Lance-Williams update against every other active cluster, on whole
-        # rows: the inf entries (pi, pj, merged-away rows) stay inf
+        # Lance-Williams update against every other live cluster, on whole
+        # rows: the inf entries (pi, pj, dead columns) stay inf
         new = ((ni + size) * d2[pi] + (nj + size) * d2[pj] - size * dmin) / (ni + nj + size)
         d2[pi] = new
         d2[:, pi] = new
-        d2[pj] = np.inf
         d2[:, pj] = np.inf
-        centroid[pi] = (ni * centroid[pi] + nj * centroid[pj]) / (ni + nj)
         size[pi] = ni + nj
         node_id[pi] = n + t
 
         # Refresh the cache; rows that pointed at the merged pair are rescanned.
         # A Ward merge never comes closer than a row's nearest neighbour in
         # exact arithmetic; comparing keeps the cache exact under rounding too.
-        rescan = (nn_idx == pi) | (nn_idx == pj)
+        # Row pj is dead and never read again, so it is left as it was.
+        nn_idx[pj] = -1
+        nn_val[pj] = np.inf
+        rescan = nn_idx == pi
+        rescan |= nn_idx == pj
         rescan[pi] = True
         closer = new < nn_val
-        nn_val[closer] = new[closer]
+        np.copyto(nn_val, new, where=closer)
         nn_idx[closer] = pi
-        nn_val[pj] = np.inf
-        rescan = np.flatnonzero(rescan)
+        rescan = rescan.nonzero()[0]
         sub = d2[rescan]
         nn_idx[rescan] = sub.argmin(axis=1)
-        nn_val[rescan] = sub[np.arange(len(rescan)), nn_idx[rescan]]
-    cdist = np.sqrt(_sq_dist(merged[0], merged[1])).tolist()
-    return [step + (c,) for step, c in zip(steps, cdist)]
+        nn_val[rescan] = sub.min(axis=1)
+    return steps
 
 
 def agglomerative_ward(m: MetricTable) -> Dendrogram:
-    """Bottom-up Ward clustering of the table rows."""
-    if len(m.rows) < 2:
+    """Bottom-up Ward clustering of the table rows.
+
+    The merges come from :func:`_ward_merge_steps`; each merge's centroid
+    distance is computed afterwards, by replaying the centroid recursion
+    (n_l * c_l + n_r * c_r) / (n_l + n_r) over the merges. Addition is
+    commutative in IEEE arithmetic and (a - b)^2 = (b - a)^2, so the result
+    does not depend on which child is left.
+    """
+    n = len(m.rows)
+    if n < 2:
         raise KstError("agglomerative clustering needs at least 2 rows")
     steps = _ward_merge_steps(m.data)
-    return Dendrogram(m.rows, tuple(Merge(*s) for s in steps))
+    centroid = np.empty((2 * n - 1, m.data.shape[1]))
+    centroid[:n] = m.data
+    size = [1] * n
+    for t, (left, right, _, merged) in enumerate(steps):
+        centroid[n + t] = (size[left] * centroid[left] + size[right] * centroid[right]) / merged
+        size.append(merged)
+    pairs = np.array([s[:2] for s in steps])
+    cdist = np.sqrt(_sq_dist(centroid[pairs[:, 0]], centroid[pairs[:, 1]])).tolist()
+    return Dendrogram(m.rows, tuple(Merge(*s, c) for s, c in zip(steps, cdist)))
 
 
-def _assign_at_k(steps: Sequence[tuple[int, int]], n: int, k: int) -> np.ndarray:
-    """Cluster id per leaf after undoing the last k-1 merges."""
+def _assign_at_each_k(
+    steps: Sequence[tuple[int, int]], n: int, ks: Sequence[int]
+) -> dict[int, np.ndarray]:
+    """Cluster id per leaf after undoing the last k-1 merges, for each k in
+    ``ks``, from one walk over the merges (largest k first). Ids number the
+    clusters in order of their node ids."""
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for t in range(n - k):
-        left, right = steps[t][0], steps[t][1]
-        members[n + t] = members.pop(left) + members.pop(right)
-    assign = np.empty(n, dtype=int)
-    for cid, comp in enumerate(members.values()):
-        assign[comp] = cid
-    return assign
+    assigns = {}
+    done = 0
+    for k in sorted(set(ks), reverse=True):
+        for t in range(done, n - k):
+            left, right = steps[t][0], steps[t][1]
+            members[n + t] = members.pop(left) + members.pop(right)
+        done = n - k
+        assign = np.empty(n, dtype=int)
+        for cid, comp in enumerate(members.values()):
+            assign[comp] = cid
+        assigns[k] = assign
+    return assigns
 
 
 def _canonical_ids(
@@ -281,12 +330,14 @@ def cut_dendrogram(d: Dendrogram, k: int) -> Partition:
     """Partition into k clusters by undoing the last k-1 merges.
 
     Cluster ids are assigned by descending size; equal sizes are ordered by
-    the smallest contained leaf label. Cuts at successive k nest.
+    the smallest contained leaf label. Cuts at successive k nest. The cut is
+    the one-walk cut of :func:`_assign_at_each_k` at a single k, the same
+    that the quality criteria take at every k they score.
     """
     n = len(d.leaves)
     if not 1 <= k <= n:
         raise KstError(f"k must be between 1 and {n}, got {k}")
-    assign = _assign_at_k([(m.left, m.right) for m in d.merges], n, k)
+    assign = _assign_at_each_k([(m.left, m.right) for m in d.merges], n, [k])[k]
     return Partition(_canonical_ids(d.leaves, assign.tolist(), k)[0], k)
 
 

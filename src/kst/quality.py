@@ -24,7 +24,7 @@ import numpy as np
 from ._json import FieldDict
 from .cluster import (
     Partition,
-    _assign_at_k,
+    _assign_at_each_k,
     _canonical_ids,
     _kmeans_arrays,
     _pairwise_sq,
@@ -286,8 +286,7 @@ def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
     at every k, or one k-means fit per k on sub-stream (seed, *stream_key, k).
     Cluster ids are 0..k-1, every one of them used."""
     if method == "agglomerative":
-        merges = _ward_merge_steps(x)
-        return {k: _assign_at_k(merges, x.shape[0], k) for k in ks}
+        return _assign_at_each_k(_ward_merge_steps(x), x.shape[0], ks)
     # history=False: the partitions only, no per-pass inertia
     return {k: _kmeans_arrays(x, k, subseed(seed, *stream_key, k), n_init, max_iter, False)[0]
             for k in ks}

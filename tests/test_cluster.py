@@ -24,6 +24,7 @@ from kst.cluster import (
     kmeans_fit,
 )
 from kst.cluster import _kmeans_arrays, _kmeanspp_init, _lloyd, _pairwise_sq, _scatter, _sq_dist
+from kst.cluster import _assign_at_each_k, _ward_merge_steps
 from kst.errors import KstError
 from kst.rng import substream
 
@@ -209,6 +210,23 @@ def test_ward_equals_full_matrix_search_on_identical_rows():
     _assert_same_merges(np.full((40, 3), 1.5))
 
 
+def _repeated_rows(n: int, d: int, distinct: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, d))
+    return base[rng.integers(0, distinct, size=n)]
+
+
+# At 400 rows the working matrix is compacted seven times, each time with
+# many tied distances in play: a grid's equal coordinate steps, and rows that
+# repeat about five times each.
+@pytest.mark.parametrize("x", [
+    _ward_input("grid012", 400, 4, 7),
+    _repeated_rows(400, 3, 80, 8),
+], ids=["grid012", "repeated"])
+def test_ward_equals_full_matrix_search_at_400_rows(x):
+    _assert_same_merges(x)
+
+
 def test_ward_rejects_overflowing_distances():
     with np.errstate(over="ignore"), pytest.raises(KstError, match="overflow"):
         agglomerative_ward(make_table([[0.0], [1e200], [2e200]]))
@@ -324,6 +342,34 @@ def test_cuts_nest():
         for c in range(k + 1):
             cluster = set(fine.members(c))
             assert sum(cluster <= cs for cs in coarse_sets) == 1
+
+
+def _assign_at_k(steps, n: int, k: int) -> np.ndarray:
+    """The per-k cut that the one-pass cut replaced: undo the last k-1
+    merges from scratch."""
+    members = {i: [i] for i in range(n)}
+    for t in range(n - k):
+        left, right = steps[t][0], steps[t][1]
+        members[n + t] = members.pop(left) + members.pop(right)
+    assign = np.empty(n, dtype=int)
+    for cid, comp in enumerate(members.values()):
+        assign[comp] = cid
+    return assign
+
+
+@pytest.mark.parametrize("kind", WARD_INPUTS)
+def test_one_pass_cut_equals_per_k_cut_at_every_k(kind):
+    n = 70
+    steps = _ward_merge_steps(_ward_input(kind, n, 3, 9))
+    cuts = _assign_at_each_k(steps, n, range(1, n + 1))
+    assert sorted(cuts) == list(range(1, n + 1))
+    for k in range(1, n + 1):
+        assert np.array_equal(cuts[k], _assign_at_k(steps, n, k)), k
+    # any order, repeats allowed: each k is cut once
+    some = _assign_at_each_k(steps, n, [5, 1, 5, 69])
+    assert sorted(some) == [1, 5, 69]
+    for k in some:
+        assert np.array_equal(some[k], cuts[k])
 
 
 def test_partition_validation():
