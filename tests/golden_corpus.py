@@ -8,6 +8,8 @@ record of every case; ``tests/test_golden.py`` reruns the cases and compares.
 The input and output directories appear in argv as ``{golden}`` and
 ``{out}``; they are filled in for the run and put back into the captured
 streams before hashing, so the record does not depend on where it ran.
+Warnings are recorded and added to stderr, so a run under pytest, which
+captures warnings itself, hashes the same stderr as a run of this script.
 
 Runs use the default seed, so ``KST_SEED`` must be unset. A change to a
 record is an output change. Regenerate the manifest only for
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from kst.cli import main
@@ -85,8 +88,13 @@ def run_case(argv: tuple[str, ...], workdir: Path) -> dict:
             arg = arg.replace(key, value)
         args.append(arg)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(args)
+    # a warning counts as stderr output, whoever would have shown it
+    for w in caught:
+        stderr.write(f"{w.category.__name__}: {w.message}\n")
 
     def normalised(text: str) -> bytes:
         for key, value in places.items():
