@@ -19,10 +19,4 @@ def test_manifest_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_case(name, tmp_path, monkeypatch):
     monkeypatch.delenv("KST_SEED", raising=False)
-    got = run_case(CASES[name], tmp_path)
-    want = RECORDED[name]
-    assert got["argv"] == want["argv"]
-    assert got["exit"] == want["exit"]
-    assert got["stdout"] == want["stdout"], "stdout differs"
-    assert got["stderr"] == want["stderr"], "stderr differs"
-    assert got["files"] == want["files"]
+    assert run_case(CASES[name], tmp_path) == RECORDED[name]
