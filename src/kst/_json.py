@@ -2,7 +2,10 @@
 
 :func:`_as_text` reads every input, and :func:`load_json` every JSON one. A
 :class:`FieldDict` result's JSON object is its dataclass fields in
-declaration order; a result whose JSON is not its fields writes a ``to_dict``.
+declaration order, each under its ``json`` field metadata or else its name.
+Two results write their own ``to_dict`` because their JSON is not their
+fields: ``Partition`` adds the computed ``sizes`` and ``FamilyReport`` nests
+its ``closest_other`` pair as an object.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ class FieldDict:
     """Mixin for dataclasses whose JSON object is their fields, in order."""
 
     def to_dict(self) -> dict:
-        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+        return {f.metadata.get("json", f.name): to_jsonable(getattr(self, f.name))
+                for f in fields(self)}
 
 
 def to_jsonable(obj: Any) -> Any:

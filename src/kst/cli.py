@@ -191,12 +191,11 @@ def _resolve_seed(flag: int | None) -> int:
 
 
 def _platform_mode(args: argparse.Namespace, samples: Samples) -> str:
+    # a named platform without samples fails in platform_groups
     present = set(samples.platforms())
+    if args.platform == "both" and present != {"cpu", "gpu"}:
+        raise KstError("--platform both needs samples from both platforms")
     if args.platform != "auto":
-        if args.platform in ("cpu", "gpu") and args.platform not in present:
-            raise KstError(f"no {args.platform} samples in the input")
-        if args.platform == "both" and present != {"cpu", "gpu"}:
-            raise KstError("--platform both needs samples from both platforms")
         return args.platform
     return "both" if len(present) == 2 else present.pop()
 

@@ -896,9 +896,16 @@ def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], lis
 def ingest_summary(samples: Samples) -> dict:
     """What ``kst ingest-check`` reports: the sample and group counts, the
     kernels, platforms, problem sizes and metrics seen, and the worst
-    coefficient of variation across trials (:meth:`TrialGroups.worst_cv`)."""
+    coefficient of variation across trials (:meth:`TrialGroups.worst_cv`).
+
+    The input passes the checks the analysis commands make: GPU rates must
+    derive (the report still lists the raw metrics), and every metric's
+    trial means must lie in the range its kind allows."""
+    _derive_if_gpu(samples)
     groups = _aggregate(samples)
     groups.check_consistent()
+    for name in sorted(groups.values):
+        check_kind_ranges([descriptor_for(name)], groups.values[name][:, None])
     worst_cv, worst_at = groups.worst_cv()
     kernels, sizes = list(samples.keys.kernel), list(samples.keys.size)
     return {

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -259,25 +259,15 @@ def bic_score(m: MetricTable, p: Partition) -> float:
 
 
 @dataclass(frozen=True)
-class GapCurve:
+class GapCurve(FieldDict):
     """Gap statistic per k with its simulation standard error."""
 
-    ks: tuple[int, ...]
+    ks: tuple[int, ...] = field(metadata={"json": "k"})
     gap: tuple[float, ...]
     s: tuple[float, ...]
     log_w: tuple[float, ...]
     log_w_ref: tuple[float, ...]
     dropped_features: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "k": list(self.ks),
-            "gap": list(self.gap),
-            "s": list(self.s),
-            "log_w": list(self.log_w),
-            "log_w_ref": list(self.log_w_ref),
-            "dropped_features": list(self.dropped_features),
-        }
 
 
 def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
@@ -287,8 +277,8 @@ def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
     Cluster ids are 0..k-1, every one of them used."""
     if method == "agglomerative":
         return _assign_at_each_k(_ward_merge_steps(x), x.shape[0], ks)
-    # history=False: the partitions only, no per-pass inertia
-    return {k: _kmeans_arrays(x, k, subseed(seed, *stream_key, k), n_init, max_iter, False)[0]
+    return {k: _kmeans_arrays(x, k, subseed(seed, *stream_key, k), n_init, max_iter,
+                              history=False)[0]
             for k in ks}
 
 
@@ -392,33 +382,22 @@ def tibshirani_select(curve: GapCurve) -> int:
 
 
 @dataclass(frozen=True)
-class CriterionResult:
-    scores: dict[int, float]
+class CriterionResult(FieldDict):
+    scores: dict[int, float]            # ascending k
     selected_k: int
     note: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "scores": {str(k): v for k, v in sorted(self.scores.items())},
-            "selected_k": self.selected_k,
-            "note": self.note,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "scores", dict(sorted(self.scores.items())))
 
 
 @dataclass(frozen=True)
-class KSelectionReport:
+class KSelectionReport(FieldDict):
     """Per-criterion scores and selections plus the consensus k."""
 
     criteria: dict[str, CriterionResult]
     consensus_k: int
-    gap_curve: GapCurve | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "criteria": {name: c.to_dict() for name, c in self.criteria.items()},
-            "consensus_k": self.consensus_k,
-            "gap": self.gap_curve.to_dict() if self.gap_curve else None,
-        }
+    gap_curve: GapCurve | None = field(default=None, metadata={"json": "gap"})
 
 
 def _criterion_domain(name: str, n: int, ks: Sequence[int]) -> list[int]:

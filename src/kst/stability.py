@@ -144,19 +144,15 @@ def kernel_reports(
 
 
 @dataclass(frozen=True)
-class StabilitySummary:
+class StabilitySummary(FieldDict):
     """Histogram of stabilization sizes across kernels."""
 
-    histogram: dict[int, int]           # min_stable_size -> kernel count
+    histogram: dict[int, int]           # min_stable_size -> kernel count, ascending size
     never_stable: tuple[str, ...]       # kernels with no stabilization point
     annotations: dict[str, float]       # user-supplied reference sizes (e.g. caches)
 
-    def to_dict(self) -> dict:
-        return {
-            "histogram": {str(size): n for size, n in sorted(self.histogram.items())},
-            "never_stable": list(self.never_stable),
-            "annotations": dict(self.annotations),
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "histogram", dict(sorted(self.histogram.items())))
 
 
 def stability_summary(
@@ -172,7 +168,7 @@ def stability_summary(
         else:
             histogram[r.min_stable_size] = histogram.get(r.min_stable_size, 0) + 1
     return StabilitySummary(
-        histogram=dict(sorted(histogram.items())),
+        histogram=histogram,
         never_stable=tuple(sorted(never)),
         annotations=dict(annotations or {}),
     )

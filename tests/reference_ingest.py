@@ -467,10 +467,20 @@ def stability_series(
 
 
 def ingest_check_doc(args: argparse.Namespace) -> dict:
-    """What ``kst ingest-check`` reports."""
+    """What ``kst ingest-check`` reports, once the GPU rates derive (the
+    report lists the raw metrics) and every metric's trial means lie in the
+    range its kind allows."""
     samples = _load_samples(args)
+    _derive_if_gpu(samples)
     aggregated, spreads = aggregate_trials(samples)
     metrics = sorted({name for s in samples for name in s.values})
+    for name in metrics:
+        kind = descriptor_for(name).kind
+        means = [s.values[name] for s in aggregated if name in s.values]
+        if kind == "fraction" and any(not 0.0 <= v <= 1.0 for v in means):
+            raise KstError(f"fraction metric {name!r} has values outside [0, 1]")
+        if kind != "score" and any(v < 0.0 for v in means):
+            raise KstError(f"{kind} metric {name!r} has negative values")
     worst_cv = 0.0
     worst_at = ""
     for sp in spreads:

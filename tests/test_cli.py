@@ -149,6 +149,14 @@ def test_cluster_merged_platforms(tmp_path, capsys, cpu_csv, gpu_csv):
     assert box["source"] == "raw"
 
 
+def test_cluster_on_a_platform_without_samples_is_an_input_error(tmp_path, capsys, cpu_csv):
+    code, out, err = run(capsys, "cluster", "--input", cpu_csv, "--platform", "gpu",
+                         "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "KstError", "message": "no gpu samples in the input"}
+    assert not (tmp_path / "o").exists()
+
+
 def test_size_variant_labels_do_not_collide_with_kernel_names(tmp_path, capsys):
     # a kernel named like another's size variant under the old "_1" labels
     inputs = tmp_path / "cpu.csv"
@@ -486,6 +494,11 @@ def test_ingest_check_averages_huge_trials_without_overflow(tmp_path, capsys):
         _perfbench_gen().gpu_csv(40, (16777216, 67108864), 3, 7).decode())))
     col = rows[0].index("gpu.hbm_transactions")
     rows[5][col] = "1.5e308"
+    # a time of 1 s at that size keeps the derived rate finite, as the rate rule asks
+    time = rows[0].index("gpu.time_sec")
+    for r in rows[1:]:
+        if r[0] == rows[5][0] and r[2] == rows[5][2]:
+            r[time] = "1"
     p = tmp_path / "gpu.csv"
     p.write_text("".join(",".join(r) + "\n" for r in rows))
     with warnings.catch_warnings():
@@ -606,6 +619,32 @@ def test_gpu_rate_beyond_float_range_is_an_input_error(tmp_path, capsys, command
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "KstError",
                                "message": f"metric {rate!r} has non-finite value inf"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, metric, value, message", [
+    ("cpu.csv", "topdown.core_bound", 1.5,
+     "fraction metric 'topdown.core_bound' has values outside [0, 1]"),
+    ("gpu.json", "gpu.time_sec", 5e-324, "metric 'gpu.l1_rate' has non-finite value inf"),
+    ("gpu.json", "gpu.l2_transactions", -3.0,
+     "counter 'gpu.l2_transactions' must be non-negative, got -3.0"),
+], ids=["fraction-above-one", "rate-beyond-float-range", "negative-counter"])
+def test_ingest_check_applies_the_rules_cluster_applies(tmp_path, capsys, name, metric, value,
+                                                        message):
+    platform = "cpu" if name.endswith(".csv") else "gpu"
+    header = CPU_HEADER if platform == "cpu" else GPU_HEADER
+    rows = [[k, platform, size, 0] + [0.5] * (len(header) - 4)
+            for k in ("A", "B") for size in (1024, 2048)]
+    rows[3][header.index(metric)] = value
+    p = tmp_path / name
+    if platform == "cpu":
+        p.write_text(csv_bytes(header, rows))
+    else:
+        p.write_text(json.dumps([dict(zip(header, r[:4]), values=dict(zip(header[4:], r[4:])))
+                                 for r in rows]))
+    expected = (2, "", json.dumps({"error": "KstError", "message": message}) + "\n")
+    assert run(capsys, "ingest-check", "--input", p) == expected
+    assert run(capsys, "cluster", "--input", p, "--out", tmp_path / "o") == expected
     assert not (tmp_path / "o").exists()
 
 

@@ -6,6 +6,7 @@ field-order conversion replaced, kept as the contract it must meet.
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from kst.cluster import agglomerative_ward, cut_dendrogram, kmeans_fit
 from kst.dataset import parse_samples
 from kst.errors import KstError, ParseError
 from kst.preprocess import TransformSpec, fit_transform
-from kst.quality import quality_report, ratio_report
+from kst.quality import CriterionResult, quality_report, ratio_report, select_k
 from kst.report import emit_report, export_boxplot_data, parse_report, pca_project
-from kst.stability import stability_series
+from kst.stability import StabilitySummary, stability_series, stability_summary
 
 from conftest import CPU_HEADER, make_table, two_blob_array, write_cpu_csv
 
@@ -73,6 +74,27 @@ def _column(c):
     return {"metric": c.metric, "log": c.log, "mean": c.mean, "std": c.std}
 
 
+def _gap(g):
+    return {"k": list(g.ks), "gap": list(g.gap), "s": list(g.s), "log_w": list(g.log_w),
+            "log_w_ref": list(g.log_w_ref), "dropped_features": list(g.dropped_features)}
+
+
+def _criterion(c):
+    return {"scores": {str(k): v for k, v in sorted(c.scores.items())},
+            "selected_k": c.selected_k, "note": c.note}
+
+
+def _selection(r):
+    return {"criteria": {name: _criterion(c) for name, c in r.criteria.items()},
+            "consensus_k": r.consensus_k,
+            "gap": _gap(r.gap_curve) if r.gap_curve else None}
+
+
+def _summary(s):
+    return {"histogram": {str(size): n for size, n in sorted(s.histogram.items())},
+            "never_stable": list(s.never_stable), "annotations": dict(s.annotations)}
+
+
 def _results(tmp_path):
     """One result of each field-serialized class, computed by the library."""
     data, _ = two_blob_array(n=12, d=3)
@@ -84,6 +106,10 @@ def _results(tmp_path):
     write_cpu_csv(tmp_path / "cpu.csv", kernels=["a"])
     samples = parse_samples((tmp_path / "cpu.csv").read_bytes())
     _, spec = fit_transform(make_table(np.exp(data)), "auto")
+    stable = stability_series(samples, CPU_HEADER[4:])
+    never = replace(stable, kernel="b", min_stable_size=None)
+    selection = select_k(table, criteria=("silhouette", "dunn", "gap"), k_range=range(1, 5),
+                         gap_b=5)
     return {
         "Merge": dendro.merges[0],
         "Dendrogram": dendro,
@@ -92,8 +118,12 @@ def _results(tmp_path):
         "RatioReport": ratio_report({"ward": ward_q, "kmeans": kmeans_q}),
         "Projection2D": pca_project(table, model.centroids),
         "BoxplotSummary": export_boxplot_data(table, part),
-        "StabilityReport": stability_series(samples, CPU_HEADER[4:]),
+        "StabilityReport": stable,
         "ColumnTransform": spec.columns[0],
+        "GapCurve": selection.gap_curve,
+        "CriterionResult": selection.criteria["silhouette"],
+        "KSelectionReport": selection,
+        "StabilitySummary": stability_summary([stable, never], {"l2": 1048576.0}),
     }
 
 
@@ -110,6 +140,8 @@ REFERENCES = {
     "Merge": _merge, "Dendrogram": _dendrogram, "KMeansModel": _kmeans,
     "QualityReport": _quality, "RatioReport": _ratio, "Projection2D": _projection,
     "BoxplotSummary": _boxplot, "StabilityReport": _stability, "ColumnTransform": _column,
+    "GapCurve": _gap, "CriterionResult": _criterion, "KSelectionReport": _selection,
+    "StabilitySummary": _summary,
 }
 
 
@@ -121,6 +153,16 @@ def test_field_dict_equals_the_hand_written_one(tmp_path, name):
     assert _plain(doc)
     assert doc == reference(obj)
     assert json.dumps(doc) == json.dumps(reference(obj))
+
+
+def test_keys_built_out_of_order_are_written_in_ascending_order():
+    summary = StabilitySummary(histogram={4096: 1, 1024: 2}, never_stable=(), annotations={})
+    criterion = CriterionResult(scores={10: 0.25, 2: 0.5, 3: 0.75}, selected_k=3)
+    assert list(summary.to_dict()["histogram"]) == ["1024", "4096"]
+    assert list(criterion.to_dict()["scores"]) == ["2", "3", "10"]
+    doc = json.loads(emit_report({"summary": summary, "criterion": criterion}))
+    assert list(doc["summary"]["histogram"]) == ["1024", "4096"]
+    assert list(doc["criterion"]["scores"]) == ["2", "3", "10"]
 
 
 def test_spec_json_equals_the_record_list():

@@ -414,9 +414,9 @@ def test_select_k_fits_kmeans_once_per_k_on_the_data(two_blob_table, monkeypatch
     calls = []
     fit = kst.cluster._kmeans_arrays
 
-    def counted(x, k, *args):
+    def counted(x, k, *args, **kwargs):
         calls.append(k)
-        return fit(x, k, *args)
+        return fit(x, k, *args, **kwargs)
 
     monkeypatch.setattr(kst.cluster, "_kmeans_arrays", counted)
     monkeypatch.setattr(kst.quality, "_kmeans_arrays", counted)

@@ -8,7 +8,7 @@ import re
 import warnings
 from pathlib import Path
 
-from kst.cli import main
+from kst.cli import build_parser, main
 from kst.dataset import IDENTITY_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -77,3 +77,20 @@ def test_readme_library_example(tmp_path, capsys, monkeypatch):
     quality, consensus = capsys.readouterr().out.splitlines()
     assert quality.startswith("{'compactness': [")
     assert int(consensus) >= 1
+
+
+def _option_strings(parser):
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action.choices, dict):  # the subcommands' parsers
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+
+
+def test_readme_documents_every_flag():
+    text = README.read_text()
+    flags = sorted(set(_option_strings(build_parser())))
+    assert "--gap-b" in flags and "-k" in flags
+    # each flag in a code span, not as the prefix of a longer flag
+    missing = [f for f in flags if not re.search(rf"`{re.escape(f)}(?![\w-])", text)]
+    assert missing == []
