@@ -220,14 +220,20 @@ def _standardize(args: argparse.Namespace, table: MetricTable):
     return fit_transform(table, args.log_metrics, auto_ratio=args.log_ratio)
 
 
-def _file_stem(label: str) -> str:
+def _report_name(label: str, suffix: str) -> str:
     # percent-escape the path separators, NUL (which no file name may hold)
     # and "%" itself, so every label names a file inside the output directory
     # and distinct labels distinct files; "summary" escapes its first letter
-    # so it cannot overwrite summary.json
+    # so it cannot overwrite summary.json. A name over the 255-byte limit keeps
+    # 200 bytes of its stem, then "%~" (no escape makes it) and the label's hash
     stem = (label.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
             .replace("\x00", "%00"))
-    return "%73ummary" if stem == "summary" else stem
+    stem = "%73ummary" if stem == "summary" else stem
+    if len(f"{stem}{suffix}.json".encode()) > 255:
+        import hashlib  # only here: loading it adds about 3.5 MB to every run
+        stem = (stem.encode()[:200].decode(errors="ignore") + "%~"
+                + hashlib.sha256(label.encode()).hexdigest()[:32])
+    return f"{stem}{suffix}.json"
 
 
 def _write(path: Path, text: str) -> None:
@@ -335,13 +341,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
     out = Path(args.out) / "stability"
     multi_platform = len({r.kernel for r in reports}) != len(reports)
     for r in reports:
-        name = _file_stem(r.kernel) + (f"_{r.platform}" if multi_platform else "")
-        _write(out / f"{name}.json", emit_report({"stability": r}))
+        name = _report_name(r.kernel, f"_{r.platform}" if multi_platform else "")
+        _write(out / name, emit_report({"stability": r}))
     summary = stability_summary(reports, dict(args.annotate))
     _write(out / "summary.json", emit_report({"stability_summary": summary}))
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        write_stability_csv(reports, fh)
+    write_stability_csv(reports, str(out / "summary.csv"))
 
     stable = [r for r in reports if r.min_stable_size is not None]
     print(f"kernels analyzed: {len(reports)}  stable: {len(stable)}  "

@@ -405,9 +405,7 @@ def _criterion_domain(name: str, n: int, ks: Sequence[int]) -> list[int]:
         return [k for k in ks if 2 <= k <= n - 1]
     if name in ("dunn", "davies_bouldin"):
         return [k for k in ks if 2 <= k <= n]
-    if name == "bic":
-        return [k for k in ks if 1 <= k <= n]
-    raise KstError(f"unknown criterion {name!r}")
+    return [k for k in ks if 1 <= k <= n]  # bic
 
 
 @contextmanager

@@ -83,6 +83,24 @@ def csv_bytes(header, rows) -> str:
     return buf.getvalue()
 
 
+def json_records(csv_text: str, flat: bool = False) -> list[dict]:
+    """The JSON form of a CSV sample file: integer sizes and trials, float
+    metrics, empty cells omitted; the metrics sit in a ``values`` mapping or,
+    with ``flat``, next to the identity keys."""
+    records = []
+    for row in csv.DictReader(io.StringIO(csv_text)):
+        record = {k: row.pop(k) for k in IDENTITY_HEADER}
+        record["problem_size_bytes"] = int(record["problem_size_bytes"])
+        record["trial"] = int(record["trial"])
+        values = {k: float(v) for k, v in row.items() if v != ""}
+        if flat:
+            record.update(values)
+        else:
+            record["values"] = values
+        records.append(record)
+    return records
+
+
 def write_cpu_csv(path, kernels=None, sizes=(1048576, 4194304), trials=3, seed=42):
     """Synthetic topdown profile: half the kernels memory bound, half compute bound."""
     if kernels is None:

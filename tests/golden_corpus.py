@@ -3,7 +3,8 @@
 Each case runs ``kst`` in-process on the files in ``tests/golden/`` and
 records its exit code and the SHA-256 of its stdout, its stderr and every
 file it writes under ``--out``. ``tests/golden/manifest.json`` holds the
-record of every case; ``tests/test_golden.py`` reruns the cases and compares.
+record of every case; ``tests/test_golden.py`` reruns the cases and compares,
+and reruns each case that exits 0 on the JSON form of its inputs as well.
 
 The input and output directories appear in argv as ``{golden}`` and
 ``{out}``; they are filled in for the run and put back into the captured
@@ -78,15 +79,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(argv: tuple[str, ...], workdir: Path) -> dict:
-    """Run one case with its output under ``workdir``; return its record."""
-    out = workdir / "out"
-    places = {"{golden}": str(GOLDEN), "{out}": str(out)}
-    args = []
-    for arg in argv:
-        for key, value in places.items():
-            arg = arg.replace(key, value)
-        args.append(arg)
+def run_cli(args: list[str]) -> tuple[int, str, str]:
+    """Run ``kst`` in-process; return its exit code, stdout and stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings(record=True) as caught:
@@ -95,6 +89,20 @@ def run_case(argv: tuple[str, ...], workdir: Path) -> dict:
     # a warning counts as stderr output, whoever would have shown it
     for w in caught:
         stderr.write(f"{w.category.__name__}: {w.message}\n")
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run_case(argv: tuple[str, ...], workdir: Path, golden: Path = GOLDEN) -> dict:
+    """Run one case on the inputs in ``golden`` with its output under
+    ``workdir``; return its record."""
+    out = workdir / "out"
+    places = {"{golden}": str(golden), "{out}": str(out)}
+    args = []
+    for arg in argv:
+        for key, value in places.items():
+            arg = arg.replace(key, value)
+        args.append(arg)
+    code, stdout, stderr = run_cli(args)
 
     def normalised(text: str) -> bytes:
         for key, value in places.items():
@@ -109,8 +117,8 @@ def run_case(argv: tuple[str, ...], workdir: Path) -> dict:
     return {
         "argv": list(argv),
         "exit": code,
-        "stdout": _sha(normalised(stdout.getvalue())),
-        "stderr": _sha(normalised(stderr.getvalue())),
+        "stdout": _sha(normalised(stdout)),
+        "stderr": _sha(normalised(stderr)),
         "files": files,
     }
 

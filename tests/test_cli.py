@@ -1,6 +1,7 @@
 """Command-line interface: outputs, seed resolution, exit codes, determinism."""
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -390,6 +391,27 @@ def test_stability_kernel_named_summary_keeps_its_report(tmp_path, capsys):
     assert parse_report((out / "%73ummary.json").read_text())["stability"]["kernel"] == "summary"
     assert "stability_summary" in parse_report((out / "summary.json").read_text())
 
+
+@pytest.mark.parametrize("long, head", [
+    ("b" * 300, "b" * 200),
+    ("€" * 100, "€" * 66),  # 3 bytes each: the cut falls inside the 67th
+], ids=["ascii", "multi-byte"])
+def test_stability_long_kernel_name_is_shortened(tmp_path, capsys, long, head):
+    # a name over the 255-byte limit keeps 200 bytes of its stem, then "%~" and
+    # 32 hex digits of the label's SHA-256; "a" * 250 fits exactly and is kept
+    rows = [[k, "cpu", size, 0, 0.1, 0.2, 0.3, 0.4]
+            for k in ("a" * 250, long, "ccc") for size in (1024, 2048)]
+    p = tmp_path / "s.csv"
+    p.write_text(csv_bytes(CPU_HEADER, rows), encoding="utf-8")
+    code, _, err = run(capsys, "stability", "--input", p, "--out", tmp_path / "o")
+    assert (code, err) == (0, "")
+    short = f"{head}%~{hashlib.sha256(long.encode()).hexdigest()[:32]}.json"
+    out = tmp_path / "o" / "stability"
+    assert sorted(q.name for q in out.iterdir()) == sorted([
+        "a" * 250 + ".json", short, "ccc.json", "summary.csv", "summary.json"])
+    assert parse_report((out / short).read_text())["stability"]["kernel"] == long
+
+
 def test_stability_checks_metric_ranges_as_cluster_does(tmp_path, capsys):
     rows = [[k, "cpu", size, 0, 0.1, 0.2, 0.3, 0.4] for k in ("a", "b") for size in (1024, 2048)]
     rows[0][4:6] = [1.5, -0.2]
@@ -444,11 +466,37 @@ def test_stability_annotation_name_must_not_repeat(tmp_path, capsys, cpu_csv):
     (("stability", "--threshold-pct", "inf"), "threshold_pct must be finite, got inf"),
     (("cluster", "--log-ratio", "nan"), "auto log ratio must be finite, got nan"),
     (("cluster", "--log-ratio", "inf"), "auto log ratio must be finite, got inf"),
-], ids=["threshold-nan", "threshold-inf", "log-ratio-nan", "log-ratio-inf"])
+    (("cluster", "--log-ratio", "0"), "auto log ratio must be positive, got 0.0"),
+    (("cluster", "--log-ratio", "-3"), "auto log ratio must be positive, got -3.0"),
+    (("select-k", "--criteria", "silhouette", "--k-max", "1"),
+     "criterion 'silhouette' is not defined on any k in [1]"),
+], ids=["threshold-nan", "threshold-inf", "log-ratio-nan", "log-ratio-inf", "log-ratio-zero",
+        "log-ratio-negative", "criterion-without-k"])
 def test_non_finite_option_is_an_input_error(tmp_path, capsys, cpu_csv, argv, message):
     code, out, err = run(capsys, *argv, "--input", cpu_csv, "--out", tmp_path / "o")
     assert (code, out) == (2, "")
-    assert json.loads(err) == {"error": "KstError", "message": message}
+    assert err == json.dumps({"error": "KstError", "message": message}) + "\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, content, error, message", [
+    ("empty.csv", b"", "ParseError", "empty input"),
+    ("bom.csv", b"\xef\xbb\xbf", "ParseError", "empty input"),
+    ("header.csv", ",".join(CPU_HEADER).encode() + b"\n", "KstError",
+     "input files contain no samples"),
+    ("empty.json", b"[]", "KstError", "input files contain no samples"),
+    ("object.json", b"{}", "ParseError", "JSON input must be an array of objects"),
+    ("repeated.csv", ",".join(CPU_HEADER + ["topdown.core_bound"]).encode() + b"\n",
+     "ParseError", "line 1: duplicate column names in header"),
+], ids=["empty", "bom-only", "header-only", "json-empty-array", "json-object",
+        "repeated-header"])
+def test_unusable_input_file_is_an_input_error(tmp_path, capsys, name, content, error,
+                                               message):
+    p = tmp_path / name
+    p.write_bytes(content)
+    code, out, err = run(capsys, "cluster", "--input", p, "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": error, "message": message}) + "\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -283,13 +283,13 @@ def _compare(files, size):
         args = _namespace(paths, platform="auto", threshold_pct=5.0, rel_base="larger")
         reports = _outcome(ref.stability_reports, args)
         if reports[0] == "ok" and any("\x00" in r.kernel for r in reports[1]):
-            pass  # a report file name cannot hold a NUL, and _file_stem keeps it
+            pass  # NUL is escaped as %00; test_stability_kernel_name_with_nul_gets_a_file checks it
         elif reports[0] == "ok":
             assert (code, stderr) == (0, "")
             multi = len({r.kernel for r in reports[1]}) != len(reports[1])
             for r in reports[1]:
-                name = cli._file_stem(r.kernel) + (f"_{r.platform}" if multi else "")
-                written = (out / "stability" / f"{name}.json").read_text(encoding="utf-8")
+                name = cli._report_name(r.kernel, f"_{r.platform}" if multi else "")
+                written = (out / "stability" / name).read_text(encoding="utf-8")
                 assert written == emit_report({"stability": r})
         else:
             assert (code, stdout, stderr) == _reference_main(ref.stability_reports, args, str)
