@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -60,6 +61,7 @@ from .stability import (
 )
 
 SEED_ENV_VAR = "KST_SEED"
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _size_policy(text: str) -> int | str:
@@ -221,19 +223,28 @@ def _standardize(args: argparse.Namespace, table: MetricTable):
 
 
 def _report_name(label: str, suffix: str) -> str:
-    # percent-escape the path separators, NUL (which no file name may hold)
-    # and "%" itself, so every label names a file inside the output directory
-    # and distinct labels distinct files; "summary" escapes its first letter
-    # so it cannot overwrite summary.json. A name over the 255-byte limit keeps
-    # 200 bytes of its stem, then "%~" (no escape makes it) and the label's hash
+    # percent-escape the path separators, NUL (which no file name may hold),
+    # each lone surrogate (which UTF-8 cannot encode; a JSON "\ud800" makes
+    # one) and "%" itself, so every label names a file inside the output
+    # directory and distinct labels distinct files; "summary" escapes its
+    # first letter so it cannot overwrite summary.json. A name over the
+    # 255-byte limit keeps 200 bytes of its stem, then "%~" (no escape makes
+    # it) and the label's hash
     stem = (label.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
             .replace("\x00", "%00"))
+    stem = _SURROGATE.sub(lambda c: "".join(
+        f"%{b:02X}" for b in c[0].encode("utf-8", "surrogatepass")), stem)
     stem = "%73ummary" if stem == "summary" else stem
     if len(f"{stem}{suffix}.json".encode()) > 255:
         import hashlib  # only here: loading it adds about 3.5 MB to every run
         stem = (stem.encode()[:200].decode(errors="ignore") + "%~"
-                + hashlib.sha256(label.encode()).hexdigest()[:32])
+                + hashlib.sha256(label.encode("utf-8", "surrogatepass")).hexdigest()[:32])
     return f"{stem}{suffix}.json"
+
+
+def _shown(label: str) -> str:
+    # a label as stdout prints it: each lone surrogate as its "\ud800" escape
+    return label.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _write(path: Path, text: str) -> None:
@@ -315,11 +326,11 @@ def cmd_similar(args: argparse.Namespace) -> int:
     def fmt(v: float | None) -> str:
         return "n/a" if v is None else f"{v:.4f}"
 
-    print(f"target: {report.target}")
+    print(f"target: {_shown(report.target)}")
     print(f"avg distance to own size variants: {fmt(report.self_family_avg)}")
     print(f"avg distance to counterpart rows:  {fmt(report.counterpart_avg)}")
     print(f"avg distance to whole family:      {fmt(report.family_avg)}")
-    print(f"closest non-family kernel: {report.closest_other[0]} "
+    print(f"closest non-family kernel: {_shown(report.closest_other[0])} "
           f"at {report.closest_other[1]:.4f} ({report.relative:.2f}x the family average)")
     print(f"outputs written to {args.out}")
     return 0
@@ -345,14 +356,14 @@ def cmd_stability(args: argparse.Namespace) -> int:
         _write(out / name, emit_report({"stability": r}))
     summary = stability_summary(reports, dict(args.annotate))
     _write(out / "summary.json", emit_report({"stability_summary": summary}))
-    write_stability_csv(reports, str(out / "summary.csv"))
+    write_stability_csv(reports, out / "summary.csv")
 
     stable = [r for r in reports if r.min_stable_size is not None]
     print(f"kernels analyzed: {len(reports)}  stable: {len(stable)}  "
           f"never stable: {len(reports) - len(stable)}")
     for r in reports:
         if r.min_stable_size is None:
-            print(f"  {r.kernel} ({r.platform}): never stable, "
+            print(f"  {_shown(r.kernel)} ({r.platform}): never stable, "
                   f"residual {r.worst_residual_pct:.1f}%")
     print(f"outputs written to {out}")
     return 0

@@ -14,10 +14,13 @@ rather than an exception.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -157,18 +160,24 @@ def ratio_report(reports: Mapping[str, QualityReport]) -> RatioReport:
     )
 
 
-def silhouette(m: MetricTable, p: Partition) -> float:
+def _distances(m: MetricTable) -> np.ndarray:
+    """Euclidean distances between the table's rows, n x n."""
+    return np.sqrt(_pairwise_sq(m.data))
+
+
+def silhouette(m: MetricTable, p: Partition, *, _dmat: np.ndarray | None = None) -> float:
     """Mean silhouette coefficient over all points.
 
     Classic point-to-point form: a(i) is the mean distance to the other
     members of i's cluster, b(i) the smallest mean distance to any other
-    cluster. Singletons score 0.
+    cluster. Singletons score 0. ``_dmat`` is private to :func:`select_k`:
+    ``m``'s distance matrix, built once for every k.
     """
     n = len(m.rows)
     if not 2 <= p.k <= n - 1:
         raise KstError(f"silhouette requires 2 <= k <= {n - 1}, got k={p.k}")
     assign = _check_partition(m, p)
-    dmat = np.sqrt(_pairwise_sq(m.data))
+    dmat = _distances(m) if _dmat is None else _dmat
     counts = np.bincount(assign, minlength=p.k)
     # sum of distances from each point to every cluster
     sums = np.zeros((n, p.k))
@@ -200,12 +209,13 @@ def calinski_harabasz(m: MetricTable, p: Partition) -> float:
     return (bgss / (p.k - 1)) / (wgss / (n - p.k))
 
 
-def dunn_index(m: MetricTable, p: Partition) -> float:
-    """Smallest between-cluster point distance over largest cluster diameter."""
+def dunn_index(m: MetricTable, p: Partition, *, _dmat: np.ndarray | None = None) -> float:
+    """Smallest between-cluster point distance over largest cluster diameter.
+    ``_dmat`` is private to :func:`select_k`, as for :func:`silhouette`."""
     if p.k < 2:
         raise KstError("dunn_index requires at least 2 clusters")
     assign = _check_partition(m, p)
-    dmat = np.sqrt(_pairwise_sq(m.data))
+    dmat = _distances(m) if _dmat is None else _dmat
     same = assign[:, None] == assign[None, :]
     diameter = float((dmat * same).max())
     if diameter == 0:
@@ -295,6 +305,138 @@ def _log_dispersion(x: np.ndarray, labels: np.ndarray, k: int) -> float:
     return math.log(w)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its CPU affinity, capped by the CPU
+    quotas of its cgroup; 1 where the platform cannot say
+    (``os.sched_getaffinity`` exists on Linux only)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min([len(os.sched_getaffinity(0)), *_cpu_quotas()])
+
+
+def _cpu_quotas(cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> list[int]:
+    """The CPUs that the cgroup v2 ``cpu.max`` quota of this process's cgroup
+    and of each of its ancestors allows, rounded up; a cgroup without a
+    quota, or whose quota cannot be read, adds none (cgroup v1 adds none)."""
+    try:
+        with open(cgroup) as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+    except (OSError, StopIteration):
+        return []
+    parts = [part for part in path.split("/") if part not in ("", "..")]
+    quotas = []
+    for depth in range(len(parts) + 1):
+        try:
+            with open(os.path.join(root, *parts[:depth], "cpu.max")) as fh:
+                quota, period = fh.read().split()
+            if quota != "max":
+                quotas.append(max(1, math.ceil(int(quota) / int(period))))
+        except (OSError, ValueError, ZeroDivisionError):
+            pass
+    return quotas
+
+
+def _outcomes(fit: Callable[[int], Any], indices: Iterable[int]) -> list[tuple]:
+    """(index, warnings, result, error) for each index in turn, up to and
+    including the first that raises; the warnings of each fit are recorded
+    through the filters in force, as (message, category, filename, lineno)."""
+    out = []
+    for i in indices:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                result, error = fit(i), None
+            except Exception as exc:  # raised again by _fit_all, in index order
+                result, error = None, exc
+        out.append((i, [(w.message, w.category, w.filename, w.lineno) for w in caught],
+                    result, error))
+        if error is not None:
+            break
+    return out
+
+
+def _fit_stride(fit: Callable[[int], Any], indices: range, pipe: int) -> NoReturn:
+    # the body of a forked child: pickle the outcomes down the pipe, then end
+    # without unwinding into the parent's stack or running its exit handlers
+    status = 1
+    try:
+        with open(pipe, "wb") as fh:
+            pickle.dump(_outcomes(fit, indices), fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+
+
+def _fit_all(fit: Callable[[int], Any], count: int) -> list:
+    """``[fit(i) for i in range(count)]``, spread over w = min(CPUs, count)
+    processes: this one fits indices 0::w and w - 1 forked children fit
+    i::w, each pickling its outcomes down a pipe.
+
+    The caller sees what a loop in one process gives, whatever w is: the
+    results in index order, the error of the lowest failing index, and the
+    warnings of each fit replayed into this process's warnings machinery in
+    index order. ``fit`` must not depend on which process runs it. Every
+    child is waited for before this returns or raises; a child that ends
+    without a result is a RuntimeError.
+
+    A child of a process with threads holds only the thread that forked it,
+    and would hang on a lock that another thread held at the fork; this call
+    would then wait for it for ever. So while any other Python thread runs,
+    w is 1. Native threads, such as a BLAS pool, run no Python code, and
+    OpenBLAS (numpy's BLAS) stops its pool in its own fork handler.
+    """
+    w = 1 if threading.active_count() > 1 else min(_cpu_count(), count)
+    strides = [0]  # the strides this process fits
+    children: dict[int, int] = {}  # pid -> its stride, until waited for
+    pipes: dict[int, int] = {}  # pid -> the read end of its pipe, until opened
+    outcomes = []
+    try:
+        for start in range(1, w):
+            read, write = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns of every fork while native threads
+                    # run (see above); the child only fits and ends
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process to spare: fit the stride here
+                os.close(read)
+                os.close(write)
+                strides.append(start)
+                continue
+            if pid == 0:
+                _fit_stride(fit, range(start, count, w), write)
+            os.close(write)
+            children[pid], pipes[pid] = start, read
+        outcomes += _outcomes(fit, sorted(i for s in strides for i in range(s, count, w)))
+        for pid, start in list(children.items()):
+            with open(pipes.pop(pid), "rb") as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status or not data:
+                raise RuntimeError(f"the process fitting indices {start}::{w} ended "
+                                   f"without a result (exit code {status})")
+            outcomes += pickle.loads(data)
+    finally:
+        for read in pipes.values():
+            os.close(read)  # a child still writing then fails and ends
+        for pid in children:
+            os.waitpid(pid, 0)
+
+    results = []
+    registry: dict = {}  # "default" filters show a repeated warning once, as in one loop
+    for _, caught, result, error in sorted(outcomes, key=lambda o: o[0]):
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
 def gap_statistic(
     m: MetricTable,
     method: str = "kmeans",
@@ -313,6 +455,13 @@ def gap_statistic(
     features with a degenerate range are generated as constants (they add
     nothing to any distance) and reported in ``dropped_features``. The whole
     curve is a deterministic function of (table, method, parameters, seed).
+    On Linux the references are fitted in as many processes as there are
+    CPUs this process may run on (its affinity, capped by its cgroup's CPU
+    quota), at most ``b``; elsewhere, and while other Python threads run, in
+    this process (see :func:`_fit_all`). The curve does not depend on the
+    count. Peak memory grows by about one reference fit's working set per
+    process: for Ward the n x n distance matrix, n**2 * 8 bytes (32 MB at
+    2,000 rows).
     ``_labels`` is private to :func:`select_k`: the labels of ``m`` per k
     that it has already computed, as ``_labels_for`` gives them for stream
     key 1.
@@ -346,11 +495,11 @@ def gap_statistic(
         x, ks, method, seed, n_init, max_iter, 1)
     log_w = [_log_dispersion(x, labels_data[k], k) for k in ks]
 
-    log_w_ref = np.empty((b, len(ks)))
-    for bi, ref in enumerate(refs):
-        labels_ref = _labels_for(ref, ks, method, seed, n_init, max_iter, 2, bi)
-        for kj, k in enumerate(ks):
-            log_w_ref[bi, kj] = _log_dispersion(ref, labels_ref[k], k)
+    def fit_reference(bi: int) -> list[float]:
+        labels_ref = _labels_for(refs[bi], ks, method, seed, n_init, max_iter, 2, bi)
+        return [_log_dispersion(refs[bi], labels_ref[k], k) for k in ks]
+
+    log_w_ref = np.array(_fit_all(fit_reference, b))
 
     ref_mean = log_w_ref.mean(axis=0)
     gap = ref_mean - np.array(log_w)
@@ -482,7 +631,13 @@ def select_k(
 
     results: dict[str, CriterionResult] = {}
     gap_curve = None
-    for name in criteria:
+    # the data's distance matrix, built once for silhouette and dunn and let go
+    # after the last of them, so that the default order fits the gap statistic's
+    # references without it
+    dmat = None
+    last_dmat = max((i for i, c in enumerate(criteria) if c in ("silhouette", "dunn")),
+                    default=-1)
+    for i, name in enumerate(criteria):
         if name == "gap":
             if len(gap_ks) < 2:
                 results[name] = CriterionResult(
@@ -508,10 +663,13 @@ def select_k(
         domain = _criterion_domain(name, n, ks)
         if not domain:
             raise KstError(f"criterion {name!r} is not defined on any k in {ks}")
+        shared = {}
+        if name in ("silhouette", "dunn"):
+            dmat = shared["_dmat"] = _distances(m) if dmat is None else dmat
         scores, degenerate = {}, {}
         for k in domain:
             with _degenerate_notes() as notes:
-                scores[k] = float(score_fn[name](m, partitions[k]))
+                scores[k] = float(score_fn[name](m, partitions[k], **shared))
             for message in notes:
                 degenerate.setdefault(message, []).append(str(k))
         if name in MINIMIZED_CRITERIA:
@@ -520,6 +678,8 @@ def select_k(
             best = min(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         note = "; ".join(f"{msg} (k={','.join(at)})" for msg, at in degenerate.items())
         results[name] = CriterionResult(scores=scores, selected_k=best[0], note=note or None)
+        if i == last_dmat:
+            dmat, shared = None, {}
 
     picks = [r.selected_k for r in results.values()]
     counts: dict[int, int] = {}

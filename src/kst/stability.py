@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -174,10 +175,15 @@ def stability_summary(
     )
 
 
-def write_stability_csv(reports: Iterable[StabilityReport], dest: str | IO[str]) -> None:
-    """One row per kernel: kernel, min_stable_size_bytes, worst_residual_pct."""
-    own = isinstance(dest, str)
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
+def write_stability_csv(reports: Iterable[StabilityReport],
+                        dest: str | os.PathLike | IO[str]) -> None:
+    """One row per kernel: kernel, min_stable_size_bytes, worst_residual_pct.
+    ``dest`` is a path to write, or an open text file. A file this opens gets
+    each lone surrogate of a kernel name (which UTF-8 cannot encode) as its
+    ``\\ud800`` escape."""
+    own = isinstance(dest, (str, os.PathLike))
+    fh = (open(dest, "w", encoding="utf-8", errors="backslashreplace", newline="")
+          if own else dest)
     try:
         writer = csv.writer(fh)
         writer.writerow(("kernel", "min_stable_size_bytes", "worst_residual_pct"))

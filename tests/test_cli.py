@@ -380,6 +380,30 @@ def test_stability_kernel_name_with_nul_gets_a_file(tmp_path, capsys):
     assert parse_report((out / "k%00.json").read_text())["stability"]["kernel"] == "k\x00"
 
 
+def test_kernel_name_with_a_lone_surrogate_is_written_and_printed(tmp_path, capsys):
+    # a JSON "\ud800" escape makes a lone surrogate, which UTF-8 cannot encode:
+    # its report file is named by the %-escaped bytes of its surrogatepass
+    # encoding, and summary.csv and stdout show its "\ud800" escape
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps([
+        dict(zip(CPU_HEADER, [kernel, "cpu", size, 0, value, 0.3, 0.1, 0.1]))
+        for kernel, low in (("a", 0.5), ("\ud800", 0.2))
+        for size, value in ((1024, low), (2048, low + 0.1))
+    ]))
+    code, stdout, err = run(capsys, "stability", "--input", p, "--out", tmp_path / "o")
+    assert (code, err) == (0, "")
+    out = tmp_path / "o" / "stability"
+    assert sorted(q.name for q in out.iterdir()) == [
+        "%ED%A0%80.json", "a.json", "summary.csv", "summary.json"]
+    assert parse_report((out / "%ED%A0%80.json").read_text())["stability"]["kernel"] == "\ud800"
+    assert "  \\ud800 (cpu): never stable, residual 33.3%\n" in stdout
+    assert (out / "summary.csv").read_text().splitlines()[2].startswith("\\ud800,,33.3")
+    code, stdout, err = run(capsys, "similar", "--input", p, "--target", "a@1",
+                            "--family", "a*", "--out", tmp_path / "f")
+    assert (code, err) == (0, "")
+    assert "closest non-family kernel: \\ud800@" in stdout
+
+
 def test_stability_kernel_named_summary_keeps_its_report(tmp_path, capsys):
     inputs = tmp_path / "cpu.csv"
     write_cpu_csv(inputs, kernels=["summary", "other"])

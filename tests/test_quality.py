@@ -1,6 +1,11 @@
 """Partition quality indices, the gap statistic, and k selection."""
 
+import _thread
+import json
 import math
+import os
+import re
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 
 import kst.cluster
 import kst.quality
+from kst.cli import main
 from kst.cluster import (
     Partition,
     _canonical_ids,
@@ -39,9 +45,11 @@ from kst.quality import (
     sum_of_squares,
     tibshirani_select,
 )
+from kst.report import emit_report
 from kst.similarity import family_similarity
 
-from conftest import make_table, two_blob_array
+from conftest import make_table, two_blob_array, write_cpu_csv
+from golden_corpus import run_cli
 
 TWO_TWO = Partition({"k00": 0, "k01": 0, "k02": 1, "k03": 1}, 2)
 
@@ -392,35 +400,45 @@ def test_select_k_consensus_on_blobs(two_blob_table):
         assert rep.gap_curve is not None
 
 
-def test_select_k_runs_ward_once_on_the_data(two_blob_table, monkeypatch):
+def _calls(path):
+    """The calls a spy recorded in ``path``, one line each; a file, so that the
+    calls made in the gap statistic's forked processes count too."""
+    return path.read_text().splitlines()
+
+
+def test_select_k_runs_ward_once_on_the_data(two_blob_table, monkeypatch, tmp_path):
     t, _ = two_blob_table
-    calls = []
+    log = tmp_path / "calls"
     ward = kst.cluster._ward_merge_steps
 
     def counted(x):
-        calls.append(x.shape)
+        with open(log, "a") as fh:
+            fh.write(f"{x.shape}\n")
         return ward(x)
 
     monkeypatch.setattr(kst.cluster, "_ward_merge_steps", counted)
     monkeypatch.setattr(kst.quality, "_ward_merge_steps", counted)
     rep = select_k(t, "agglomerative", seed=5, gap_b=50)
+    calls = _calls(log)
     assert len(calls) == 51  # the data once, then each of the 50 references
     # the shared merges give the curve gap_statistic computes on its own
     assert rep.gap_curve == gap_statistic(t, "agglomerative", 8, 50, 5)
 
 
-def test_select_k_fits_kmeans_once_per_k_on_the_data(two_blob_table, monkeypatch):
+def test_select_k_fits_kmeans_once_per_k_on_the_data(two_blob_table, monkeypatch, tmp_path):
     t, _ = two_blob_table
-    calls = []
+    log = tmp_path / "calls"
     fit = kst.cluster._kmeans_arrays
 
     def counted(x, k, *args, **kwargs):
-        calls.append(k)
+        with open(log, "a") as fh:
+            fh.write(f"{k}\n")
         return fit(x, k, *args, **kwargs)
 
     monkeypatch.setattr(kst.cluster, "_kmeans_arrays", counted)
     monkeypatch.setattr(kst.quality, "_kmeans_arrays", counted)
     select_k(t, "kmeans", k_range=range(1, 9), seed=5, gap_b=50, n_init=1)
+    calls = _calls(log)
     # k = 1..8 on the data, shared by the criteria and the gap statistic,
     # then k = 1..8 on each of the 50 references
     assert len(calls) == 8 + 50 * 8
@@ -430,9 +448,9 @@ def test_select_k_scores_the_gap_statistics_data_labels(two_blob_table, monkeypa
     t, _ = two_blob_table
     scored = {}
 
-    def spy(m, p):
+    def spy(m, p, **shared):
         scored[p.k] = p
-        return dunn_index(m, p)
+        return dunn_index(m, p, **shared)
 
     monkeypatch.setattr(kst.quality, "dunn_index", spy)
     ks = range(1, 9)
@@ -572,3 +590,254 @@ def test_select_k_evaluates_the_gap_rule_once(two_blob_table, monkeypatch):
     report = select_k(t, "kmeans", criteria=["gap"], k_range=range(1, 5), seed=3, gap_b=4)
     assert len(calls) == 1
     assert report.criteria["gap"].selected_k == tibshirani_select(report.gap_curve)
+
+
+def test_select_k_builds_the_data_distances_once(two_blob_table, monkeypatch):
+    t, _ = two_blob_table
+    built = []
+    pairwise = kst.quality._pairwise_sq
+
+    def counted(x):
+        if x.shape == t.data.shape:
+            built.append(x.shape)
+        return pairwise(x)
+
+    monkeypatch.setattr(kst.quality, "_pairwise_sq", counted)
+    select_k(t, "kmeans", criteria=("silhouette", "dunn", "davies_bouldin"),
+             k_range=range(1, 9), seed=2, n_init=1)
+    # silhouette and dunn share one matrix at k = 2..8, not one each per k
+    assert built == [t.data.shape]
+
+
+# ------------------------------------------- gap references in several processes
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(kst.quality, "_cpu_count", lambda: count)
+
+
+def _reference_fits(monkeypatch, before):
+    """Run ``before(index)`` ahead of each gap reference's clustering."""
+    labels_for = kst.quality._labels_for
+
+    def patched(x, ks, method, seed, n_init, max_iter, *key):
+        if key[0] == 2:  # the references' stream key is (2, index)
+            before(key[1])
+        return labels_for(x, ks, method, seed, n_init, max_iter, *key)
+
+    monkeypatch.setattr(kst.quality, "_labels_for", patched)
+
+
+@pytest.mark.parametrize("method", CLUSTER_METHODS)
+def test_gap_statistic_is_the_same_in_any_number_of_processes(two_blob_table, monkeypatch,
+                                                              method):
+    t, _ = two_blob_table
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = []
+    for processes in (1, 2, 3):  # b = 7 is a multiple of neither 2 nor 3
+        _cpus(monkeypatch, processes)
+        forks.clear()
+        curve = gap_statistic(t, method, 5, 7, 3, n_init=2)
+        report = select_k(t, method, k_range=range(1, 6), seed=3, gap_b=7, n_init=2)
+        assert len(forks) == 2 * (processes - 1)
+        runs.append((curve, emit_report({"selection": report})))
+    assert runs[0] == runs[1] == runs[2]
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)  # each stride is then fitted here
+    assert gap_statistic(t, method, 5, 7, 3, n_init=2) == runs[0][0]
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # never more processes than references
+    _cpus(monkeypatch, 8)
+    forks.clear()
+    gap_statistic(t, method, 3, 2, 3, n_init=2)
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_gap_reference_error_is_the_lowest_failing_references(two_blob_table, monkeypatch,
+                                                               processes):
+    def fail(index):
+        if index in (5, 2):
+            raise KstError(f"reference {index} failed")
+
+    _reference_fits(monkeypatch, fail)
+    _cpus(monkeypatch, processes)
+    with pytest.raises(KstError, match="^reference 2 failed$") as exc:
+        gap_statistic(two_blob_table[0], "kmeans", 4, 7, 3, n_init=1)
+    assert exc.type is KstError
+
+
+def test_gap_reference_warnings_reach_stderr_in_reference_order(tmp_path, monkeypatch):
+    def warn(index):
+        if index % 3 == 0:
+            warnings.warn(f"reference {index}", UserWarning)
+            warnings.warn(f"degenerate reference {index}", DegenerateResultWarning)
+
+    _reference_fits(monkeypatch, warn)
+    write_cpu_csv(tmp_path / "cpu.csv")
+    argv = ["select-k", "--input", str(tmp_path / "cpu.csv"), "--method", "kmeans",
+            "--gap-b", "7", "--k-max", "3", "--out", str(tmp_path / "out")]
+    runs = []
+    for processes in (1, 2):
+        _cpus(monkeypatch, processes)
+        code, stdout, stderr = run_cli(argv)
+        runs.append((code, stdout, stderr, (tmp_path / "out" / "selection.json").read_bytes()))
+    assert runs[0] == runs[1]
+    code, stdout, stderr, _ = runs[0]
+    assert code == 0
+    assert stderr == "UserWarning: reference 0\nUserWarning: reference 3\nUserWarning: reference 6\n"
+    assert "degenerate reference 0; degenerate reference 3; degenerate reference 6" in stdout
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_gap_reference_warnings_repeat_as_in_one_loop(two_blob_table, monkeypatch, processes):
+    # under a "default" filter a warning repeated from one line shows once
+    _reference_fits(monkeypatch, lambda index: warnings.warn("every reference", UserWarning))
+    _cpus(monkeypatch, processes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        gap_statistic(two_blob_table[0], "kmeans", 3, 5, 3, n_init=1)
+    assert [str(w.message) for w in caught] == ["every reference"]
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_gap_reference_processes_are_all_waited_for(two_blob_table, monkeypatch, tmp_path,
+                                                    capsys):
+    t, _ = two_blob_table
+    parent = os.getpid()
+    fault = [None]
+
+    def inject(index):
+        # this process fits references 0, 2, ...; the child 1, 3, ...
+        if fault[0] == "error" and index == 1:
+            raise KstError("reference 1 failed")
+        if fault[0] == "interrupt" and index == 2:
+            raise KeyboardInterrupt
+        if fault[0] == "exit" and index == 1 and os.getpid() != parent:
+            os._exit(3)
+
+    _reference_fits(monkeypatch, inject)
+    _cpus(monkeypatch, 2)
+    gap_statistic(t, "kmeans", 3, 4, 3, n_init=1)
+    _no_children()
+    message = "the process fitting indices 1::2 ended without a result (exit code 3)"
+    for fault[0], error, match in [("error", KstError, "reference 1 failed"),
+                                   ("interrupt", KeyboardInterrupt, None),
+                                   ("exit", RuntimeError, re.escape(message))]:
+        with pytest.raises(error, match=match):
+            gap_statistic(t, "kmeans", 3, 4, 3, n_init=1)
+        _no_children()
+    # through the CLI the child that ended without a result is an internal error
+    write_cpu_csv(tmp_path / "cpu.csv")
+    out = tmp_path / "out"
+    code = main(["select-k", "--input", str(tmp_path / "cpu.csv"), "--method", "kmeans",
+                 "--gap-b", "4", "--k-max", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err) == {"error": "RuntimeError", "message": message}
+    assert not out.exists()
+    _no_children()
+
+
+def test_cpu_count_is_capped_by_the_cgroup_cpu_quota(tmp_path, monkeypatch):
+    (tmp_path / "cgroup").write_text("4:cpu,cpuacct:/elsewhere\n0::/a/b\n")
+    root = tmp_path / "fs"
+    for where, limit in [(".", "400000 100000"), ("a", "150000 100000"), ("a/b", "max 100000")]:
+        (root / where).mkdir(parents=True, exist_ok=True)
+        (root / where / "cpu.max").write_text(f"{limit}\n")
+    # the cgroup and each ancestor; 1.5 CPUs round up, "max" sets no quota
+    assert sorted(kst.quality._cpu_quotas(str(tmp_path / "cgroup"), str(root))) == [2, 4]
+    (tmp_path / "v1").write_text("4:cpu,cpuacct:/\n")
+    (root / "cpu.max").write_text("garbled\n")
+    for cgroup, fs in [("v1", root), ("missing", root), ("cgroup", tmp_path / "none")]:
+        assert kst.quality._cpu_quotas(str(tmp_path / cgroup), str(fs)) == []
+    assert kst.quality._cpu_quotas(str(tmp_path / "cgroup"), str(root)) == [2]
+
+    # a host of 64 CPUs with a quota of 2 gets 2 processes, and a quota of 1 none
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    for quotas, processes in [([], 64), ([4, 2], 2), ([1], 1)]:
+        monkeypatch.setattr(kst.quality, "_cpu_quotas", lambda: quotas)
+        assert kst.quality._cpu_count() == processes
+    forks.clear()
+    gap_statistic(make_table(np.arange(24.0).reshape(12, 2) % 5), "kmeans", 3, 4, 3, n_init=1)
+    assert forks == []
+
+
+def _select_k_cli(tmp_path):
+    write_cpu_csv(tmp_path / "cpu.csv")
+    return ["select-k", "--input", str(tmp_path / "cpu.csv"), "--method", "kmeans",
+            "--gap-b", "5", "--k-max", "3", "--out", str(tmp_path / "out")]
+
+
+def test_gap_references_stay_in_this_process_beside_other_threads(tmp_path, monkeypatch):
+    # a forked child holds only the thread that forked it, and would hang on a
+    # lock another thread held: while a second Python thread runs, none forks
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _cpus(monkeypatch, 2)
+    argv = _select_k_cli(tmp_path)
+    alone = run_cli(argv)
+    assert (alone[0], len(forks)) == (0, 1)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        beside = run_cli(argv)
+    finally:
+        release.set()
+        thread.join()
+    assert len(forks) == 1
+    assert beside == alone
+
+
+def test_fork_warning_of_a_threaded_process_is_not_shown(tmp_path, monkeypatch):
+    # Python 3.12+ warns after every fork while several OS threads run, and a
+    # BLAS pool counts: the warning reaches neither stderr nor "error" filters
+    argv = _select_k_cli(tmp_path)
+    _cpus(monkeypatch, 1)
+    expected = run_cli(argv)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:  # as CPython words it, in the parent
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          f"fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    _cpus(monkeypatch, 2)
+    t = make_table(np.arange(24.0).reshape(12, 2) % 5)
+    curve = gap_statistic(t, "kmeans", 3, 4, 3, n_init=1)
+    for forking in (warning_fork, fork):
+        monkeypatch.setattr(os, "fork", forking)
+        # a thread that the threading module does not list, as a native one;
+        # under Python 3.12+ the real fork then warns too
+        held = _thread.allocate_lock()
+        held.acquire()
+        _thread.start_new_thread(held.acquire, ())
+        try:
+            assert run_cli(argv) == expected
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert gap_statistic(t, "kmeans", 3, 4, 3, n_init=1) == curve
+        finally:
+            held.release()
+    _no_children()

@@ -210,4 +210,6 @@ def test_stability_csv_to_a_path(tmp_path):
     buf = io.StringIO()
     write_stability_csv(reports, buf)
     write_stability_csv(reports, str(tmp_path / "s.csv"))
+    write_stability_csv(reports, tmp_path / "p.csv")
     assert (tmp_path / "s.csv").read_bytes() == buf.getvalue().encode()
+    assert (tmp_path / "p.csv").read_bytes() == buf.getvalue().encode()
