@@ -13,11 +13,18 @@ every output file byte for byte.
 
 Exit codes: 0 success, 2 usage or input error, 1 internal error. Errors are
 reported as one line of JSON on stderr.
+
+Each command builds the text of every file it writes before it writes any,
+then writes them all with :func:`_write_all` and only then prints, so an
+input or analysis error writes nothing. An OS error while writing (a
+directory where a file should go, a full disk) exits 2 and can leave the
+files written before it.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -50,7 +57,7 @@ from .quality import (
     select_k,
 )
 from .report import emit_report, export_boxplot_data, format_metric_value, pca_project
-from .rng import DEFAULT_SEED
+from .rng import DEFAULT_SEED, _check_seed
 from .similarity import family_similarity
 from .stability import (
     DEFAULT_THRESHOLD_PCT,
@@ -181,15 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(flag: int | None) -> int:
-    if flag is not None:
-        return flag
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if flag is not None:
+        seed = flag
+    elif env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise KstError(f"${SEED_ENV_VAR} is not an integer: {env!r}") from None
-    return DEFAULT_SEED
+    else:
+        seed = DEFAULT_SEED
+    _check_seed(seed)
+    return seed
 
 
 def _platform_mode(args: argparse.Namespace, samples: Samples) -> str:
@@ -247,9 +257,12 @@ def _shown(label: str) -> str:
     return label.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _write_all(out: Path, files: dict[str, str]) -> None:
+    # the one place outputs are written: ``out`` is made once, then each file
+    # gets its text as UTF-8 with each lone surrogate as its "\ud800" escape
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_bytes(text.encode("utf-8", "backslashreplace"))
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -260,23 +273,24 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.method == "agglomerative":
         dendro = agglomerative_ward(std)
         part = cut_dendrogram(dendro, args.k)
-        _write(out / "dendrogram.json", emit_report({"dendrogram": dendro}))
+        files = {"dendrogram.json": emit_report({"dendrogram": dendro})}
     else:
         model = kmeans_fit(std, args.k, args.seed, args.n_init, args.max_iter)
         part = model.partition()
-        _write(out / "kmeans.json", emit_report({"kmeans": model}))
+        files = {"kmeans.json": emit_report({"kmeans": model})}
 
     qr = quality_report(std, part)
     box = export_boxplot_data(std, part, raw=raw)
-    _write(out / "partition.json", emit_report({"partition": part}))
-    _write(out / "quality.json", emit_report({"quality": qr}))
-    _write(out / "boxplot.json", emit_report({"boxplot": box}))
-    _write(out / "transform.json", spec.to_json())
+    files["partition.json"] = emit_report({"partition": part})
+    files["quality.json"] = emit_report({"quality": qr})
+    files["boxplot.json"] = emit_report({"boxplot": box})
+    files["transform.json"] = spec.to_json()
 
     if len(std.column_names) >= 2:
         centroids = _centroids(std.data, _check_partition(std, part), part.k)
         proj = pca_project(std, centroids)
-        _write(out / "projection.json", emit_report({"projection": proj}))
+        files["projection.json"] = emit_report({"projection": proj})
+    _write_all(out, files)
 
     print(f"rows: {len(std.rows)}  metrics: {len(std.column_names)}  "
           f"method: {args.method}  k: {args.k}")
@@ -308,7 +322,7 @@ def cmd_select_k(args: argparse.Namespace) -> int:
         n_init=args.n_init,
         max_iter=args.max_iter,
     )
-    _write(Path(args.out) / "selection.json", emit_report({"selection": report}))
+    _write_all(Path(args.out), {"selection.json": emit_report({"selection": report})})
     for name, res in report.criteria.items():
         note = f"  ({res.note})" if res.note else ""
         print(f"{name}: k={res.selected_k}{note}")
@@ -321,7 +335,7 @@ def cmd_similar(args: argparse.Namespace) -> int:
     raw = _build_raw_table(args, read_inputs(args.input, args.format))
     std, _ = _standardize(args, raw)
     report = family_similarity(std, args.target, args.family)
-    _write(Path(args.out) / "family.json", emit_report({"family": report}))
+    _write_all(Path(args.out), {"family.json": emit_report({"family": report})})
 
     def fmt(v: float | None) -> str:
         return "n/a" if v is None else f"{v:.4f}"
@@ -351,12 +365,14 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
     out = Path(args.out) / "stability"
     multi_platform = len({r.kernel for r in reports}) != len(reports)
-    for r in reports:
-        name = _report_name(r.kernel, f"_{r.platform}" if multi_platform else "")
-        _write(out / name, emit_report({"stability": r}))
+    files = {_report_name(r.kernel, f"_{r.platform}" if multi_platform else ""):
+             emit_report({"stability": r}) for r in reports}
     summary = stability_summary(reports, dict(args.annotate))
-    _write(out / "summary.json", emit_report({"stability_summary": summary}))
-    write_stability_csv(reports, out / "summary.csv")
+    files["summary.json"] = emit_report({"stability_summary": summary})
+    csv_text = io.StringIO()
+    write_stability_csv(reports, csv_text)
+    files["summary.csv"] = csv_text.getvalue()
+    _write_all(out, files)
 
     stable = [r for r in reports if r.min_stable_size is not None]
     print(f"kernels analyzed: {len(reports)}  stable: {len(stable)}  "

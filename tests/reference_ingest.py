@@ -42,7 +42,11 @@ def _as_text(source: str | bytes | IO[bytes] | IO[str]) -> str:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
+        try:
+            return source.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 ({exc.reason})",
+                             exc.object.count(b"\n", 0, exc.start) + 1) from None
     if isinstance(source, str):
         return source
     raise KstError(f"unsupported input source type {type(source).__name__}")

@@ -125,15 +125,28 @@ def test_bad_env_seed_is_reported(tmp_path, capsys, cpu_csv, monkeypatch):
     ("select-k", "--size", "4194304"),
     ("similar", "--target", "Apps_K00", "--family", "Apps_*"),
     ("stability",),
+    ("cluster", "--size", "4194304"),
 ])
 def test_bad_env_seed_fails_every_seeded_command(tmp_path, capsys, cpu_csv, monkeypatch, argv):
-    monkeypatch.setenv(SEED_ENV_VAR, "abc")
-    code, out, err = run(capsys, argv[0], "--input", cpu_csv, *argv[1:], "--out", tmp_path / "o")
-    assert (code, out) == (2, "")
-    assert json.loads(err) == {"error": "KstError",
-                               "message": f"${SEED_ENV_VAR} is not an integer: 'abc'"}
-    assert not (tmp_path / "o").exists()
+    # every command checks the seed, whether or not it draws from it
+    negative = "seed must be a non-negative integer, got -1"
+    for i, (env, flag, message) in enumerate([
+        ("abc", (), f"${SEED_ENV_VAR} is not an integer: 'abc'"),
+        ("-1", (), negative),
+        (None, ("--seed", "-1"), negative),
+    ]):
+        if env is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        out_dir = tmp_path / f"o{i}"
+        code, out, err = run(capsys, argv[0], "--input", cpu_csv, *argv[1:], *flag,
+                             "--out", out_dir)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "KstError", "message": message}
+        assert not out_dir.exists()
     # ingest-check takes no seed, so the variable is not read
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
     assert run(capsys, "ingest-check", "--input", cpu_csv)[0] == 0
 
 
@@ -512,8 +525,12 @@ def test_non_finite_option_is_an_input_error(tmp_path, capsys, cpu_csv, argv, me
     ("object.json", b"{}", "ParseError", "JSON input must be an array of objects"),
     ("repeated.csv", ",".join(CPU_HEADER + ["topdown.core_bound"]).encode() + b"\n",
      "ParseError", "line 1: duplicate column names in header"),
+    ("latin1.csv", ",".join(CPU_HEADER).encode() + b"\n\xe9,cpu,1024,0,0.1,0.2,0.3,0.4\n",
+     "ParseError", "line 2: input is not UTF-8 (invalid continuation byte)"),
+    ("surrogate.json", b'\xef\xbb\xbf[\n{"kernel": "\xed\xa0\x80"}]', "ParseError",
+     "line 2: input is not UTF-8 (invalid continuation byte)"),
 ], ids=["empty", "bom-only", "header-only", "json-empty-array", "json-object",
-        "repeated-header"])
+        "repeated-header", "not-utf8-csv", "not-utf8-json"])
 def test_unusable_input_file_is_an_input_error(tmp_path, capsys, name, content, error,
                                                message):
     p = tmp_path / name
@@ -625,6 +642,45 @@ def test_ingest_check_oversized_csv_cell_is_an_input_error(tmp_path, capsys, bad
     code, stdout, err = run(capsys, "ingest-check", "--input", p)
     assert (code, stdout) == (2, "")
     assert json.loads(err) == {"error": "ParseError", "message": message}
+
+
+# ------------------------------------------------------------------- outputs
+
+@pytest.mark.parametrize("argv", [
+    ("cluster", "--size", "4194304"),
+    ("cluster", "--method", "kmeans", "--size", "4194304"),
+    ("select-k", "--size", "4194304", "--k-max", "3", "--gap-b", "5"),
+    ("similar", "--target", "Apps_K00", "--family", "Apps_*"),
+    ("stability",),
+], ids=["cluster-ward", "cluster-kmeans", "select-k", "similar", "stability"])
+def test_each_command_writes_every_file_in_one_call(tmp_path, capsys, cpu_csv, monkeypatch,
+                                                    argv):
+    calls = []
+    write_all = cli._write_all
+
+    def record(out, files):
+        calls.append((out, list(files)))
+        write_all(out, files)
+
+    monkeypatch.setattr(cli, "_write_all", record)
+    out = tmp_path / "o"
+    code, _, err = run(capsys, argv[0], "--input", cpu_csv, *argv[1:], "--out", out)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+    (where, names), = calls
+    assert {where / name for name in names} == {p for p in out.rglob("*") if p.is_file()}
+
+
+def test_an_os_error_while_writing_exits_2_and_keeps_the_files_before_it(tmp_path, capsys,
+                                                                         cpu_csv):
+    stab = tmp_path / "o" / "stability"
+    (stab / "summary.json").mkdir(parents=True)
+    code, out, err = run(capsys, "stability", "--input", cpu_csv, "--out", tmp_path / "o")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "IsADirectoryError"
+    # the per-kernel reports come before summary.json, summary.csv after it
+    assert len(list(stab.glob("*_K*.json"))) == 12
+    assert not (stab / "summary.csv").exists()
 
 
 # ---------------------------------------------------------------- exit codes
