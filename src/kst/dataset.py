@@ -34,6 +34,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import IO, Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -508,7 +509,8 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
     accepted. An empty metric cell means the metric was not measured for that
     row (this is how mixed CPU/GPU files are expressed). JSON input is an
     array of objects with the same field names; the metrics are further
-    fields, a ``values`` object mapping metric names to numbers, or both.
+    fields, a ``values`` object mapping metric names to numbers, or both; a
+    record gives each field and each metric once.
     Every record is checked, and keys must be distinct; the first bad record
     is reported. The result is a read-only sequence of :class:`RawSample`.
     """
@@ -614,7 +616,31 @@ def _float_cells(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, int | No
     return values, present, None
 
 
+def _split_columns(text: str, width: int) -> list[list[str]] | None:
+    """The cells of the records after the header line, column by column, from
+    one split on ","; None when csv.reader could read the text otherwise."""
+    if '"' in text or "\r" in text or "\x00" in text:
+        return None
+    lines = list(filter(None, text.split("\n")[1:]))  # a blank line holds no record
+    if not lines:
+        return [[] for _ in range(width)]
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        return None
+    joined = ",".join(lines)
+    del lines  # freed before the split makes the cells: a lower peak
+    flat = joined.split(",")
+    del joined
+    return [flat[j::width] for j in range(width)]
+
+
 def _csv_columns(text: str) -> Samples:
+    """The records of a CSV text as columns. A text with no quote, carriage
+    return or NUL, no line over ``csv.field_size_limit()`` and the header's
+    cell count on every non-blank line is split once (:func:`_split_columns`);
+    any other goes through csv.reader, which raises every CSV error with its
+    message and line."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -630,23 +656,27 @@ def _csv_columns(text: str) -> Samples:
     metric_names = header[len(IDENTITY_COLUMNS):]
     if len(set(metric_names)) != len(metric_names) or any(m in IDENTITY_COLUMNS for m in metric_names):
         raise ParseError("duplicate column names in header", 1)
-    rows: list[list[str]] = []
-    stop = None
-    try:
-        rows.extend(filter(None, reader))  # a blank line holds no record
-    except csv.Error as exc:  # raised after the records before it are checked
-        stop = ParseError(str(exc), reader.line_num)
-    first = _FirstBad(len(rows), stop)
 
     def line(i: int) -> int:
         return _csv_line(text, i)
 
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    first.check(lengths != len(header), lambda i: ParseError(
-        f"expected {len(header)} cells, got {lengths[i]}", line(i)))
-    n = first.row
-    kernels, platforms, sizes, trials, *cells = (
-        list(zip(*rows[:n])) if n else [()] * len(header))
+    columns = _split_columns(text, len(header))
+    if columns is not None:
+        first = _FirstBad(len(columns[0]))
+    else:
+        rows: list[list[str]] = []
+        stop = None
+        try:
+            rows.extend(filter(None, reader))  # a blank line holds no record
+        except csv.Error as exc:  # raised after the records before it are checked
+            stop = ParseError(str(exc), reader.line_num)
+        first = _FirstBad(len(rows), stop)
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        first.check(lengths != len(header), lambda i: ParseError(
+            f"expected {len(header)} cells, got {lengths[i]}", line(i)))
+        columns = list(zip(*rows[: first.row])) if first.row else [()] * len(header)
+    kernels, platforms, sizes, trials, *cells = columns
+    n = len(kernels)
 
     keys = _Keys()
     kernel = _codes(kernels, {k: _intern(keys.kernel, k.strip()) for k in dict.fromkeys(kernels)})
@@ -686,10 +716,34 @@ def _json_int(value: Any, what: str, record: int) -> int:
     raise ParseError(f"record {record}: {what} is not an integer: {value!r}")
 
 
+class _Repeats(dict):
+    """A JSON object that gives ``key`` (its first repeated key) more than once."""
+
+    key: str
+
+
+def _noting_repeats(pairs: list[tuple[str, Any]]) -> dict:
+    """``json.loads``' object of ``pairs``: a :class:`_Repeats` when a key repeats."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            break
+        seen.add(key)
+    obj = _Repeats(obj)
+    obj.key = key
+    return obj
+
+
 def _json_record(i: int, obj: Any) -> tuple[str, str, int, int, dict[str, float]]:
     """Record i's fields, in RawSample's argument order."""
     if not isinstance(obj, dict):
         raise ParseError(f"record {i}: expected an object")
+    for what, given in (("field", obj), ("metric", obj.get("values"))):
+        if isinstance(given, _Repeats):
+            raise ParseError(f"record {i}: {what} {given.key!r} given twice")
     missing = [c for c in IDENTITY_COLUMNS if c not in obj]
     if missing:
         raise ParseError(f"record {i}: missing fields {missing}")
@@ -720,7 +774,7 @@ def _json_record(i: int, obj: Any) -> tuple[str, str, int, int, dict[str, float]
 
 
 def _json_columns(text: str) -> Samples:
-    doc = load_json(text, "JSON")
+    doc = load_json(text, "JSON", _noting_repeats)
     if not isinstance(doc, list):
         raise ParseError("JSON input must be an array of objects")
     records = []

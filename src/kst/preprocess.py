@@ -11,14 +11,13 @@ table is the fitted one bit for bit, column-major layout included.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
-from ._json import FieldDict, load_json, to_jsonable
+from ._json import FieldDict, dumps, load_json
 from .dataset import COUNT, RATE, SCORE, TIME, MetricDescriptor, MetricTable, moments
 from .errors import KstError, ParseError
 
@@ -53,7 +52,7 @@ class TransformSpec:
     columns: tuple[ColumnTransform, ...]
 
     def to_json(self) -> str:
-        return json.dumps(to_jsonable(self.columns), indent=2) + "\n"
+        return dumps(self.columns) + "\n"
 
     @classmethod
     def from_json(cls, source: str | bytes | IO[str] | IO[bytes]) -> "TransformSpec":

@@ -2,19 +2,21 @@
 
 Everything written to disk goes through :func:`emit_report`, which produces
 versioned JSON (``schema_version: 1``) with sections in a fixed canonical
-order so identical inputs yield byte-identical documents. Sections convert
-through :func:`to_jsonable`; :func:`parse_report` reads like ``parse_samples``.
+order so identical inputs yield byte-identical documents. The document is
+written by :func:`kst._json.dumps`, the one JSON writer, which walks the
+section objects straight to text and falls back to :func:`to_jsonable` for a
+type it does not know; :func:`parse_report` reads like ``parse_samples``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Any, Mapping, Sequence
 
 import numpy as np
 
-from ._json import FieldDict, load_json, to_jsonable
+# to_jsonable is not called here; it stays importable as kst.report.to_jsonable
+from ._json import FieldDict, dumps, load_json, to_jsonable  # noqa: F401
 from .cluster import Partition
 from .dataset import FRACTION, MetricDescriptor, MetricTable
 from .errors import KstError, ParseError
@@ -178,8 +180,8 @@ def emit_report(sections: Mapping[str, Any]) -> str:
     known = [s for s in CANONICAL_SECTIONS if s in sections]
     unknown = sorted(s for s in sections if s not in CANONICAL_SECTIONS)
     for name in known + unknown:
-        doc[name] = to_jsonable(sections[name])
-    return json.dumps(doc, indent=2) + "\n"
+        doc[name] = sections[name]
+    return dumps(doc) + "\n"
 
 
 def parse_report(source: str | bytes | IO[str] | IO[bytes]) -> dict:

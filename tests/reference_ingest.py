@@ -3,8 +3,9 @@
 Kept as the reference for the property tests in ``test_ingest_reference.py``:
 parsing builds one :class:`RawSample` per record, GPU rates are derived
 sample by sample, and trials are averaged group by group. The code is the
-earlier implementation, with one change: a JSON ``kernel`` that is not a
-string is an error, as it is in ``kst.dataset`` now.
+earlier implementation, with two changes: a JSON ``kernel`` that is not a
+string is an error, and so is a key given twice in one JSON record, at its
+top level or in its ``values`` object, as they are in ``kst.dataset`` now.
 """
 
 from __future__ import annotations
@@ -157,9 +158,18 @@ def _json_int(value: Any, what: str, record: int) -> int:
     raise ParseError(f"record {record}: {what} is not an integer: {value!r}")
 
 
+class _Object(dict):
+    """A JSON object with the first key it gives twice, or None."""
+
+    def __init__(self, pairs: list[tuple[str, Any]]):
+        super().__init__(pairs)
+        keys = [k for k, _ in pairs]
+        self.repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+
+
 def _parse_json(text: str) -> list[RawSample]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_Object)
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, list):
@@ -168,6 +178,10 @@ def _parse_json(text: str) -> list[RawSample]:
     for i, obj in enumerate(doc):
         if not isinstance(obj, dict):
             raise ParseError(f"record {i}: expected an object")
+        if obj.repeated is not None:
+            raise ParseError(f"record {i}: field {obj.repeated!r} given twice")
+        if isinstance(obj.get("values"), dict) and obj["values"].repeated is not None:
+            raise ParseError(f"record {i}: metric {obj['values'].repeated!r} given twice")
         missing = [c for c in IDENTITY_COLUMNS if c not in obj]
         if missing:
             raise ParseError(f"record {i}: missing fields {missing}")

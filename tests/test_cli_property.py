@@ -3,10 +3,10 @@
 Small CSV and JSON sample files, each run with one mutation (a bad cell, a
 huge or non-finite number, a duplicate key, a hostile kernel name, a
 fraction above 1, a negative counter, a zero or tiny GPU time), go through
-all five subcommands in-process. Every command must exit 0 or 2; an exit of
-2 prints nothing on stdout and one JSON line on stderr, and leaves no
-``--out``; no command writes outside its ``--out``; and no numpy
-RuntimeWarning escapes.
+all five subcommands in-process. Every command must exit 0 or 2, and 2 on a
+metric given twice; an exit of 2 prints nothing on stdout and one JSON line
+on stderr, and leaves no ``--out``; no command writes outside its ``--out``;
+and no numpy RuntimeWarning escapes.
 """
 
 import contextlib
@@ -177,6 +177,8 @@ def test_every_command_exits_0_or_2_and_an_exit_of_2_writes_nothing(kind, value,
                     code, stdout, stderr = _main(argv + (["--out", str(out)] if out else []))
                 where = f"{argv[0]} on {kind} {value!r}: exit {code}, stderr {stderr!r}"
                 assert code in (0, 2), where
+                # a repeated CSV header cell or JSON key is an input error
+                assert kind != "duplicate field" or code == 2, where
                 assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (
                     where, [str(w.message) for w in caught])
                 new = set(root.rglob("*")) - before

@@ -22,6 +22,7 @@ from kst.dataset import (
 )
 from kst.errors import KstError, ParseError
 
+import reference_ingest as ref
 from conftest import CPU_HEADER, csv_bytes, make_table
 
 
@@ -247,6 +248,24 @@ def test_parse_json_values_mapping_with_flat_metrics():
         parse_samples(json.dumps([_json_record(values={"a": 1.0}, a=1.0)]), fmt="json")
     with pytest.raises(ParseError, match="not a number"):
         parse_samples(json.dumps([_json_record(values={"a": "1.0"})]), fmt="json")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ('"m": 0.1, "m": 0.2', "field 'm' given twice"),
+    ('"m": 0.1, "trial": 1, "m": 0.2, "trial": 2', "field 'trial' given twice"),
+    ('"m": 0.1, "m": 0.1', "field 'm' given twice"),  # the same value twice too
+    ('"values": {"a": 1, "b": 2, "a": 3}', "metric 'a' given twice"),
+    ('"values": {"a": 1}, "values": {"b": 2}', "field 'values' given twice"),
+    ('"m": "x", "values": {"a": 1, "a": 1}', "metric 'a' given twice"),  # checked first
+], ids=["flat", "first-repeat", "same-value", "values", "two-values", "before-values"])
+def test_parse_json_rejects_a_key_given_twice(fields, message):
+    good = json.dumps(_json_record(m=1.0))
+    text = (f'[{good}, {{"kernel": "K1", "platform": "cpu", "problem_size_bytes": 8192, '
+            f'"trial": 0, {fields}}}]')
+    for parse in (parse_samples, ref.parse_samples):
+        with pytest.raises(ParseError) as exc:
+            parse(text, fmt="json")
+        assert str(exc.value) == f"record 1: {message}"
 
 
 @pytest.mark.parametrize("field", ["problem_size_bytes", "trial"])

@@ -1,4 +1,5 @@
-"""Results serialize from their fields; spec and report JSON share the sample reader.
+"""Results serialize from their fields, and the one JSON writer writes the
+text ``json.dumps`` writes of them; spec and report JSON share the sample reader.
 
 The reference expressions below are the hand-written ``to_dict`` bodies the
 field-order conversion replaced, kept as the contract it must meet.
@@ -6,11 +7,17 @@ field-order conversion replaced, kept as the contract it must meet.
 
 import io
 import json
-from dataclasses import replace
+import math
+import types
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kst._json import FieldDict, dumps, to_jsonable
 from kst.cluster import agglomerative_ward, cut_dendrogram, kmeans_fit
 from kst.dataset import parse_samples
 from kst.errors import KstError, ParseError
@@ -203,3 +210,89 @@ def test_unsupported_source_type_is_an_input_error(read):
         read(3)
     with pytest.raises(ParseError):
         read(b"\xef\xbb\xbf[")
+
+
+# ------------------------------------------------- the one-walk JSON writer
+
+@dataclass(frozen=True)
+class _Fields(FieldDict):
+    first: Any
+    second: Any = field(default=None, metadata={"json": "2nd"})
+
+
+@dataclass(frozen=True)
+class _Clash(FieldDict):
+    """Two fields under one JSON name: to_dict keeps the first place and the last value."""
+    a: Any
+    b: Any = field(default=None, metadata={"json": "a"})
+    c: Any = None
+
+
+class _ToDict:
+    def __init__(self, value):
+        self.value = value
+
+    def to_dict(self):
+        return {"value": self.value, "pair": (self.value, 1)}
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e22, 0.1, -1.5e-300]))
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6)  # controls and lone surrogates
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70), FLOATS, TEXT,
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2**31, 2**31 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8))
+ARRAYS = st.one_of(
+    FLOATS.map(np.array),  # 0-d
+    st.lists(FLOATS, max_size=3).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(-1, 2)),
+    st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=1, max_size=2).map(np.array),
+    st.lists(st.booleans(), max_size=3).map(lambda b: np.array(b, dtype=bool)))
+KEYS = st.one_of(TEXT, st.integers(-3, 3), st.sampled_from(["1", "-1", "0"]))
+
+
+def _nested(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=3).map(types.MappingProxyType),
+        st.builds(_Fields, children, children),
+        st.builds(_Clash, children, children, children),
+        children.map(_ToDict))
+
+
+OBJECTS = st.recursive(st.one_of(SCALARS, ARRAYS), _nested, max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(obj=OBJECTS)
+def test_dumps_writes_what_json_dumps_writes(obj):
+    assert dumps(obj) == json.dumps(to_jsonable(obj), indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "a", "1": "b"}, {"1": "b", 1: "a"}, {}, [], (), [[], {}, ()],
+    {"\x00\x1f\ud800": "😀\x7f "}, np.array(2.5), np.zeros((2, 0)),
+    np.arange(6.0).reshape(2, 3), [np.float64("nan"), -np.inf, np.float32(0.1)],
+    _Clash(1, 2, 3), types.MappingProxyType({2: 1}), {1j: 1, None: 2, True: 3},
+])
+def test_dumps_on_edge_cases(obj):
+    assert dumps(obj) == json.dumps(to_jsonable(obj), indent=2)
+
+
+@pytest.mark.parametrize("obj", [np.bool_(True), [1, {"a": np.bool_(False)}], 1j,
+                                 _Fields(object())])
+def test_dumps_raises_what_to_jsonable_raises(obj):
+    with pytest.raises(KstError) as expected:
+        to_jsonable(obj)
+    with pytest.raises(KstError) as got:
+        dumps(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_every_result_dumps_as_json_dumps_writes_it(tmp_path):
+    for obj in _results(tmp_path).values():
+        assert dumps(obj) == json.dumps(to_jsonable(obj), indent=2)
