@@ -12,7 +12,8 @@ draw, and rerunning a command with identical inputs and flags reproduces
 every output file byte for byte.
 
 Exit codes: 0 success, 2 usage or input error, 1 internal error. Errors are
-reported as one line of JSON on stderr.
+reported as one line of JSON on stderr; a usage error raises ``SystemExit(2)``
+from :func:`main` after printing it, as argparse does.
 
 Each command builds the text of every file it writes before it writes any,
 then writes them all with :func:`_write_all` and only then prints, so an
@@ -31,7 +32,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import __version__
 from .cluster import agglomerative_ward, cut_dendrogram, kmeans_fit
@@ -111,6 +112,14 @@ def _criteria(text: str) -> list[str]:
     return _comma_list(text) if text else list(DEFAULT_CRITERIA)
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error (a bad flag value, an unknown flag, a missing --input) is
+    # one JSON line on stderr and exit 2, like an input error; subcommand
+    # parsers are of this class too
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, json.dumps({"error": "UsageError", "message": message}) + "\n")
+
+
 def _add_common(p: argparse.ArgumentParser, *, dataset: bool = True) -> None:
     p.add_argument("--version", action="version", version=f"kst {__version__}")
     p.add_argument("--input", action="append", required=True, metavar="FILE",
@@ -136,7 +145,7 @@ def _add_common(p: argparse.ArgumentParser, *, dataset: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kst",
         description="Quantify performance similarity of computational kernels "
                     "from hardware-metric profiles.",

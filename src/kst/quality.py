@@ -43,8 +43,6 @@ from .errors import KstError
 from .rng import DEFAULT_SEED, subseed, substream
 
 CLUSTER_METHODS = ("agglomerative", "kmeans")
-MAXIMIZED_CRITERIA = ("silhouette", "calinski_harabasz", "dunn", "bic")
-MINIMIZED_CRITERIA = ("davies_bouldin",)
 DEFAULT_CRITERIA = ("silhouette", "calinski_harabasz", "dunn", "gap")
 ALL_CRITERIA = DEFAULT_CRITERIA + ("davies_bouldin", "bic")
 
@@ -549,14 +547,6 @@ class KSelectionReport(FieldDict):
     gap_curve: GapCurve | None = field(default=None, metadata={"json": "gap"})
 
 
-def _criterion_domain(name: str, n: int, ks: Sequence[int]) -> list[int]:
-    if name in ("silhouette", "calinski_harabasz"):
-        return [k for k in ks if 2 <= k <= n - 1]
-    if name in ("dunn", "davies_bouldin"):
-        return [k for k in ks if 2 <= k <= n]
-    return [k for k in ks if 1 <= k <= n]  # bic
-
-
 @contextmanager
 def _degenerate_notes() -> Iterator[list[str]]:
     """The messages of the DegenerateResultWarnings raised in the block, in
@@ -570,6 +560,29 @@ def _degenerate_notes() -> Iterator[list[str]]:
             notes.append(str(w.message))
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
+def _score_all(m: MetricTable, scored: Mapping[str, tuple[Callable, int, list[int]]],
+               partitions: Mapping[int, Partition]) -> dict[str, CriterionResult]:
+    """Each criterion of ``scored`` (name -> (function, sign, domain); sign
+    +1 when higher is better) over its domain, in order. Silhouette and Dunn
+    share one distance matrix of the data, which lives only in this call."""
+    dmat = None
+    results = {}
+    for name, (score, sign, domain) in scored.items():
+        shared = {}
+        if name in ("silhouette", "dunn"):
+            dmat = shared["_dmat"] = _distances(m) if dmat is None else dmat
+        scores, degenerate = {}, {}
+        for k in domain:
+            with _degenerate_notes() as notes:
+                scores[k] = float(score(m, partitions[k], **shared))
+            for message in notes:
+                degenerate.setdefault(message, []).append(str(k))
+        best = min(scores, key=lambda k: (-sign * scores[k], k))
+        note = "; ".join(f"{msg} (k={','.join(at)})" for msg, at in degenerate.items())
+        results[name] = CriterionResult(scores=scores, selected_k=best, note=note or None)
+    return results
 
 
 def select_k(
@@ -603,83 +616,60 @@ def select_k(
     if len(set(criteria)) != len(criteria):
         raise KstError("criteria contains duplicates")
     n = len(m.rows)
-    ks = sorted(set(int(k) for k in k_range))
+    # a range is bounded by its ends, so a huge one fails without being listed
+    ks = k_range if isinstance(k_range, range) else sorted(set(int(k) for k in k_range))
     if not ks:
         raise KstError("k_range is empty")
-    if ks[0] < 1 or ks[-1] > n:
-        raise KstError(f"k_range must stay within 1..{n}, got {ks[0]}..{ks[-1]}")
+    lo, hi = sorted((ks[0], ks[-1]))
+    if lo < 1 or hi > n:
+        raise KstError(f"k_range must stay within 1..{n}, got {lo}..{hi}")
+    ks = sorted(ks)
 
-    # One clustering of m per k serves the partitions the criteria score and
-    # the gap statistic's data labels: Ward runs once, k-means once per k.
-    needed = set()
+    # 1. Each scored criterion's domain, checked before anything is clustered.
+    # The table is built per call, so that a patched module function is the one
+    # scored: name -> (function, smallest k, largest k as n - offset, sign).
+    table = {
+        "silhouette": (silhouette, 2, 1, 1),
+        "calinski_harabasz": (calinski_harabasz, 2, 1, 1),
+        "dunn": (dunn_index, 2, 0, 1),
+        "davies_bouldin": (davies_bouldin, 2, 0, -1),
+        "bic": (bic_score, 1, 0, 1),
+    }
+    scored = {}
     for name in criteria:
         if name != "gap":
-            needed.update(_criterion_domain(name, n, ks))
+            score, k_lo, offset, sign = table[name]
+            domain = [k for k in ks if k_lo <= k <= n - offset]
+            if not domain:
+                raise KstError(f"criterion {name!r} is not defined on any k in {ks}")
+            scored[name] = (score, sign, domain)
+
+    # 2. One clustering of m per k serves the partitions the criteria score and
+    # the gap statistic's data labels: Ward runs once, k-means once per k.
     gap_ks = [k for k in ks if k <= n - 1]  # dispersion vanishes at k = n
-    fit_ks = sorted(needed.union(gap_ks if "gap" in criteria and len(gap_ks) >= 2 else ()))
+    fit_gap = "gap" in criteria and len(gap_ks) >= 2
+    needed = set().union(*(domain for _, _, domain in scored.values()))
+    fit_ks = sorted(needed.union(gap_ks if fit_gap else ()))
     labels = _labels_for(m.data, fit_ks, method, seed, n_init, max_iter, 1) if fit_ks else {}
     partitions = {k: Partition(_canonical_ids(m.rows, labels[k].tolist(), k)[0], k)
                   for k in needed}
+    results = _score_all(m, scored, partitions)
 
-    score_fn = {
-        "silhouette": silhouette,
-        "calinski_harabasz": calinski_harabasz,
-        "dunn": dunn_index,
-        "davies_bouldin": davies_bouldin,
-        "bic": bic_score,
-    }
-
-    results: dict[str, CriterionResult] = {}
+    # 3. The gap statistic, fitted once the data's distance matrix is gone.
     gap_curve = None
-    # the data's distance matrix, built once for silhouette and dunn and let go
-    # after the last of them, so that the default order fits the gap statistic's
-    # references without it
-    dmat = None
-    last_dmat = max((i for i, c in enumerate(criteria) if c in ("silhouette", "dunn")),
-                    default=-1)
-    for i, name in enumerate(criteria):
-        if name == "gap":
-            if len(gap_ks) < 2:
-                results[name] = CriterionResult(
-                    scores={}, selected_k=gap_ks[0] if gap_ks else ks[0],
-                    note="single candidate k; gap rule not evaluated",
-                )
-                continue
-            with _degenerate_notes() as notes:
-                gap_curve = gap_statistic(
-                    m, method, gap_ks[-1], gap_b, seed,
-                    k_min=gap_ks[0], n_init=n_init, max_iter=max_iter,
-                    _labels=labels,
-                )
-            picked, satisfied = _gap_rule_k(gap_curve)
-            if not satisfied:
-                notes.append("no k satisfied the gap rule; largest candidate reported")
-            results[name] = CriterionResult(
-                scores=dict(zip(gap_curve.ks, gap_curve.gap)),
-                selected_k=picked,
-                note="; ".join(notes) or None,
-            )
-            continue
-        domain = _criterion_domain(name, n, ks)
-        if not domain:
-            raise KstError(f"criterion {name!r} is not defined on any k in {ks}")
-        shared = {}
-        if name in ("silhouette", "dunn"):
-            dmat = shared["_dmat"] = _distances(m) if dmat is None else dmat
-        scores, degenerate = {}, {}
-        for k in domain:
-            with _degenerate_notes() as notes:
-                scores[k] = float(score_fn[name](m, partitions[k], **shared))
-            for message in notes:
-                degenerate.setdefault(message, []).append(str(k))
-        if name in MINIMIZED_CRITERIA:
-            best = min(scores.items(), key=lambda kv: (kv[1], kv[0]))
-        else:
-            best = min(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        note = "; ".join(f"{msg} (k={','.join(at)})" for msg, at in degenerate.items())
-        results[name] = CriterionResult(scores=scores, selected_k=best[0], note=note or None)
-        if i == last_dmat:
-            dmat, shared = None, {}
+    if fit_gap:
+        with _degenerate_notes() as notes:
+            gap_curve = gap_statistic(m, method, gap_ks[-1], gap_b, seed, k_min=gap_ks[0],
+                                      n_init=n_init, max_iter=max_iter, _labels=labels)
+        picked, satisfied = _gap_rule_k(gap_curve)
+        if not satisfied:
+            notes.append("no k satisfied the gap rule; largest candidate reported")
+        results["gap"] = CriterionResult(scores=dict(zip(gap_curve.ks, gap_curve.gap)),
+                                         selected_k=picked, note="; ".join(notes) or None)
+    elif "gap" in criteria:
+        results["gap"] = CriterionResult(scores={}, selected_k=gap_ks[0] if gap_ks else ks[0],
+                                         note="single candidate k; gap rule not evaluated")
+    results = {name: results[name] for name in criteria}
 
     picks = [r.selected_k for r in results.values()]
     counts: dict[int, int] = {}

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -804,3 +805,62 @@ def test_error_output_is_single_json_line(tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     json.loads(lines[0])
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("cluster", ["--size", "abc"]),
+    ("select-k", ["--k-max", "x"]),
+    ("similar", ["--seed", "x"]),
+    ("stability", ["--annotate", "l2"]),
+    ("ingest-check", ["--format", "xml"]),
+])
+@pytest.mark.parametrize("kind", ["bad-value", "unknown-flag"])
+def test_usage_error_is_one_json_line(tmp_path, capsys, cpu_csv, command, bad, kind):
+    argv = [command, "--input", str(cpu_csv)]
+    if command != "ingest-check":  # which takes no --out
+        argv += ["--out", str(tmp_path / "o")]
+    if command == "similar":
+        argv += ["--target", "k00", "--family", "k0*"]
+    argv += bad if kind == "bad-value" else ["--bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    doc = json.loads(captured.err)
+    assert doc["error"] == "UsageError"
+    if kind == "unknown-flag":
+        assert doc["message"] == "unrecognized arguments: --bogus"
+    else:
+        assert doc["message"].startswith(f"argument {bad[0]}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_subcommand_or_input_is_one_json_line(capsys):
+    for argv, message in [([], "the following arguments are required: command"),
+                          (["cluster"], "the following arguments are required: --input")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == json.dumps({"error": "UsageError",
+                                                      "message": message}) + "\n"
+
+
+@pytest.mark.parametrize("flag, value, ends", [("--k-max", "3000000", "1..3000000"),
+                                               ("--k-min", "-3000000", "-3000000..8")])
+def test_select_k_huge_k_range_fails_at_once(tmp_path, capsys, flag, value, ends):
+    # the bounds are checked from the range's ends: listing 3,000,000 k values
+    # took about 200 MB
+    golden = Path(__file__).parent / "golden" / "cpu.csv"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "select-k", "--input", golden, flag, value,
+                             "--out", tmp_path / "o")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "KstError",
+                               "message": f"k_range must stay within 1..120, got {ends}"}
+    assert peak < 10_000_000
+    assert not (tmp_path / "o").exists()

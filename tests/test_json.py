@@ -5,6 +5,7 @@ The reference expressions below are the hand-written ``to_dict`` bodies the
 field-order conversion replaced, kept as the contract it must meet.
 """
 
+import enum
 import io
 import json
 import math
@@ -228,6 +229,18 @@ class _Clash(FieldDict):
     c: Any = None
 
 
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
 class _ToDict:
     def __init__(self, value):
         self.value = value
@@ -278,6 +291,9 @@ def test_dumps_writes_what_json_dumps_writes(obj):
     {"\x00\x1f\ud800": "😀\x7f "}, np.array(2.5), np.zeros((2, 0)),
     np.arange(6.0).reshape(2, 3), [np.float64("nan"), -np.inf, np.float32(0.1)],
     _Clash(1, 2, 3), types.MappingProxyType({2: 1}), {1j: 1, None: 2, True: 3},
+    # subclasses of str, int and float take the writer's fallback branch
+    np.str_("a\u00e9"), _Str("b\u00e9"), _Level.HIGH, [_Float(0.1), _Float("nan")],
+    {"level": _Level.HIGH, "inf": _Float("-inf")},
 ])
 def test_dumps_on_edge_cases(obj):
     assert dumps(obj) == json.dumps(to_jsonable(obj), indent=2)

@@ -6,7 +6,9 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -607,6 +609,55 @@ def test_select_k_builds_the_data_distances_once(two_blob_table, monkeypatch):
              k_range=range(1, 9), seed=2, n_init=1)
     # silhouette and dunn share one matrix at k = 2..8, not one each per k
     assert built == [t.data.shape]
+
+
+@pytest.mark.parametrize("criteria", [("silhouette", "gap", "dunn"), ("gap", "dunn")])
+def test_select_k_frees_the_data_distances_before_the_gap_statistic(two_blob_table,
+                                                                    monkeypatch, criteria):
+    t, _ = two_blob_table
+    matrices, gap_fits = [], []
+    distances, gap = kst.quality._distances, kst.quality.gap_statistic
+
+    def tracked(m):
+        d = distances(m)
+        matrices.append(weakref.ref(d))
+        return d
+
+    def checked(*args, **kwargs):
+        gap_fits.append([ref() is None for ref in matrices])
+        return gap(*args, **kwargs)
+
+    monkeypatch.setattr(kst.quality, "_distances", tracked)
+    monkeypatch.setattr(kst.quality, "gap_statistic", checked)
+    rep = select_k(t, "kmeans", criteria=criteria, k_range=range(1, 5), seed=2, gap_b=4,
+                   n_init=1)
+    assert gap_fits == [[True]]
+    assert list(rep.criteria) == list(criteria)
+
+
+def test_select_k_checks_every_domain_before_clustering(four_point_line, monkeypatch):
+    clustered = []
+    monkeypatch.setattr(kst.quality, "_labels_for", lambda *a: clustered.append(a))
+    with pytest.raises(KstError, match=re.escape(
+            "criterion 'silhouette' is not defined on any k in [1, 4]")):
+        select_k(four_point_line, "agglomerative", criteria=("silhouette", "dunn"),
+                 k_range=[1, 4])
+    assert clustered == []
+
+
+@pytest.mark.parametrize("k_range", [range(1, 3_000_001), range(-3_000_000, 3),
+                                     range(3_000_000, 0, -1)])
+def test_select_k_rejects_a_huge_k_range_without_listing_it(four_point_line, k_range):
+    ends = sorted((k_range[0], k_range[-1]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(KstError, match=re.escape(
+                f"k_range must stay within 1..4, got {ends[0]}..{ends[1]}")):
+            select_k(four_point_line, k_range=k_range)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ------------------------------------------- gap references in several processes
