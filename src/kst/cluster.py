@@ -14,10 +14,14 @@ Ward is the generic nearest-neighbour-cache algorithm of Müllner (2011,
 every row caches its smallest Ward distance and where it occurs, so a merge
 step reads the global minimum from n cached values instead of the whole
 matrix. It merges in exactly the greedy order, ties included (NN-chain would
-reorder them). The distance matrix is cut down to the live clusters each time
-they fall to half its dimension, so memory starts at O(n^2) and shrinks as
-the merges proceed; time is O(n^2) on typical data and grows towards O(n^3)
-only when many distances tie at a shared nearest neighbour. The merge loop
+reorder them). A merge writes the updated distances into the merged
+cluster's row and column and nothing else: the merged-away cluster's column
+goes stale and is masked where a row is read, and the matrix is built from
+half of the pairs, mirrored. The distance matrix is cut down to the live
+clusters each time they fall to half its dimension, so memory starts at
+O(n^2) and shrinks as the merges proceed; time is O(n^2) on typical data and
+grows towards O(n^3) only when many distances tie at a shared nearest
+neighbour. The merge loop
 keeps no centroids: :func:`agglomerative_ward` computes the centroid
 distances after it, and the quality criteria and the gap statistic, which
 read only the merges, never compute them. Cuts at several k come from one
@@ -69,8 +73,9 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     res = a[..., 0] - b[..., 0]
     res *= res
+    t = np.empty_like(res)
     for j in range(1, a.shape[-1]):
-        t = a[..., j] - b[..., j]
+        np.subtract(a[..., j], b[..., j], out=t)
         t *= t
         res += t
     return res
@@ -90,14 +95,21 @@ def _scatter(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarr
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x``, as an n x n array.
 
-    Built a block of rows at a time, each block spanning about
+    Built a block of rows at a time, each block spanning at most about
     ``_BLOCK_ELEMENTS`` coordinate differences, so temporaries stay small.
+    Only about half of the pairs are computed: each block against the
+    columns from its own first row on, the part right of its diagonal square
+    mirrored into the rows below it. That is exact, as (a - b)^2 == (b - a)^2
+    in IEEE arithmetic and :func:`_sq_dist` adds the columns in one order
+    for either.
     """
     n, d = x.shape
     out = np.empty((n, n))
     rows = max(1, _BLOCK_ELEMENTS // max(1, n * d))
     for lo in range(0, n, rows):
-        out[lo:lo + rows] = _sq_dist(x[lo:lo + rows, None, :], x[None, :, :])
+        block = _sq_dist(x[lo:lo + rows, None, :], x[None, lo:, :])
+        out[lo:lo + rows, lo:] = block
+        out[lo + rows:, lo:lo + rows] = block[:, rows:].T
     return out
 
 
@@ -194,13 +206,18 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int]]:
     Lance-Williams update, so the merges are bit-identical to those of a
     search over the whole distance matrix at every step.
 
-    A merged-away cluster's column and cached distance are set to inf and its
-    cached column to -1; its row is never read again. Once the live clusters
-    are at most half the matrix dimension, the matrix is cut down to their
-    rows and columns (``d2[np.ix_(keep, keep)]``) and the cached columns are
-    renumbered to match. Memory shrinks as the merges proceed, each step
-    works on at most twice the live count, and the copies add up to at most
-    n^2 / 3 entries.
+    The Lance-Williams update is computed into two scratch rows and written
+    straight into the merged row, in the operation order of the plain
+    formula. A merged-away cluster's cached distance is set to inf and its
+    cached column to -1; its row is never read again. Its column is not
+    written: it goes stale, and a mask of the dead positions puts inf in a
+    row's dead columns only when that row is read, the merged row before the
+    cache is compared with it and each rescanned row before its minimum. Once
+    the live clusters are at most half the matrix dimension, the matrix is
+    cut down to their rows and columns (``d2[np.ix_(keep, keep)]``), the
+    cached columns are renumbered to match and the mask starts empty. Memory
+    shrinks as the merges proceed, each step works on at most twice the live
+    count, and the copies add up to at most n^2 / 3 entries.
 
     Cost: O(n^2) memory at the start. O(n^2) time on typical data; rescans
     push it towards O(n^3) only when many rows share one nearest neighbour,
@@ -211,59 +228,82 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int]]:
         return []
     node_id = list(range(n))           # per position
     size = np.ones(n)                  # per position: leaf count
-    d2 = _pairwise_sq(x)               # squared Ward distances; inf in dead columns
+    d2 = _pairwise_sq(x)               # squared Ward distances; stale in dead columns
     np.fill_diagonal(d2, np.inf)
     nn_idx = d2.argmin(axis=1)         # per row: column of its smallest distance (-1 once dead)
-    nn_val = d2.min(axis=1)            # per row: that distance (inf once dead)
+    nn_val = d2[np.arange(n), nn_idx]  # per row: that distance (inf once dead)
+    dead = np.zeros(n, dtype=bool)     # per position: merged away since the last compaction
+    pair = np.zeros(n + 1, dtype=bool)  # lookup of the merged pair's positions
+    acc, tmp = np.empty(n), np.empty(n)
 
     steps = []
     for t in range(n - 1):
         if 2 * (n - t) <= len(nn_idx):  # compact: keep the live positions, in order
-            alive = nn_idx >= 0
+            alive = ~dead
             keep = alive.nonzero()[0]
             d2 = d2[np.ix_(keep, keep)]
             nn_idx = (alive.cumsum() - 1)[nn_idx[keep]]
             nn_val, size = nn_val[keep], size[keep]
-            node_id = [node_id[p] for p in keep.tolist()]
+            keep = keep.tolist()
+            node_id = [node_id[p] for p in keep]
+            dead = np.zeros(len(keep), dtype=bool)
+            acc, tmp = np.empty(len(keep)), np.empty(len(keep))
         dmin = nn_val.item(nn_val.argmin())
         if not math.isfinite(dmin):
             raise KstError("Ward distances overflow float64; rescale the data")
-        # Every row whose cached value is dmin has a partner at dmin, so the
-        # smallest (min id, max id) pair joins the row with the smallest node
-        # id to its partner with the smallest node id.
         rows = (nn_val == dmin).nonzero()[0].tolist()
-        r0 = min(rows, key=node_id.__getitem__)
-        r1 = min((r for r in rows if d2.item(r0, r) == dmin), key=node_id.__getitem__)
-        pi, pj = min(r0, r1), max(r0, r1)
+        if len(rows) == 2 and nn_idx.item(rows[0]) == rows[1]:
+            pi, pj = rows  # the one pair at dmin
+        else:
+            # Every row whose cached value is dmin has a partner at dmin, so
+            # the smallest (min id, max id) pair joins the row with the
+            # smallest node id to its partner with the smallest node id.
+            r0 = min(rows, key=node_id.__getitem__)
+            r1 = min((r for r in rows if d2.item(r0, r) == dmin), key=node_id.__getitem__)
+            pi, pj = min(r0, r1), max(r0, r1)
         ni, nj = size.item(pi), size.item(pj)
         left, right = sorted((node_id[pi], node_id[pj]))
         steps.append((left, right, math.sqrt(dmin), int(ni + nj)))
 
         # Lance-Williams update against every other live cluster, on whole
-        # rows: the inf entries (pi, pj, dead columns) stay inf
-        new = ((ni + size) * d2[pi] + (nj + size) * d2[pj] - size * dmin) / (ni + nj + size)
-        d2[pi] = new
-        d2[:, pi] = new
-        d2[:, pj] = np.inf
+        # rows, as ((ni + size) * d2[pi] + (nj + size) * d2[pj] - size * dmin)
+        # / (ni + nj + size); entries pi and pj come out inf
+        row = d2[pi]
+        np.multiply(np.add(ni, size, out=acc), row, out=acc)
+        np.multiply(np.add(nj, size, out=tmp), d2[pj], out=tmp)
+        acc += tmp
+        acc -= np.multiply(size, dmin, out=tmp)
+        np.divide(acc, np.add(ni + nj, size, out=tmp), out=row)
+        dead[pj] = True
+        np.copyto(row, np.inf, where=dead)
+        d2[:, pi] = row
         size[pi] = ni + nj
         node_id[pi] = n + t
 
         # Refresh the cache; rows that pointed at the merged pair are rescanned.
         # A Ward merge never comes closer than a row's nearest neighbour in
         # exact arithmetic; comparing keeps the cache exact under rounding too.
-        # Row pj is dead and never read again, so it is left as it was.
         nn_idx[pj] = -1
         nn_val[pj] = np.inf
-        rescan = nn_idx == pi
-        rescan |= nn_idx == pj
-        rescan[pi] = True
-        closer = new < nn_val
-        np.copyto(nn_val, new, where=closer)
-        nn_idx[closer] = pi
-        rescan = rescan.nonzero()[0]
-        sub = d2[rescan]
-        nn_idx[rescan] = sub.argmin(axis=1)
-        nn_val[rescan] = sub.min(axis=1)
+        # rows cached at pi or pj; a dead row's -1 reads the last entry of
+        # ``pair``, which stays False
+        pair[pi] = pair[pj] = True
+        rescan = pair[nn_idx]
+        pair[pi] = pair[pj] = False
+        closer = (row < nn_val).nonzero()[0]
+        if len(closer):
+            nn_val[closer] = row[closer]
+            nn_idx[closer] = pi
+        rescan[pi] = False  # row pi is read last, masked above
+        for r in rescan.nonzero()[0].tolist():
+            r_row = d2[r]
+            np.copyto(r_row, np.inf, where=dead)
+            c = r_row.argmin()
+            nn_idx[r] = c
+            nn_val[r] = r_row[c]
+        c = row.argmin()
+        nn_idx[pi] = c
+        nn_val[pi] = row[c]
     return steps
 
 

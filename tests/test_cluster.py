@@ -180,11 +180,16 @@ def _assert_same_merges(x: np.ndarray) -> None:
     assert got == full_matrix_ward(x)  # exact equality, heights included
 
 
-WARD_INPUTS = ("normal", "grid012", "rounded", "repeated")
+WARD_INPUTS = ("normal", "grid012", "rounded", "repeated", "equidistant")
 
 
 def _ward_input(kind: str, n: int, d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
+    if kind == "equidistant":
+        # the rows of s * I, each pair at one distance, repeated; at most 7
+        # columns, which numpy's sum in full_matrix_ward adds left to right
+        m = min(n, 7)
+        return np.eye(m)[np.arange(n) % m] * float(rng.uniform(0.5, 20))
     if kind == "normal":
         return rng.normal(size=(n, d)) * float(rng.uniform(0.5, 20))
     if kind == "grid012":
@@ -208,6 +213,17 @@ def test_ward_equals_full_matrix_search(kind, n, d, seed):
 
 def test_ward_equals_full_matrix_search_on_identical_rows():
     _assert_same_merges(np.full((40, 3), 1.5))
+
+
+def test_ward_merges_equal_full_matrix_search_on_equidistant_rows():
+    # Rounding in the Lance-Williams update brings some merged clusters closer
+    # to a row than its cached nearest neighbour, so these inputs reach the
+    # cache's closer-update; on about one in eight, skipping it changes the
+    # merges. Merges only: past 7 columns numpy's sum in full_matrix_ward's
+    # centroid distance no longer adds left to right.
+    for seed in range(300):
+        x = np.eye(3 + seed % 10) * float(np.random.default_rng(seed).uniform(0.5, 20))
+        assert _ward_merge_steps(x) == [s[:4] for s in full_matrix_ward(x)], seed
 
 
 def _repeated_rows(n: int, d: int, distinct: int, seed: int) -> np.ndarray:
@@ -267,8 +283,10 @@ def test_pairwise_sq_blocks_equal_full_broadcast(monkeypatch, n, d, block):
         monkeypatch.setattr(kst.cluster, "_BLOCK_ELEMENTS", block)  # 1 to 8 rows each
     x = np.random.default_rng(24).normal(size=(n, d)) * 3.0
     xf = np.asfortranarray(x)  # numpy adds the columns of this layout left to right
-    assert np.array_equal(_pairwise_sq(xf), _broadcast_pairwise_sq(xf))
-    assert np.array_equal(_pairwise_sq(x), _pairwise_sq(xf))
+    dist = _pairwise_sq(xf)
+    assert np.array_equal(dist, _broadcast_pairwise_sq(xf))
+    assert np.array_equal(dist, dist.T)
+    assert np.array_equal(_pairwise_sq(x), dist)
 
 
 @pytest.mark.parametrize("d", [*range(1, 41), 127, 128, 129, 130, 257])
