@@ -11,15 +11,16 @@ CPU metrics are pipeline-slot fractions from top-down analysis and live in
 kernel time; rates per second are derived from those while the raw counters
 stay for auditability.
 
-Ingest is columnar. :func:`parse_samples` turns a file into a
-:class:`Samples` batch: key columns (integer codes for kernel, size, trial
-and the record's metric layout, interned per file, and a platform code) plus
-one float64 column and one presence mask per metric. Every check runs on
-whole columns and reports the first bad record in file order with its line
-or record number. :func:`read_inputs` joins the batches of several files and
-checks keys across them once. :func:`platform_groups` derives GPU rates as
-column divisions and averages trials by sorting the keys once and reducing
-one (groups, trials) block per trial count (:class:`TrialGroups`);
+Ingest is columnar. :func:`parse_samples` turns a file into a :class:`Samples`
+batch: key columns (integer codes for kernel, size, trial and the record's
+metric layout, interned per file, and a platform code) plus one float64 column
+per metric. A present value is finite, so NaN alone marks an absent metric:
+the parsers reject a present non-finite value. Every check runs on whole
+columns and reports the first bad record in file order with its line or record
+number. :func:`read_inputs` joins the batches of several files and checks keys
+across them once. :func:`platform_groups` derives GPU rates as column
+divisions and averages trials by sorting the keys once and reducing one
+(groups, trials) block per trial count (:class:`TrialGroups`);
 :func:`platform_table` and :func:`ingest_summary` build on that. The
 per-sample functions :func:`aggregate_trials` and :func:`build_table` (and
 :func:`kst.stability.stability_series`) are thin wrappers that convert
@@ -290,8 +291,8 @@ class Samples(Sequence[RawSample]):
 
     Integer codes for the four keys and for each record's layout (a platform
     code indexes :data:`PLATFORMS`, the others the tables of ``keys``), and
-    per metric one float64 column, NaN where the metric is absent, and one
-    presence mask."""
+    per metric one float64 column. A present value is finite; NaN means the
+    metric is absent."""
 
     keys: _Keys
     kernel: np.ndarray
@@ -300,7 +301,6 @@ class Samples(Sequence[RawSample]):
     trial: np.ndarray
     layout: np.ndarray
     values: dict[str, np.ndarray]
-    present: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.kernel)
@@ -322,7 +322,6 @@ class Samples(Sequence[RawSample]):
         return Samples(
             self.keys, self.kernel[rows], self.platform[rows], self.size[rows],
             self.trial[rows], self.layout[rows], {n: v[rows] for n, v in self.values.items()},
-            {n: p[rows] for n, p in self.present.items()},
         )
 
     def platforms(self) -> list[str]:
@@ -333,9 +332,9 @@ class Samples(Sequence[RawSample]):
 @dataclass(eq=False)
 class TrialGroups:
     """Trial-averaged samples, one group per (kernel, platform, size) in key
-    order. Per metric: the mean over the trials (``values``), the coefficient
-    of variation (``cv``) and whether every trial has the metric
-    (``present``)."""
+    order. Per metric: the mean over the trials (``values``), finite, and the
+    coefficient of variation (``cv``); both are NaN where a trial lacks the
+    metric."""
 
     keys: _Keys
     kernel: np.ndarray
@@ -345,7 +344,6 @@ class TrialGroups:
     consistent: np.ndarray  # every trial has the same metric set
     values: dict[str, np.ndarray]
     cv: dict[str, np.ndarray]
-    present: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.kernel)
@@ -374,7 +372,7 @@ class TrialGroups:
         if not names:
             return 0.0, ""
         cv = np.column_stack([self.cv[n] for n in names])
-        cv[~(np.column_stack([self.present[n] for n in names]) & (cv > 0))] = 0.0
+        cv[~(cv > 0)] = 0.0  # NaN where a metric is absent
         g, j = divmod(int(np.argmax(cv)), len(names))
         if cv[g, j] > 0:
             return float(cv[g, j]), f"{self.labels()[0][g]}/{names[j]}"
@@ -395,12 +393,10 @@ def _records(keys: _Keys, kernels: Sequence[str], platforms: Sequence[str],
         np.fromiter((_intern(keys.trial, t) for t in trials), np.intp, n),
         np.fromiter((_intern(keys.layout, tuple(v)) for v in values), np.intp, n),
         {name: np.full(n, np.nan) for name in names},
-        {name: np.zeros(n, dtype=bool) for name in names},
     )
     for i, v in enumerate(values):
         for name, value in v.items():
             cols.values[name][i] = value
-            cols.present[name][i] = True
     return cols
 
 
@@ -413,7 +409,7 @@ def _from_samples(samples: Sequence[RawSample]) -> Samples:
 def _samples(cols: Samples) -> list[RawSample]:
     """The samples, each listing its metrics in its record's order, then any derived since."""
     kernels, sizes, trials = list(cols.keys.kernel), list(cols.keys.size), list(cols.keys.trial)
-    columns = {n: (n, v.tolist(), cols.present[n].tolist()) for n, v in cols.values.items()}
+    columns = {n: (n, v.tolist()) for n, v in cols.values.items()}
     layouts = list(cols.keys.layout)
     metrics = {c: [columns[n] for n in dict.fromkeys(layouts[c] + tuple(columns))]
                for c in np.unique(cols.layout).tolist()}
@@ -421,7 +417,7 @@ def _samples(cols: Samples) -> list[RawSample]:
                cols.trial.tolist(), cols.layout.tolist())
     return [
         RawSample(kernels[k], PLATFORMS[p], sizes[s], trials[t],
-                  {n: v[i] for n, v, has in metrics[c] if has[i]})
+                  {n: v[i] for n, v in metrics[c] if not math.isnan(v[i])})
         for i, (k, p, s, t, c) in enumerate(keys)
     ]
 
@@ -475,17 +471,15 @@ def _raised(make: Callable[[], Any]) -> KstError:
 
 def _check_rows(cols: Samples, first: _FirstBad, error_at: Callable[[int], Exception]) -> None:
     """RawSample's rules on whole columns: a non-empty kernel name without
-    :data:`VARIANT_SEPARATOR`, a positive size, a non-negative trial, finite
-    values and a positive GPU time.
+    :data:`VARIANT_SEPARATOR`, a positive size, a non-negative trial and a
+    positive GPU time. The parsers reject non-finite values, so NaN is absent.
     ``error_at(i)`` gives record i's error, in RawSample's words."""
     keys = cols.keys
     bad = _flags(keys.kernel, lambda k: not k or VARIANT_SEPARATOR in k)[cols.kernel]
     bad |= _flags(keys.size, lambda s: s <= 0)[cols.size]
     bad |= _flags(keys.trial, lambda t: t < 0)[cols.trial]
-    for name, v in cols.values.items():
-        bad |= cols.present[name] & ~np.isfinite(v)
     if GPU_TIME_METRIC in cols.values:
-        bad |= cols.present[GPU_TIME_METRIC] & (cols.values[GPU_TIME_METRIC] <= 0)
+        bad |= cols.values[GPU_TIME_METRIC] <= 0  # False on NaN
     first.check(bad, error_at)
 
 
@@ -567,8 +561,6 @@ def _join(parts: Sequence[Samples]) -> Samples:
         codes("trial"), codes("layout"),
         {n: cat([p.values.get(n, np.full(len(p), np.nan)) for p in parts], float)
          for n in names},
-        {n: cat([p.present.get(n, np.zeros(len(p), bool)) for p in parts], bool)
-         for n in names},
     )
     dup = _first_repeat(samples.trial, samples.size, samples.platform, samples.kernel)
     if dup:
@@ -599,8 +591,9 @@ def _int_codes(cells: Sequence[str], table: dict) -> np.ndarray:
 
 def _float_cells(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, int | None]:
     """Cells as Python's ``float()`` reads them, an empty cell being absent
-    (NaN), with the presence mask and the index of the first cell that is not
-    a number (None when there is none)."""
+    (NaN), with a mask of the non-empty cells, by which the caller rejects a
+    cell that reads as NaN or an infinity, and the index of the first cell
+    that is not a number (None when there is none)."""
     try:  # float() ignores the whitespace that strip() removes
         return np.fromiter(map(float, cells), float, len(cells)), np.ones(len(cells), bool), None
     except ValueError:  # an empty cell, or one that is not a number
@@ -689,7 +682,7 @@ def _csv_columns(text: str) -> Samples:
     trial = _int_codes(trials, keys.trial)
     first.check(trial < 0, lambda i: ParseError(
         f"trial is not an integer: {trials[i].strip()!r}", line(i)))
-    values, present = {}, {}
+    values = {}
     for name, column in zip(metric_names, cells):
         v, p, bad = _float_cells(column)
         if bad is not None:
@@ -697,10 +690,10 @@ def _csv_columns(text: str) -> Samples:
                 f"metric {name!r} is not a number: {column[i].strip()!r}", line(i)))
         first.check(p & ~np.isfinite(v), lambda i: ParseError(
             f"metric {name!r} has non-finite value {column[i].strip()!r}", line(i)))
-        values[name], present[name] = v, p
+        values[name] = v
 
     layout = np.full(n, _intern(keys.layout, tuple(metric_names)), np.intp)
-    cols = Samples(keys, kernel, platform, size, trial, layout, values, present)
+    cols = Samples(keys, kernel, platform, size, trial, layout, values)
     _check_rows(cols, first, lambda i: ParseError(
         str(_raised(lambda: _samples(cols.take([i])))), line(i)))
     first.raise_first()
@@ -770,6 +763,9 @@ def _json_record(i: int, obj: Any) -> tuple[str, str, int, int, dict[str, float]
             values[name] = float(value)
         except OverflowError:  # a JSON integer beyond the float range
             raise ParseError(f"record {i}: metric {name!r} is too large for a float") from None
+    if not all(map(math.isfinite, values.values())):  # NaN or Infinity: RawSample's error
+        error = _raised(lambda: RawSample(kernel, platform, size, trial, values))
+        raise ParseError(f"record {i}: {error}")
     return kernel, platform, size, trial, values
 
 
@@ -796,30 +792,28 @@ def _json_columns(text: str) -> Samples:
 def _derive_if_gpu(cols: Samples) -> Samples:
     """Rates for the GPU samples that have the time and every counter but
     not every rate; :func:`derive_gpu_rates` raises the first bad one's error."""
-    def has(name: str) -> np.ndarray:
-        return cols.present.get(name, np.zeros(len(cols), dtype=bool))
-
-    rows = (cols.platform == _PLATFORM_CODES["gpu"]) & has(GPU_TIME_METRIC)
+    absent = np.full(len(cols), np.nan)
+    rows = ((cols.platform == _PLATFORM_CODES["gpu"])
+            & ~np.isnan(cols.values.get(GPU_TIME_METRIC, absent)))
     every_rate = np.ones(len(cols), dtype=bool)
     for counter, rate in zip(GPU_COUNTER_METRICS, GPU_RATE_METRICS):
-        rows &= has(counter)
-        every_rate &= has(rate)
+        rows &= ~np.isnan(cols.values.get(counter, absent))
+        every_rate &= ~np.isnan(cols.values.get(rate, absent))
     rows &= ~every_rate
     if not rows.any():
         return cols
     t = cols.values[GPU_TIME_METRIC][rows]
-    values, present = dict(cols.values), dict(cols.present)
+    values = dict(cols.values)
     bad = np.zeros(len(t), dtype=bool)
     with np.errstate(over="ignore"):
         for rate, counter in RATE_SOURCES.items():
             count = cols.values[counter][rows]
-            values[rate] = values.get(rate, np.full(len(cols), np.nan)).copy()
+            values[rate] = values.get(rate, absent).copy()
             values[rate][rows] = count / t
             bad |= (count < 0) | ~np.isfinite(values[rate][rows])
-            present[rate] = has(rate) | rows
     if bad.any():
         raise _raised(lambda: derive_gpu_rates(cols[int(np.flatnonzero(rows)[np.argmax(bad)])]))
-    return replace(cols, values=values, present=present)
+    return replace(cols, values=values)
 
 
 def derive_gpu_rates(sample: RawSample) -> RawSample:
@@ -884,11 +878,10 @@ def _aggregate(cols: Samples) -> TrialGroups:
     starts = np.flatnonzero(new)
     trials = np.diff(np.append(starts, n))
     names = sorted(cols.values)
-    present, consistent = {}, np.ones(len(starts), dtype=bool)
+    consistent = np.ones(len(starts), dtype=bool)
     for name in names:
-        seen = np.add.reduceat(cols.present[name][order].astype(np.intp), starts) if n else trials
-        present[name] = seen == trials
-        consistent &= present[name] | (seen == 0)
+        gaps = np.add.reduceat(np.isnan(cols.values[name][order]), starts, dtype=np.intp)
+        consistent &= (gaps == 0) | (gaps == trials)
     mean = {name: np.empty(len(starts)) for name in names}
     std = {name: np.empty(len(starts)) for name in names}
     for c in np.unique(trials).tolist():
@@ -903,7 +896,7 @@ def _aggregate(cols: Samples) -> TrialGroups:
             m, s = mean[name], std[name]
             cv[name] = np.where(m == 0.0, np.where(s == 0.0, 0.0, np.inf), s / np.abs(m))
     return TrialGroups(keys, kernel[starts], platform[starts], size[starts], trials, consistent,
-                       mean, cv, present)
+                       mean, cv)
 
 
 def trial_groups(samples: Iterable[RawSample]) -> TrialGroups:
@@ -936,11 +929,10 @@ def aggregate_trials(samples: Iterable[RawSample]) -> tuple[list[RawSample], lis
     """
     groups = trial_groups(samples)
     groups.check_consistent()
-    metrics = [(n, groups.values[n].tolist(), groups.cv[n].tolist(), groups.present[n].tolist())
-               for n in groups.values]
+    metrics = [(n, groups.values[n].tolist(), groups.cv[n].tolist()) for n in groups.values]
     aggregated, spreads = [], []
     for g, (k, p, s, c) in enumerate(zip(*groups.labels(), groups.trials.tolist())):
-        mine = [(n, mean[g], cv[g]) for n, mean, cv, has in metrics if has[g]]
+        mine = [(n, mean[g], cv[g]) for n, mean, cv in metrics if not math.isnan(mean[g])]
         aggregated.append(RawSample(k, p, s, 0, {n: mean for n, mean, _ in mine},
                                     meta={"trials": str(c)}))
         spreads.append(TrialSpread(k, p, s, c, {n: cv for n, _, cv in mine}))
@@ -968,7 +960,7 @@ def ingest_summary(samples: Samples) -> dict:
         "kernels": sorted(kernels[k] for k in np.unique(samples.kernel).tolist()),
         "platforms": samples.platforms(),
         "problem_sizes": sorted(sizes[s] for s in np.unique(samples.size).tolist()),
-        "metrics": sorted(name for name, has in samples.present.items() if has.any()),
+        "metrics": sorted(name for name, v in samples.values.items() if not np.isnan(v).all()),
         "worst_trial_cv": worst_cv,
         "worst_trial_cv_at": worst_at,
     }
@@ -1015,9 +1007,9 @@ def _table(rows: Samples | TrialGroups, metric_names: Sequence[str],
             if kernels[k] not in covered:
                 raise KstError(f"kernel {kernels[k]!r} has no sample at {size_policy} bytes")
 
-    absent = np.zeros(len(rows), dtype=bool)
-    have = np.column_stack([rows.present.get(n, absent)[chosen] for n in metric_names])
-    missing = np.flatnonzero(~have.ravel())
+    absent = np.full(len(rows), np.nan)
+    data = np.column_stack([rows.values.get(n, absent)[chosen] for n in metric_names])
+    missing = np.flatnonzero(np.isnan(data.ravel()))
     if missing.size:
         i, j = divmod(int(missing[0]), len(metric_names))
         r = chosen[i]
@@ -1025,7 +1017,6 @@ def _table(rows: Samples | TrialGroups, metric_names: Sequence[str],
             f"kernel {kernels[rows.kernel[r]]!r} ({sizes[rows.size[r]]} bytes) is missing "
             f"metric {metric_names[j]!r}"
         )
-    data = np.column_stack([rows.values[n][chosen] for n in metric_names])
     meta = {
         "platform": PLATFORMS[platforms[0]],
         "size_policy": str(size_policy),

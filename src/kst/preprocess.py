@@ -133,7 +133,9 @@ def fit_transform(
         raise KstError("cannot standardize an empty table")
     log_columns = _resolve_log_columns(table, log_policy, auto_ratio)
 
-    work = np.array(table.data, dtype=float)
+    # row-major, as the CLI's raw tables are: numpy's sums, and so the
+    # moments' last bits, depend on the layout they read
+    work = np.array(table.data, dtype=float, order="C")
     for j, col in enumerate(table.columns):
         if col.name in log_columns:
             work[:, j] = np.log(work[:, j])

@@ -18,7 +18,7 @@ import numpy as np
 # to_jsonable is not called here; it stays importable as kst.report.to_jsonable
 from ._json import FieldDict, dumps, load_json, to_jsonable  # noqa: F401
 from .cluster import Partition
-from .dataset import FRACTION, MetricDescriptor, MetricTable
+from .dataset import FRACTION, TIME, MetricDescriptor, MetricTable
 from .errors import KstError, ParseError
 from .quality import _check_partition
 
@@ -73,7 +73,9 @@ def pca_project(
     The basis is fitted on the rows only; centroids are mapped with the same
     basis so they land where their members do.
     """
-    x = m.data
+    # column-major, as standardized tables are: numpy's sums, and so the
+    # projection's last bits, depend on the layout they read
+    x = np.asfortranarray(m.data)
     n, d = x.shape
     if n < 2 or d < 2:
         raise KstError(f"projection needs at least 2 rows and 2 columns, got {n}x{d}")
@@ -160,7 +162,7 @@ def format_metric_value(descriptor: MetricDescriptor, value: float) -> str:
     """Human-readable rendering; fractions are shown as percentages."""
     if descriptor.kind == FRACTION:
         return f"{100.0 * value:.1f}%"
-    if descriptor.kind == "time":
+    if descriptor.kind == TIME:
         return f"{value:.4g} s"
     if abs(value) >= 1e4 or (value != 0 and abs(value) < 1e-3):
         return f"{value:.4g}"

@@ -107,9 +107,8 @@ def kernel_reports(
     metrics = _check_options(metrics, threshold_pct, rel_base)
     columns = [descriptor_for(m) for m in metrics]
     kernels, platforms, all_sizes = groups.labels()
-    absent = np.zeros(len(groups), dtype=bool)
-    means = [groups.values[m].tolist() if m in groups.values else None for m in metrics]
-    has = [groups.present.get(m, absent).tolist() for m in metrics]
+    absent = np.full(len(groups), np.nan)
+    means = [groups.values.get(m, absent).tolist() for m in metrics]  # NaN where absent
     starts = [g for g in range(len(kernels)) if not g or kernels[g] != kernels[g - 1]]
     reports = []
     for lo, hi in zip(starts, starts[1:] + [len(kernels)]):
@@ -119,7 +118,7 @@ def kernel_reports(
         if len(sizes) < 2:
             raise KstError(f"kernel {name!r} needs at least 2 distinct sizes, got {len(sizes)}")
         for g, at in zip(range(lo, hi), sizes):
-            missing = [m for m, h in zip(metrics, has) if not h[g]]
+            missing = [m for m, col in zip(metrics, means) if math.isnan(col[g])]
             if missing:
                 raise KstError(f"kernel {name!r} at {at} bytes is missing metrics {missing}")
         check_kind_ranges(columns, np.array([col[lo:hi] for col in means]).T)

@@ -630,16 +630,19 @@ def test_ingest_check_json_kernel_must_be_a_string(tmp_path, capsys, kernel):
                                "message": f"record 0: kernel is not a string: {kernel!r}"}
 
 
-@pytest.mark.parametrize("bad_first, message", [
-    (False, "line 4: field larger than field limit (131072)"),
-    (True, "line 3: unknown platform 'tpu'"),  # the earlier bad record is still reported
-], ids=["cell", "bad-record-first"])
-def test_ingest_check_oversized_csv_cell_is_an_input_error(tmp_path, capsys, bad_first, message):
+@pytest.mark.parametrize("where, message", [
+    ("cell", "line 4: field larger than field limit (131072)"),
+    # the earlier bad record is still reported
+    ("bad-record-first", "line 3: unknown platform 'tpu'"),
+    ("header", "line 1: field larger than field limit (131072)"),
+], ids=["cell", "bad-record-first", "header"])
+def test_ingest_check_oversized_csv_cell_is_an_input_error(tmp_path, capsys, where, message):
     rows = [["a", "cpu", 1024, 0, 0.1, 0.2, 0.3, 0.4],
-            ["a", "tpu" if bad_first else "cpu", 2048, 0, 0.1, 0.2, 0.3, 0.4],
+            ["a", "tpu" if where == "bad-record-first" else "cpu", 2048, 0, 0.1, 0.2, 0.3, 0.4],
             ["b", "cpu", 1024, 0, "1" * 200_000, 0.2, 0.3, 0.4]]
+    header = CPU_HEADER[:-1] + ["m" * 200_000] if where == "header" else CPU_HEADER
     p = tmp_path / "s.csv"
-    p.write_text(csv_bytes(CPU_HEADER, rows))
+    p.write_text(csv_bytes(header, rows))
     code, stdout, err = run(capsys, "ingest-check", "--input", p)
     assert (code, stdout) == (2, "")
     assert json.loads(err) == {"error": "ParseError", "message": message}
@@ -809,6 +812,9 @@ def test_error_output_is_single_json_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, bad", [
     ("cluster", ["--size", "abc"]),
+    ("cluster", ["--size", "0"]),
+    ("cluster", ["--size", "-5"]),
+    ("stability", ["--annotate", "l2=abc"]),
     ("select-k", ["--k-max", "x"]),
     ("similar", ["--seed", "x"]),
     ("stability", ["--annotate", "l2"]),

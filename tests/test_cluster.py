@@ -121,12 +121,17 @@ def test_ward_needs_two_rows():
 
 
 # The full-matrix Ward search that the cached-nearest-neighbour version
-# replaced, kept verbatim as a bit-exact reference: same Lance-Williams
-# arithmetic and tie rule, O(n^3) time.
+# replaced, kept as a bit-exact reference: same Lance-Williams arithmetic and
+# tie rule, O(n^3) time. Squared coordinates are added left to right, as
+# _sq_dist adds them on any layout and at any width.
+
+def _sum_left_to_right(sq: np.ndarray) -> np.ndarray:
+    return np.cumsum(sq, axis=-1)[..., -1]
+
 
 def _broadcast_pairwise_sq(x: np.ndarray) -> np.ndarray:
     diff = x[:, None, :] - x[None, :, :]
-    return (diff * diff).sum(axis=-1)
+    return _sum_left_to_right(diff * diff)
 
 
 def full_matrix_ward(x: np.ndarray) -> list[tuple[int, int, float, int, float]]:
@@ -152,7 +157,7 @@ def full_matrix_ward(x: np.ndarray) -> list[tuple[int, int, float, int, float]]:
                 best = (tie, active[ai], active[bi])
         _, pi, pj = best
         ni, nj = size[pi], size[pj]
-        cdist = float(np.sqrt(((centroid[pi] - centroid[pj]) ** 2).sum()))
+        cdist = float(np.sqrt(_sum_left_to_right((centroid[pi] - centroid[pj]) ** 2)))
         left, right = sorted((node_id[pi], node_id[pj]))
         steps.append((left, right, float(np.sqrt(dmin)), int(ni + nj), cdist))
 
@@ -186,10 +191,8 @@ WARD_INPUTS = ("normal", "grid012", "rounded", "repeated", "equidistant")
 def _ward_input(kind: str, n: int, d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "equidistant":
-        # the rows of s * I, each pair at one distance, repeated; at most 7
-        # columns, which numpy's sum in full_matrix_ward adds left to right
-        m = min(n, 7)
-        return np.eye(m)[np.arange(n) % m] * float(rng.uniform(0.5, 20))
+        # the rows of s * I, each pair at one distance
+        return np.eye(n) * float(rng.uniform(0.5, 20))
     if kind == "normal":
         return rng.normal(size=(n, d)) * float(rng.uniform(0.5, 20))
     if kind == "grid012":
@@ -203,7 +206,7 @@ def _ward_input(kind: str, n: int, d: int, seed: int) -> np.ndarray:
 @given(
     st.sampled_from(WARD_INPUTS),
     st.integers(min_value=2, max_value=60),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=2 ** 32 - 1),
 )
 @settings(max_examples=150, deadline=None)
@@ -219,11 +222,10 @@ def test_ward_merges_equal_full_matrix_search_on_equidistant_rows():
     # Rounding in the Lance-Williams update brings some merged clusters closer
     # to a row than its cached nearest neighbour, so these inputs reach the
     # cache's closer-update; on about one in eight, skipping it changes the
-    # merges. Merges only: past 7 columns numpy's sum in full_matrix_ward's
-    # centroid distance no longer adds left to right.
+    # merges.
     for seed in range(300):
-        x = np.eye(3 + seed % 10) * float(np.random.default_rng(seed).uniform(0.5, 20))
-        assert _ward_merge_steps(x) == [s[:4] for s in full_matrix_ward(x)], seed
+        scale = float(np.random.default_rng(seed).uniform(0.5, 20))
+        _assert_same_merges(np.eye(3 + seed % 10) * scale)
 
 
 def _repeated_rows(n: int, d: int, distinct: int, seed: int) -> np.ndarray:
@@ -282,11 +284,10 @@ def test_pairwise_sq_blocks_equal_full_broadcast(monkeypatch, n, d, block):
     if block is not None:
         monkeypatch.setattr(kst.cluster, "_BLOCK_ELEMENTS", block)  # 1 to 8 rows each
     x = np.random.default_rng(24).normal(size=(n, d)) * 3.0
-    xf = np.asfortranarray(x)  # numpy adds the columns of this layout left to right
-    dist = _pairwise_sq(xf)
-    assert np.array_equal(dist, _broadcast_pairwise_sq(xf))
+    dist = _pairwise_sq(x)
+    assert np.array_equal(dist, _broadcast_pairwise_sq(x))
     assert np.array_equal(dist, dist.T)
-    assert np.array_equal(_pairwise_sq(x), dist)
+    assert np.array_equal(_pairwise_sq(np.asfortranarray(x)), dist)
 
 
 @pytest.mark.parametrize("d", [*range(1, 41), 127, 128, 129, 130, 257])

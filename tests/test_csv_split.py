@@ -80,7 +80,7 @@ def _outcome(text):
         return "error", type(exc), str(exc), getattr(exc, "line", None)
     return ("columns", [list(table.items()) for table in vars(s.keys).values()],
             [c.tolist() for c in (s.kernel, s.platform, s.size, s.trial, s.layout)],
-            [(n, v.tobytes(), s.present[n].tobytes()) for n, v in s.values.items()])
+            [(n, v.tobytes()) for n, v in s.values.items()])  # NaN marks an absent metric
 
 
 def _via_reader(text):

@@ -17,6 +17,7 @@ from kst.dataset import (
     build_table,
     derive_gpu_rates,
     descriptor_for,
+    ingest_summary,
     merge_platforms,
     parse_samples,
 )
@@ -266,6 +267,39 @@ def test_parse_json_rejects_a_key_given_twice(fields, message):
         with pytest.raises(ParseError) as exc:
             parse(text, fmt="json")
         assert str(exc.value) == f"record 1: {message}"
+
+
+def _json_text(*records):
+    """JSON records over ``_json_record``'s defaults; json.dumps spells NaN and
+    the infinities as the JSON extension does."""
+    return json.dumps([_json_record(**r) for r in records])
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"kernel": "", "m": math.nan}], "record 0: kernel name must be non-empty"),
+    ([{"kernel": "a@1", "m": 1.0}, {"trial": 1, "m": math.nan}],
+     "record 0: kernel name must not contain '@', got 'a@1'"),
+    ([{"m": math.nan}, {"trial": 1, "platform": "tpu"}],
+     "record 0: metric 'm' has non-finite value nan"),
+    ([{"platform": "gpu", "gpu.time_sec": -1.0, "m": math.nan}],
+     "record 0: metric 'm' has non-finite value nan"),
+    ([{"m": 1.0}, {"trial": 1, "m": -math.inf}], "record 1: metric 'm' has non-finite value -inf"),
+], ids=["kernel-rule-first", "earlier-record", "before-a-later-structural-error",
+        "before-the-time-rule", "infinity"])
+def test_parse_json_non_finite_metric_is_reported_in_record_and_rule_order(records, message):
+    for parse in (parse_samples, ref.parse_samples):
+        with pytest.raises(ParseError) as exc:
+            parse(_json_text(*records), fmt="json")
+        assert str(exc.value) == message
+
+
+def test_metric_absent_from_one_trial_is_an_inconsistent_metric_set():
+    samples = parse_samples(_json_text({"m": 1.0, "n": 2.0}, {"trial": 1, "n": 3.0}), fmt="json")
+    message = r"^inconsistent metric sets across trials of 'K1' \(cpu, 4096 bytes\)$"
+    with pytest.raises(KstError, match=message):
+        aggregate_trials(samples)
+    with pytest.raises(KstError, match=message):
+        ingest_summary(samples)
 
 
 @pytest.mark.parametrize("field", ["problem_size_bytes", "trial"])

@@ -91,6 +91,15 @@ def test_projection_centroids_follow_members():
         assert np.allclose(pts.mean(axis=0), pr.centroid_coords[c], atol=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_projection_is_the_same_on_either_layout(seed):
+    x = np.random.default_rng(seed).normal(size=(300, 6)) * 3.0 + 1.0
+    row_major, col_major = (make_table(np.asarray(x, order=order)) for order in "CF")
+    assert row_major.data.flags.c_contiguous and col_major.data.flags.f_contiguous
+    assert (pca_project(row_major, x[:3]).to_dict()
+            == pca_project(col_major, x[:3]).to_dict())
+
+
 def test_projection_input_validation():
     with pytest.raises(KstError):
         pca_project(make_table([[1.0, 2.0]]))  # one row
@@ -167,6 +176,7 @@ def test_format_metric_value():
     rate = descriptor_for("gpu.l1_rate")
     out = format_metric_value(rate, 87560000000.0)
     assert "%" not in out
+    assert format_metric_value(descriptor_for("gpu.time_sec"), 0.000123456) == "0.0001235 s"
 
 
 # -------------------------------------------------------------- JSON envelope
