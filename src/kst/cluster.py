@@ -27,13 +27,15 @@ distances after it, and the quality criteria and the gap statistic, which
 read only the merges, never compute them. Cuts at several k come from one
 walk over the merges.
 
-k-means seeds the ``n_init`` replicates of a fit together and runs them
-batched through one Lloyd loop. Each replicate draws its k-means++ seeds from
-its own random sub-stream and stops on its own. Lloyd's distances are
-centre-major (replicates, k, n) arrays, so the work runs along contiguous
-rows, and the inertia is computed once per replicate at the end; the
-per-pass inertia history is built only for :func:`kmeans_fit`, which reports
-it.
+k-means runs every replicate through one Lloyd loop, :func:`_lloyd`, over a
+pool of replicates that is topped up from a queue as replicates finish. The
+queue holds the ``n_init`` replicates of one data set for :func:`kmeans_fit`,
+and those of many data sets for the gap statistic's references. Each
+replicate draws its k-means++ seeds from its own random sub-stream and stops
+on its own. Lloyd's distances are centre-major (k, replicates, n) arrays, so
+the work runs along contiguous rows, and the inertia is computed once per
+replicate as it finishes; the per-pass inertia history is built only for
+:func:`kmeans_fit`, which reports it.
 
 Every squared distance between rows, between rows and centers and between
 centers goes through :func:`_sq_dist`, which adds the columns left to right.
@@ -45,9 +47,10 @@ the gap statistic's W_k) is one function too, :func:`_scatter`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +61,7 @@ from .rng import DEFAULT_SEED, substream
 
 
 _BLOCK_ELEMENTS = 1 << 18  # float64 entries per block of distance work: 2 MiB
+_POOL_ELEMENTS = 1 << 15  # float64 entries of a Lloyd pool's distances or data: 256 KiB
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,26 +71,33 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The columns are added left to right whatever the memory layout, so equal
     values give equal bits; no (..., d) difference array is built. This is
     numpy's own ``((a - b) ** 2).sum(axis=-1)`` order on column-major
-    arrays (row-major ones numpy sums pairwise instead).
+    arrays (row-major ones numpy sums pairwise instead). Each column of
+    ``b`` is first copied out over the result's shape: numpy broadcasts a
+    copy in less time than a subtraction, and ``a``'s column then meets a
+    whole array, which costs the least when ``a`` is broadcast along its
+    leading axes only.
     """
+    shape = np.broadcast(a, b).shape[:-1]
     if not a.shape[-1]:
-        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    res = a[..., 0] - b[..., 0]
-    res *= res
-    t = np.empty_like(res)
-    for j in range(1, a.shape[-1]):
-        np.subtract(a[..., j], b[..., j], out=t)
-        t *= t
-        res += t
+        return np.zeros(shape)
+    res, t = np.empty(shape), np.empty(shape)
+    for j in range(a.shape[-1]):
+        col = t if j else res
+        np.copyto(col, b[..., j])
+        np.subtract(a[..., j], col, out=col)
+        col *= col
+        if j:
+            res += col
     return res
 
 
 def _scatter(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """Within-cluster scatter of a batch of partitions of ``x`` (n, d): for
-    each partition r, the sum of squared distances from every row to its own
-    center, ``centers[r, assign[r]]``, with ``centers`` (b, k, d) and
-    ``assign`` (b, n). The squared differences of a partition are added as
-    one flat sum in row-major order, whatever the memory layout."""
+    """Within-cluster scatter of a batch of partitions of ``x`` (n, d), or
+    of one data set each when ``x`` is (b, n, d): for each partition r, the
+    sum of squared distances from every row to its own center,
+    ``centers[r, assign[r]]``, with ``centers`` (b, k, d) and ``assign``
+    (b, n). The squared differences of a partition are added as one flat sum
+    in row-major order, whatever the memory layout."""
     diff = x - centers[np.arange(len(assign))[:, None], assign]
     diff *= diff
     return diff.reshape(len(assign), -1).sum(axis=1)
@@ -181,6 +192,7 @@ class Partition:
         return {"k": self.k, "labels": dict(self.labels), "sizes": self.sizes()}
 
 
+@np.errstate(over="ignore")  # an overflow ends in an inf distance: a KstError
 def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int]]:
     """Lance-Williams Ward merges on raw coordinates.
 
@@ -408,6 +420,7 @@ class KMeansModel(FieldDict):
         return Partition(self.assignments, self.k)
 
 
+@np.errstate(over="ignore")  # an overflow ends in an inf total: a KstError
 def _kmeanspp_init(
     x: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
@@ -464,101 +477,180 @@ def _repair_empty(
     return len(empty) > 0
 
 
-def _lloyd(
-    x: np.ndarray, centers: np.ndarray, max_iter: int, *, history: bool = True
-) -> list[tuple[np.ndarray, np.ndarray, float, list[float]]]:
-    """Lloyd's algorithm for a batch of replicates started from ``centers``
-    of shape (replicates, k, d); returns (assign, centers, inertia, history)
-    per replicate.
+def _assign_step(
+    rows: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd's assignment step for a pool of replicates, each on its own data:
+    ``rows`` (a, n, d) and ``centers`` (a, k, d). Returns each row's cluster
+    (a, n), the cluster sizes (a, k), and which replicates had an empty
+    cluster repaired (:func:`_repair_empty`, which moves a center in place).
 
-    Each pass moves every live replicate one step. Distances are built
-    centre-major, as a (replicates, k, n) array from one column-major copy
-    of ``x``, so every column difference runs along contiguous rows. Each
-    row then takes the lowest cluster id among the centres at its smallest
-    distance, as ``argmin`` over the k slabs would (``x`` is finite, so no
-    distance is NaN). A replicate stops once its assignment repeats with no
-    repair and then leaves the batch, so each ends exactly where it would
-    alone.
-
-    ``inertia`` is each final partition's scatter, from one batched
-    :func:`_scatter` after the loop. ``history``, the inertia after every
-    pass, is built only when asked for and is empty otherwise; its last
-    entry equals ``inertia``.
+    Distances are centre-major, (k, a, n), so each centre's distances for
+    the whole pool lie in one contiguous slab. Each row takes the lowest
+    cluster id among the centres at its smallest distance, as ``argmin``
+    over the k slabs would (the data are finite, so no distance is NaN): it
+    counts the leading centres that are all farther than that distance,
+    which takes no masked write.
     """
-    n, d = x.shape
-    k = centers.shape[1]
-    centers = np.array(centers, dtype=float)
-    xf = np.asfortranarray(x)
-    xcols = np.tile(xf.T, (1, len(centers)))  # column j of x once per replicate
-    live = np.arange(len(centers))
-    histories: list[list[float]] = [[] for _ in live]
-    final: list = [None] * len(live)
-    prev = None
-    for _ in range(max_iter):
-        d2 = _sq_dist(xf[None, None], centers[live][:, :, None, :])
-        nearest = d2.min(axis=1)
-        assign = np.full(nearest.shape, k - 1, dtype=np.intp)
-        for c in range(k - 2, -1, -1):  # ties go to the lowest cluster id
-            np.putmask(assign, d2[:, c] == nearest, c)
-        offset = k * np.arange(len(live))[:, None]
-        counts = np.bincount((assign + offset).ravel(), minlength=offset.size * k).reshape(-1, k)
-        repaired = np.zeros(len(live), dtype=bool)
-        for i in np.flatnonzero((counts == 0).any(axis=1)):
-            repaired[i] = _repair_empty(x, d2[i].T, assign[i], counts[i], centers[live[i]])
-        if prev is not None:
-            done = ~repaired & (assign == prev).all(axis=1)
-            if done.any():
-                for i in np.flatnonzero(done):
-                    final[live[i]] = prev[i]
-                live, assign, counts = live[~done], assign[~done], counts[~done]
-                if not len(live):
-                    break
-        a = len(live)
+    a, k = centers.shape[:2]
+    d2 = _sq_dist(rows[None], centers.transpose(1, 0, 2)[:, :, None, :])
+    nearest = d2.min(axis=0)
+    farther = d2[0] > nearest  # per row: every centre so far is farther
+    assign = farther.astype(np.intp)
+    for c in range(1, k - 1):
+        farther &= d2[c] > nearest
+        assign += farther
+    counts = np.bincount((assign + k * np.arange(a)[:, None]).ravel(),
+                         minlength=a * k).reshape(a, k)
+    repaired = np.zeros(a, dtype=bool)
+    for i in np.flatnonzero((counts == 0).any(axis=1)):
+        repaired[i] = _repair_empty(rows[i], d2[:, i].T, assign[i], counts[i], centers[i])
+    return assign, counts, repaired
+
+
+def _lloyd(
+    xs: Sequence[np.ndarray], starts: Iterable[tuple[int, np.ndarray]], max_iter: int,
+    *, history: bool = True,
+) -> dict[int, tuple[np.ndarray, np.ndarray, float, list[float]]]:
+    """Lloyd's algorithm for a queue of replicates, run in one pool; returns
+    the best replicate of each data set as (assign, centers, inertia, history).
+
+    ``starts`` yields the queue: (g, centers), a replicate of data set
+    ``xs[g]`` started from k x d ``centers``. Every data set has one shape,
+    (n, d). The pool holds as many replicates as keep both its (k,
+    replicates, n) distances and its (d, replicates, n) data within
+    ``_POOL_ELEMENTS`` entries. It takes them from the queue in order, and
+    the next ones take the slots of those that finish, so every pass carries
+    a full pool until the queue runs out. A start is read only when a slot
+    is free for it.
+
+    Each pass moves every replicate in the pool one step: an assignment
+    step (:func:`_assign_step`), then centroid sums that add each
+    replicate's rows in order. The slots' data lie in one (d, replicates, n)
+    block, copied into a slot only when it changes data set, so every column
+    difference of the distances runs along contiguous rows. A replicate
+    stops once its assignment repeats with no repair, or after ``max_iter``
+    passes, so each ends exactly where it would alone.
+
+    ``inertia`` is a final partition's scatter (:func:`_scatter`). Of the
+    replicates of one data set the lowest inertia wins, a tie going to the
+    one earlier in the queue; only the best so far is kept, as copies.
+    ``history``, the inertia after every pass, is built only when asked for
+    and is empty otherwise; its last entry equals ``inertia``.
+    """
+    queue = enumerate(starts)  # (queue position, (data set, centers))
+    entered = list(itertools.islice(queue, 1))
+    if not entered:
+        return {}
+    (n, d), k = xs[0].shape, len(entered[0][1][1])
+    entered += itertools.islice(queue, max(1, _POOL_ELEMENTS // (max(k, d) * n)) - 1)
+    block = np.empty((d, len(entered), n))  # column j of slot i's data set: block[j, i]
+    centers = np.empty((len(entered), k, d))
+    prev = np.empty((len(entered), n), dtype=np.intp)  # per slot: its last assignment
+    fresh = np.ones(len(entered), dtype=bool)  # per slot: no pass run yet
+    passes = np.zeros(len(entered), dtype=int)
+    slots: list = [None] * len(entered)  # per slot: (data set, queue position, history)
+
+    def enter(i: int, start: tuple[int, tuple[int, np.ndarray]]) -> None:
+        position, (g, init) = start
+        if slots[i] is None or slots[i][0] != g:
+            block[:, i] = xs[g].T
+        centers[i] = init
+        fresh[i], passes[i], slots[i] = True, 0, (g, position, [])
+
+    for i, start in enumerate(entered):
+        enter(i, start)
+    best: dict = {}
+    while True:
+        a = len(slots)
+        rows = block.transpose(1, 2, 0)  # (a, n, d)
+        assign, counts, repaired = _assign_step(rows, centers)
+        moved = fresh | repaired | (assign != prev).any(axis=1)
         bins = (assign + k * np.arange(a)[:, None]).ravel()
         new = np.empty((a, k, d))
         for j in range(d):
-            new[:, :, j] = np.bincount(bins, xcols[j, :a * n], minlength=a * k).reshape(a, k)
+            new[:, :, j] = np.bincount(bins, block[j].ravel(), minlength=a * k).reshape(a, k)
         new /= counts[:, :, None]
-        if history:
-            for r, value in zip(live, _scatter(x, new, assign).tolist()):
-                histories[r].append(value)
-        centers[live] = new
-        prev = assign
-    for i, r in enumerate(live):
-        final[r] = prev[i]
-    inertia = _scatter(x, centers, np.array(final)).tolist()
-    return list(zip(final, centers, inertia, histories))
+        if history and moved.any():
+            for i, value in zip(moved.nonzero()[0].tolist(),
+                                _scatter(rows[moved], new[moved], assign[moved]).tolist()):
+                slots[i][2].append(value)
+        centers[moved] = new[moved]
+        passes += moved
+        prev, fresh[:] = assign, False
+        done = (~moved | (passes == max_iter)).nonzero()[0].tolist()
+        if not done:
+            continue
+        for i, value in zip(done, _scatter(rows[done], centers[done], assign[done]).tolist()):
+            g, position, trace = slots[i]
+            if g not in best or (value, position) < best[g][:2]:
+                best[g] = (value, position, assign[i].copy(), centers[i].copy(), trace)
+        vacant = []
+        for i in done:
+            start = next(queue, None)
+            if start is None:
+                vacant.append(i)
+            else:
+                enter(i, start)
+        if vacant:  # the queue has run out: the pool shrinks
+            keep = np.setdiff1d(np.arange(a), vacant)
+            if not len(keep):
+                break
+            block, centers, prev = block[:, keep], centers[keep], prev[keep]
+            fresh, passes = fresh[keep], passes[keep]
+            slots = [slots[i] for i in keep.tolist()]
+    return {g: (labels, c, value, trace) for g, (value, _, labels, c, trace) in best.items()}
+
+
+def _kmeans_fits(
+    xs: Sequence[np.ndarray], seeds: Mapping[int, int], k: int, n_init: int, max_iter: int,
+    history: bool = False,
+) -> dict[int, tuple[np.ndarray, np.ndarray, float, list[float]] | Exception]:
+    """Best of n_init replicates for each data set ``xs[g]``, g in ``seeds``:
+    replicate r of data set g draws its k-means++ seeds from sub-stream
+    (seeds[g], r), and ties on inertia keep the earliest replicate.
+
+    Every replicate runs through one pool of :func:`_lloyd`, data set by
+    data set and replicate by replicate; the replicates of a data set are
+    seeded together as the first of them enters the pool. A data set whose
+    seeding fails maps to its error, and the others are fitted all the same.
+    Distances add their columns left to right on every memory layout, so
+    the result depends only on the values of each data set. For d >= 2
+    every replicate's result is bit-identical to a one-replicate Lloyd loop
+    that takes each centroid as the cluster's ``mean``. Centroid sums here
+    are added in row order, and for d = 1 such a ``mean`` adds pairwise
+    instead, so at d = 1 centroids and inertia can differ from it in the
+    last bits (ULP), and on tied distances so can an assignment.
+    """
+    if n_init < 1 or max_iter < 1:
+        raise KstError("n_init and max_iter must be >= 1")
+    errors = {}
+
+    def starts() -> Iterator[tuple[int, np.ndarray]]:
+        for g, seed in seeds.items():
+            try:
+                init = _kmeanspp_init(xs[g], k, [substream(seed, r) for r in range(n_init)])
+            except Exception as exc:  # the caller's to raise, for this data set only
+                errors[g] = exc
+                continue
+            for centers in init:
+                yield g, centers
+
+    fits = _lloyd(xs, starts(), max_iter, history=history)
+    return {g: errors[g] if g in errors else fits[g] for g in seeds}
 
 
 def _kmeans_arrays(
     x: np.ndarray, k: int, seed: int, n_init: int, max_iter: int, history: bool = True
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Best of n_init replicates; replicate r draws its k-means++ seeds from
-    sub-stream (seed, r), and ties on inertia keep the earliest replicate.
-
-    The replicates are seeded and run through one Lloyd loop in batches, as
-    many per batch as keep the (replicates, k, n) distance array near
-    ``_BLOCK_ELEMENTS`` entries. Distances add their columns left to right
-    on every memory layout, so the result depends only on the values of
-    ``x``. For d >= 2 every replicate's result is bit-identical to a
-    one-replicate Lloyd loop that takes each centroid as the cluster's
-    ``mean``. Centroid sums here are added in row order, and for d = 1 such
-    a ``mean`` adds pairwise instead, so at d = 1 centroids and inertia can
-    differ from it in the last bits (ULP), and on tied distances so can an
-    assignment. ``history=False`` skips the per-pass inertia (the returned
-    history is then empty) for callers that only use the partition.
+    """Best of n_init replicates on ``x``: :func:`_kmeans_fits` for one data
+    set, raising its error. ``history=False`` skips the per-pass inertia (the
+    returned history is then empty) for callers that only use the partition.
     """
-    if n_init < 1 or max_iter < 1:
-        raise KstError("n_init and max_iter must be >= 1")
-    rngs = [substream(seed, r) for r in range(n_init)]
-    batch = max(1, _BLOCK_ELEMENTS // (x.shape[0] * k))
-    best = None
-    for lo in range(0, n_init, batch):
-        init = _kmeanspp_init(x, k, rngs[lo:lo + batch])
-        for result in _lloyd(x, init, max_iter, history=history):
-            if best is None or result[2] < best[2]:
-                best = result
-    return best
+    fit = _kmeans_fits([x], {0: seed}, k, n_init, max_iter, history)[0]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def kmeans_fit(

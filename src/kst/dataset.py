@@ -946,7 +946,10 @@ def ingest_summary(samples: Samples) -> dict:
 
     The input passes the checks the analysis commands make: GPU rates must
     derive (the report still lists the raw metrics), and every metric's
-    trial means must lie in the range its kind allows."""
+    trial means must lie in the range its kind allows. An empty batch is a
+    KstError."""
+    if not len(samples):
+        raise KstError("no samples to summarize")
     _derive_if_gpu(samples)
     groups = _aggregate(samples)
     groups.check_consistent()

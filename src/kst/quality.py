@@ -20,7 +20,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .cluster import (
     _assign_at_each_k,
     _canonical_ids,
     _kmeans_arrays,
+    _kmeans_fits,
     _pairwise_sq,
     _scatter,
     _sq_dist,
@@ -290,6 +291,31 @@ def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
             for k in ks}
 
 
+def _kmeans_log_w(xs: Sequence[np.ndarray], indices: Sequence[int], ks: Sequence[int],
+                  seed: int, n_init: int, max_iter: int,
+                  *stream_key: int) -> dict[int, list[float] | Exception]:
+    """log W_k of each data set ``xs[i]``, i in ``indices``, at each k in
+    ``ks``, from its k-means labels on sub-stream (seed, *stream_key, i, k).
+    Every data set is fitted in one Lloyd pool per k (:func:`_kmeans_fits`),
+    and only the dispersions are kept. A data set maps to its log W_k, or to
+    the error that fitting it at every k and then taking each dispersion
+    raises first: a failed fit ends its fits, and a failed dispersion is
+    kept while the larger k are still fitted."""
+    failed: dict[int, Exception] = {}
+    log_w: dict[int, list[float] | Exception] = {i: [] for i in indices}
+    for k in ks:
+        seeds = {i: subseed(seed, *stream_key, i, k) for i in indices if i not in failed}
+        for i, fit in _kmeans_fits(xs, seeds, k, n_init, max_iter).items():
+            if isinstance(fit, Exception):
+                failed[i] = fit
+            elif isinstance(log_w[i], list):
+                try:
+                    log_w[i].append(_log_dispersion(xs[i], fit[0], k))
+                except Exception as exc:  # the data set's error, after any failed fit
+                    log_w[i] = exc
+    return {i: failed.get(i, log_w[i]) for i in indices}
+
+
 def _log_dispersion(x: np.ndarray, labels: np.ndarray, k: int) -> float:
     # W_k, the pooled within-cluster dispersion: the sum over clusters of
     # (1 / 2n_r) * their pairwise squared distances, which is the scatter
@@ -334,15 +360,17 @@ def _cpu_quotas(cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup")
     return quotas
 
 
-def _outcomes(fit: Callable[[int], Any], indices: Iterable[int]) -> list[tuple]:
+def _outcomes(fit: Callable[[list[int]], Iterator], indices: list[int]) -> list[tuple]:
     """(index, warnings, result, error) for each index in turn, up to and
-    including the first that raises; the warnings of each fit are recorded
-    through the filters in force, as (message, category, filename, lineno)."""
+    including the first that raises. ``fit(indices)`` yields the results in
+    index order; the warnings of each step are recorded through the filters
+    in force, as (message, category, filename, lineno)."""
     out = []
+    results = fit(indices)  # a generator: nothing runs before the first step
     for i in indices:
         with warnings.catch_warnings(record=True) as caught:
             try:
-                result, error = fit(i), None
+                result, error = next(results), None
             except Exception as exc:  # raised again by _fit_all, in index order
                 result, error = None, exc
         out.append((i, [(w.message, w.category, w.filename, w.lineno) for w in caught],
@@ -352,7 +380,8 @@ def _outcomes(fit: Callable[[int], Any], indices: Iterable[int]) -> list[tuple]:
     return out
 
 
-def _fit_stride(fit: Callable[[int], Any], indices: range, pipe: int) -> NoReturn:
+def _fit_stride(fit: Callable[[list[int]], Iterator], indices: list[int],
+               pipe: int) -> NoReturn:
     # the body of a forked child: pickle the outcomes down the pipe, then end
     # without unwinding into the parent's stack or running its exit handlers
     status = 1
@@ -367,17 +396,20 @@ def _fit_stride(fit: Callable[[int], Any], indices: range, pipe: int) -> NoRetur
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
 
 
-def _fit_all(fit: Callable[[int], Any], count: int) -> list:
-    """``[fit(i) for i in range(count)]``, spread over w = min(CPUs, count)
+def _fit_all(fit: Callable[[list[int]], Iterator], count: int) -> list:
+    """The results of indices 0..count-1, spread over w = min(CPUs, count)
     processes: this one fits indices 0::w and w - 1 forked children fit
-    i::w, each pickling its outcomes down a pipe.
+    i::w, each pickling its outcomes down a pipe. ``fit`` is a generator
+    function: ``fit(indices)`` yields the result of each index in order, so
+    a process can share work across its whole list.
 
-    The caller sees what a loop in one process gives, whatever w is: the
-    results in index order, the error of the lowest failing index, and the
-    warnings of each fit replayed into this process's warnings machinery in
-    index order. ``fit`` must not depend on which process runs it. Every
-    child is waited for before this returns or raises; a child that ends
-    without a result is a RuntimeError.
+    The caller sees what a loop over the indices in one process gives,
+    whatever w is: the results in index order, the error of the lowest
+    failing index, and the warnings of each step replayed into this
+    process's warnings machinery in index order (work that a step does for
+    later indices too warns as its own index). ``fit`` must not depend on
+    which process runs it. Every child is waited for before this returns or
+    raises; a child that ends without a result is a RuntimeError.
 
     A child of a process with threads holds only the thread that forked it,
     and would hang on a lock that another thread held at the fork; this call
@@ -405,7 +437,7 @@ def _fit_all(fit: Callable[[int], Any], count: int) -> list:
                 strides.append(start)
                 continue
             if pid == 0:
-                _fit_stride(fit, range(start, count, w), write)
+                _fit_stride(fit, list(range(start, count, w)), write)
             os.close(write)
             children[pid], pipes[pid] = start, read
         outcomes += _outcomes(fit, sorted(i for s in strides for i in range(s, count, w)))
@@ -457,9 +489,13 @@ def gap_statistic(
     CPUs this process may run on (its affinity, capped by its cgroup's CPU
     quota), at most ``b``; elsewhere, and while other Python threads run, in
     this process (see :func:`_fit_all`). The curve does not depend on the
-    count. Peak memory grows by about one reference fit's working set per
-    process: for Ward the n x n distance matrix, n**2 * 8 bytes (32 MB at
-    2,000 rows).
+    count. Each process fits its stride of references one at a time for
+    Ward, and at each k in one pool of k-means replicates for k-means
+    (:func:`_kmeans_fits`), keeping only their dispersions. Peak memory
+    grows by about one such working set per process: for Ward the n x n
+    distance matrix, n**2 * 8 bytes (32 MB at 2,000 rows); for k-means the
+    pool, whose distances and whose copy of its replicates' data hold about
+    32K entries (256 KiB) each, or one replicate's when n is larger.
     ``_labels`` is private to :func:`select_k`: the labels of ``m`` per k
     that it has already computed, as ``_labels_for`` gives them for stream
     key 1.
@@ -493,11 +529,18 @@ def gap_statistic(
         x, ks, method, seed, n_init, max_iter, 1)
     log_w = [_log_dispersion(x, labels_data[k], k) for k in ks]
 
-    def fit_reference(bi: int) -> list[float]:
-        labels_ref = _labels_for(refs[bi], ks, method, seed, n_init, max_iter, 2, bi)
-        return [_log_dispersion(refs[bi], labels_ref[k], k) for k in ks]
+    def fit_references(indices: list[int]) -> Iterator[list[float]]:
+        if method == "kmeans":  # the whole list at each k in one pool
+            for curve in _kmeans_log_w(refs, indices, ks, seed, n_init, max_iter, 2).values():
+                if isinstance(curve, Exception):
+                    raise curve
+                yield curve
+        else:  # one reference at a time, as each is reached
+            for bi in indices:
+                labels_ref = _labels_for(refs[bi], ks, method, seed, n_init, max_iter, 2, bi)
+                yield [_log_dispersion(refs[bi], labels_ref[k], k) for k in ks]
 
-    log_w_ref = np.array(_fit_all(fit_reference, b))
+    log_w_ref = np.array(_fit_all(fit_references, b))
 
     ref_mean = log_w_ref.mean(axis=0)
     gap = ref_mean - np.array(log_w)

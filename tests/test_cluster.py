@@ -6,6 +6,7 @@ arithmetic with the incremental implementation under test.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,9 +25,9 @@ from kst.cluster import (
     kmeans_fit,
 )
 from kst.cluster import _kmeans_arrays, _kmeanspp_init, _lloyd, _pairwise_sq, _scatter, _sq_dist
-from kst.cluster import _assign_at_each_k, _ward_merge_steps
+from kst.cluster import _assign_at_each_k, _canonical_ids, _kmeans_fits, _ward_merge_steps
 from kst.errors import KstError
-from kst.rng import substream
+from kst.rng import subseed, substream
 
 from conftest import make_table, two_blob_array
 
@@ -257,6 +258,18 @@ def test_kmeanspp_rejects_overflowing_distances():
         kmeans_fit(make_table([[0.0], [1e200], [2e200]]), 2)
 
 
+def test_overflow_is_a_kst_error_with_no_warning_before_it():
+    # values near 1e300 overflow the squared distances; the overflow checks
+    # run with numpy's overflow warning off, so the KstError comes alone
+    t = make_table(np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 3)) * 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KstError, match="^Ward distances overflow"):
+            agglomerative_ward(t)
+        with pytest.raises(KstError, match=r"^k-means\+\+ distances overflow"):
+            kmeans_fit(t, 2)
+
+
 def test_ward_matches_scipy_linkage():
     hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
     x = np.random.default_rng(23).normal(size=(200, 4))
@@ -476,7 +489,7 @@ def test_lloyd_empty_cluster_repair():
     # be repaired with the farthest point of a multi-member cluster
     x = np.array([[0.0], [1.0], [10.0]])
     centers = np.array([[0.0], [0.0]])
-    [(assign, _, inertia, _)] = _lloyd(x, centers[None], max_iter=50)
+    assign, _, inertia, _ = _lloyd([x], [(0, centers)], max_iter=50)[0]
     assert set(assign.tolist()) == {0, 1}
     assert inertia == pytest.approx(0.5)  # {0,1} + {10} is the optimum here
 
@@ -564,9 +577,9 @@ def test_batched_kmeans_equals_reference(kind, n, d, data):
     x = _ward_input(kind, n, d, seed)
     if data.draw(st.booleans(), label="column_major"):  # the layout the CLI builds
         x = np.asfortranarray(x)
-    block = data.draw(st.sampled_from([None, 1, 200]), label="block")  # 1: one replicate per batch
+    pool = data.draw(st.sampled_from([None, 1, 200]), label="pool")  # 1: one replicate per pass
     track = data.draw(st.booleans(), label="history")
-    with mock.patch.object(kst.cluster, "_BLOCK_ELEMENTS", block or kst.cluster._BLOCK_ELEMENTS):
+    with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", pool or kst.cluster._POOL_ELEMENTS):
         assign, centers, inertia, history = _kmeans_arrays(x, k, seed, n_init, max_iter,
                                                            history=track)
     # numpy adds a column-major table's columns left to right, as _sq_dist
@@ -580,16 +593,104 @@ def test_batched_kmeans_equals_reference(kind, n, d, data):
 
 @pytest.mark.parametrize("track", [True, False])
 def test_batched_kmeans_split_across_batches_equals_reference(track):
-    # 60 entries per block at n = 10, k = 2: batches of 3, 3 and 1 replicates
+    # 90 entries per pool at n = 10, d = 3: a pool of 3 for 7 replicates,
+    # topped up as they finish, so it stays full until the queue runs out
     x = _ward_input("normal", 10, 3, 5)
-    with mock.patch.object(kst.cluster, "_BLOCK_ELEMENTS", 60):
-        with mock.patch.object(kst.cluster, "_lloyd", wraps=kst.cluster._lloyd) as lloyd:
+    pool_sizes = []
+    sq_dist = kst.cluster._sq_dist
+
+    def spy(a, b):
+        if a.ndim == 4:  # Lloyd's (1, replicates, n, d) data
+            pool_sizes.append(a.shape[1])
+        return sq_dist(a, b)
+
+    with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", 90):
+        with mock.patch.object(kst.cluster, "_sq_dist", spy):
             got = _kmeans_arrays(x, 2, 9, 7, 300, history=track)
-    assert [len(call.args[1]) for call in lloyd.call_args_list] == [3, 3, 1]
+    # every replicate's passes: its center updates, then the pass that repeats
+    passes = sum(len(_reference_lloyd(np.asfortranarray(x), init, 300)[3]) + 1
+                 for init in (_reference_kmeanspp_init(x, 2, substream(9, r)) for r in range(7)))
+    assert pool_sizes[0] == 3 and pool_sizes == sorted(pool_sizes, reverse=True)
+    assert sum(pool_sizes) == passes
     want = reference_kmeans(np.asfortranarray(x), 2, 9, 7, 300)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[2] == want[2]
     assert got[3] == (want[3] if track else [])
+
+
+POOL_INPUTS = ("normal", "duplicates", "ties", "corners")
+
+
+def _pool_input(kind: str, n: int, d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "duplicates":  # at most three distinct rows
+        base = rng.normal(size=(int(rng.integers(1, 4)), d))
+        return base[rng.integers(0, len(base), size=n)]
+    if kind == "ties":  # a three-level grid, as tests/golden/ties.csv
+        return rng.choice([0.1, 0.2, 0.3], size=(n, d))
+    if kind == "corners":  # exact arithmetic: mirrored partitions tie on inertia
+        return rng.integers(0, 2, size=(n, d)).astype(float)
+    return rng.normal(size=(n, d)) * float(rng.uniform(0.5, 20))
+
+
+@given(st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_pooled_kmeans_fits_equal_fits_alone(n, d, data):
+    # A process fits its stride of gap references at each k in one pool of
+    # replicates, topped up as they finish. Each reference's fit must be
+    # bit-identical to its fit alone, whatever the pool size and however the
+    # references are split over 1, 2 or 3 processes; and kmeans_fit, the
+    # same loop on one data set, must equal the one-replicate reference.
+    # k near n forces empty-cluster repairs; max_iter 1-3 stops replicates
+    # at the cap.
+    k = data.draw(st.one_of(st.integers(1, min(n, 8)), st.sampled_from([n - 1, n])), label="k")
+    kinds = data.draw(st.lists(st.sampled_from(POOL_INPUTS), min_size=1, max_size=5),
+                      label="references")
+    n_init = data.draw(st.integers(min_value=1, max_value=3), label="n_init")
+    max_iter = data.draw(st.sampled_from([1, 2, 3, 300]), label="max_iter")
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed")
+    pool = data.draw(st.sampled_from([1, k * n, 3 * k * n, None]), label="pool")
+    refs = [_pool_input(kind, n, d, seed + i) for i, kind in enumerate(kinds)]
+    seeds = {i: subseed(seed, 2, i, k) for i in range(len(refs))}
+    alone = {i: _kmeans_arrays(x, k, seeds[i], n_init, max_iter, history=False)
+             for i, x in enumerate(refs)}
+    with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", pool or kst.cluster._POOL_ELEMENTS):
+        for processes in (1, 2, 3):
+            for start in range(processes):
+                stride = {i: seeds[i] for i in range(start, len(refs), processes)}
+                pooled = _kmeans_fits(refs, stride, k, n_init, max_iter)
+                assert list(pooled) == list(stride)
+                for i, (assign, centers, inertia, history) in pooled.items():
+                    assert np.array_equal(assign, alone[i][0])
+                    assert np.array_equal(centers, alone[i][1])
+                    assert (inertia, history) == (alone[i][2], [])
+        if d == 1:  # the reference's per-cluster mean adds pairwise there
+            return
+        for i, x in enumerate(refs):
+            t = make_table(x)
+            model = kmeans_fit(t, k, seed=seeds[i], n_init=n_init, max_iter=max_iter)
+            want = reference_kmeans(np.asfortranarray(x), k, seeds[i], n_init, max_iter)
+            assignments, order = _canonical_ids(t.rows, want[0].tolist(), k)
+            assert model.assignments == assignments
+            assert np.array_equal(model.centroids, want[1][order])
+            assert model.inertia == want[2]
+            assert model.inertia_history == tuple(want[3])
+
+
+def test_kmeans_inertia_ties_keep_the_earliest_replicate():
+    # the corners of a square split two ways at one inertia, so replicates
+    # tie with different partitions; the earliest of them is kept, whether
+    # the replicates finish in queue order (a pool of one) or not
+    x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    for seed in range(5):
+        want = reference_kmeans(np.asfortranarray(x), 2, seed, 10, 300)
+        for pool in (1, 24, None):
+            with mock.patch.object(kst.cluster, "_POOL_ELEMENTS",
+                                   pool or kst.cluster._POOL_ELEMENTS):
+                fits = _kmeans_fits([x, x], {0: seed, 1: seed}, 2, 10, 300, history=True)
+            for assign, centers, inertia, history in fits.values():
+                assert np.array_equal(assign, want[0]) and np.array_equal(centers, want[1])
+                assert (inertia, history) == (want[2], want[3])
 
 
 def test_kmeanspp_weights_equal_reference():
@@ -670,7 +771,7 @@ def test_lloyd_distance_order_ignores_layout():
     assert want[0].tolist() == [0, 1]
     assert _reference_lloyd(np.ascontiguousarray(x), centers, max_iter=10)[0].tolist() == [1, 0]
     for layout in (np.ascontiguousarray, np.asfortranarray):
-        [(assign, c, inertia, history)] = _lloyd(layout(x), centers[None], max_iter=10)
+        assign, c, inertia, history = _lloyd([layout(x)], [(0, centers)], max_iter=10)[0]
         assert np.array_equal(assign, want[0]) and np.array_equal(c, want[1])
         assert (inertia, history) == (want[2], want[3])
 

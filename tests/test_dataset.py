@@ -302,6 +302,14 @@ def test_metric_absent_from_one_trial_is_an_inconsistent_metric_set():
         ingest_summary(samples)
 
 
+def test_ingest_summary_of_an_empty_batch_is_a_kst_error():
+    # a CSV holding only its header parses to an empty batch
+    samples = parse_samples(csv_bytes(CPU_HEADER, []))
+    assert len(samples) == 0
+    with pytest.raises(KstError, match="^no samples to summarize$"):
+        ingest_summary(samples)
+
+
 @pytest.mark.parametrize("field", ["problem_size_bytes", "trial"])
 @pytest.mark.parametrize("value", [1024.7, True, False, None, [1], "x"])
 def test_parse_json_rejects_non_integral_identity(field, value):

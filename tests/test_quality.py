@@ -430,20 +430,49 @@ def test_select_k_runs_ward_once_on_the_data(two_blob_table, monkeypatch, tmp_pa
 def test_select_k_fits_kmeans_once_per_k_on_the_data(two_blob_table, monkeypatch, tmp_path):
     t, _ = two_blob_table
     log = tmp_path / "calls"
-    fit = kst.cluster._kmeans_arrays
+    fit = kst.cluster._kmeans_fits
 
-    def counted(x, k, *args, **kwargs):
+    def counted(xs, seeds, k, *args, **kwargs):
         with open(log, "a") as fh:
-            fh.write(f"{k}\n")
-        return fit(x, k, *args, **kwargs)
+            fh.writelines(f"{k}\n" for _ in seeds)  # one line per data set fitted
+        return fit(xs, seeds, k, *args, **kwargs)
 
-    monkeypatch.setattr(kst.cluster, "_kmeans_arrays", counted)
-    monkeypatch.setattr(kst.quality, "_kmeans_arrays", counted)
+    monkeypatch.setattr(kst.cluster, "_kmeans_fits", counted)
+    monkeypatch.setattr(kst.quality, "_kmeans_fits", counted)
     select_k(t, "kmeans", k_range=range(1, 9), seed=5, gap_b=50, n_init=1)
     calls = _calls(log)
     # k = 1..8 on the data, shared by the criteria and the gap statistic,
     # then k = 1..8 on each of the 50 references
     assert len(calls) == 8 + 50 * 8
+    assert sorted(calls) == sorted(str(k) for k in range(1, 9) for _ in range(51))
+
+
+def test_kmeans_log_w_fails_as_one_loop_over_each_reference(monkeypatch):
+    # one loop over a reference fits it at every k, then takes each
+    # dispersion: a failed fit, at any k, comes before a failed dispersion,
+    # and ends that reference's fits
+    xs = [np.random.default_rng(i).normal(size=(12, 2)) for i in range(3)]
+    fits, dispersion = kst.quality._kmeans_fits, kst.quality._log_dispersion
+    fitted = {}
+
+    def failing_fits(data, seeds, k, *args):
+        fitted[k] = sorted(seeds)
+        out = fits(data, seeds, k, *args)
+        if k == 3:
+            out[1] = KstError("fit of 1 at k=3")
+        return out
+
+    def failing_dispersion(x, labels, k):
+        if (x is xs[1] and k == 2) or (x is xs[2] and k >= 2):
+            raise KstError(f"dispersion at k={k}")
+        return dispersion(x, labels, k)
+
+    monkeypatch.setattr(kst.quality, "_kmeans_fits", failing_fits)
+    monkeypatch.setattr(kst.quality, "_log_dispersion", failing_dispersion)
+    got = kst.quality._kmeans_log_w(xs, [0, 1, 2], [1, 2, 3, 4], 3, 2, 300, 2)
+    assert len(got[0]) == 4
+    assert [str(got[i]) for i in (1, 2)] == ["fit of 1 at k=3", "dispersion at k=2"]
+    assert fitted == {1: [0, 1, 2], 2: [0, 1, 2], 3: [0, 1, 2], 4: [0, 2]}
 
 
 def test_select_k_scores_the_gap_statistics_data_labels(two_blob_table, monkeypatch):
@@ -667,15 +696,21 @@ def _cpus(monkeypatch, count):
 
 
 def _reference_fits(monkeypatch, before):
-    """Run ``before(index)`` ahead of each gap reference's clustering."""
-    labels_for = kst.quality._labels_for
+    """Run ``before(index)`` ahead of each gap reference's result, in the
+    process that fits it: each process's fit yields its references' results
+    one at a time, in index order."""
+    fit_all = kst.quality._fit_all
 
-    def patched(x, ks, method, seed, n_init, max_iter, *key):
-        if key[0] == 2:  # the references' stream key is (2, index)
-            before(key[1])
-        return labels_for(x, ks, method, seed, n_init, max_iter, *key)
+    def patched(fit, count):
+        def injected(indices):
+            results = fit(indices)
+            for index in indices:
+                before(index)
+                yield next(results)
 
-    monkeypatch.setattr(kst.quality, "_labels_for", patched)
+        return fit_all(injected, count)
+
+    monkeypatch.setattr(kst.quality, "_fit_all", patched)
 
 
 @pytest.mark.parametrize("method", CLUSTER_METHODS)
