@@ -247,27 +247,22 @@ def test_ward_equals_full_matrix_search_at_400_rows(x):
 
 
 def test_ward_rejects_overflowing_distances():
-    with np.errstate(over="ignore"), pytest.raises(KstError, match="overflow"):
-        agglomerative_ward(make_table([[0.0], [1e200], [2e200]]))
+    # the overflow check runs with numpy's overflow warning off, so the
+    # KstError comes with no RuntimeWarning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KstError, match="^Ward distances overflow"):
+            agglomerative_ward(make_table([[0.0], [1e200], [2e200]]))
 
 
 def test_kmeanspp_rejects_overflowing_distances():
     # the inverse-CDF draw makes none of rng.choice's checks on the weights,
-    # so the seeder rejects an overflowed total itself
-    with np.errstate(over="ignore"), pytest.raises(KstError, match="overflow"):
-        kmeans_fit(make_table([[0.0], [1e200], [2e200]]), 2)
-
-
-def test_overflow_is_a_kst_error_with_no_warning_before_it():
-    # values near 1e300 overflow the squared distances; the overflow checks
-    # run with numpy's overflow warning off, so the KstError comes alone
-    t = make_table(np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 3)) * 1e300)
+    # so the seeder rejects an overflowed total itself, with numpy's
+    # overflow warning off, as for Ward
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(KstError, match="^Ward distances overflow"):
-            agglomerative_ward(t)
         with pytest.raises(KstError, match=r"^k-means\+\+ distances overflow"):
-            kmeans_fit(t, 2)
+            kmeans_fit(make_table([[0.0], [1e200], [2e200]]), 2)
 
 
 def test_ward_matches_scipy_linkage():
