@@ -593,12 +593,13 @@ def _lloyd(
             else:
                 enter(i, start)
         if vacant:  # the queue has run out: the pool shrinks
-            keep = np.setdiff1d(np.arange(a), vacant)
-            if not len(keep):
+            keep = np.ones(a, dtype=bool)
+            keep[vacant] = False
+            if not keep.any():
                 break
             block, centers, prev = block[:, keep], centers[keep], prev[keep]
             fresh, passes = fresh[keep], passes[keep]
-            slots = [slots[i] for i in keep.tolist()]
+            slots = list(itertools.compress(slots, keep.tolist()))
     return {g: (labels, c, value, trace) for g, (value, _, labels, c, trace) in best.items()}
 
 

@@ -403,13 +403,14 @@ def _fit_all(fit: Callable[[list[int]], Iterator], count: int) -> list:
     function: ``fit(indices)`` yields the result of each index in order, so
     a process can share work across its whole list.
 
-    The caller sees what a loop over the indices in one process gives,
-    whatever w is: the results in index order, the error of the lowest
-    failing index, and the warnings of each step replayed into this
-    process's warnings machinery in index order (work that a step does for
-    later indices too warns as its own index). ``fit`` must not depend on
-    which process runs it. Every child is waited for before this returns or
-    raises; a child that ends without a result is a RuntimeError.
+    The caller sees the results in index order and the error of the lowest
+    failing index, whatever w is. The warnings of each step are replayed
+    into this process's warnings machinery in index order. A step that also
+    does work for later indices records that work's warnings as its own, so
+    when ``fit`` shares work across its list, which warnings come first can
+    depend on w. ``fit`` must not depend on which process runs it. Every
+    child is waited for before this returns or raises; a child that ends
+    without a result is a RuntimeError.
 
     A child of a process with threads holds only the thread that forked it,
     and would hang on a lock that another thread held at the fork; this call
@@ -491,11 +492,13 @@ def gap_statistic(
     this process (see :func:`_fit_all`). The curve does not depend on the
     count. Each process fits its stride of references one at a time for
     Ward, and at each k in one pool of k-means replicates for k-means
-    (:func:`_kmeans_fits`), keeping only their dispersions. Peak memory
-    grows by about one such working set per process: for Ward the n x n
-    distance matrix, n**2 * 8 bytes (32 MB at 2,000 rows); for k-means the
-    pool, whose distances and whose copy of its replicates' data hold about
-    32K entries (256 KiB) each, or one replicate's when n is larger.
+    (:func:`_kmeans_fits`), keeping only their dispersions. So with k-means
+    the warnings of a process's whole stride reach the caller at its first
+    reference, and their order can depend on the count. Peak memory grows by
+    about one such working set per process: for Ward the n x n distance
+    matrix, n**2 * 8 bytes (32 MB at 2,000 rows); for k-means the pool,
+    whose distances and whose copy of its replicates' data hold about 32K
+    entries (256 KiB) each, or one replicate's when n is larger.
     ``_labels`` is private to :func:`select_k`: the labels of ``m`` per k
     that it has already computed, as ``_labels_for`` gives them for stream
     key 1.

@@ -796,6 +796,28 @@ def test_gap_reference_warnings_repeat_as_in_one_loop(two_blob_table, monkeypatc
     assert [str(w.message) for w in caught] == ["every reference"]
 
 
+def test_gap_kmeans_fit_warnings_all_reach_the_caller(two_blob_table, monkeypatch):
+    # with k-means a process fits its whole stride in one pool, so the
+    # warnings raised inside those fits come at its first reference: all
+    # of them reach the caller, at any process count, in no fixed order
+    seed_centers = kst.cluster._kmeanspp_init
+
+    def warning_seeds(x, k, rngs):
+        warnings.warn(f"seeding k={k} on the data set starting {x[0, 0]!r}", UserWarning)
+        return seed_centers(x, k, rngs)
+
+    monkeypatch.setattr(kst.cluster, "_kmeanspp_init", warning_seeds)
+    runs = []
+    for processes in (1, 2):
+        _cpus(monkeypatch, processes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            curve = gap_statistic(two_blob_table[0], "kmeans", 3, 5, 3, n_init=1)
+        runs.append((curve, sorted(str(w.message) for w in caught)))
+    assert runs[0] == runs[1]
+    assert len(set(runs[0][1])) == 3 * (1 + 5)  # k = 1..3 on the data and each reference
+
+
 def _no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
