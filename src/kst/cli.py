@@ -25,6 +25,7 @@ files written before it.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -135,7 +136,7 @@ def _add_common(p: argparse.ArgumentParser, *, dataset: bool = True) -> None:
                        help="GPU problem size when merging platforms (default: --size)")
         p.add_argument("--log", default="auto", choices=("auto", "none", "explicit"),
                        dest="log_policy", help="natural-log policy before standardization")
-        p.add_argument("--log-metrics", type=_comma_list, default=[], metavar="M1,M2",
+        p.add_argument("--log-metrics", type=_comma_list, default=(), metavar="M1,M2",
                        help="metrics to log under --log explicit")
         p.add_argument("--log-ratio", type=float, default=100.0, metavar="R",
                        help="max/min ratio that triggers the log under --log auto")
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="agglomerative", choices=("agglomerative", "kmeans"))
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--criteria", type=_criteria, default=list(DEFAULT_CRITERIA), metavar="C1,C2",
+    p.add_argument("--criteria", type=_criteria, default=DEFAULT_CRITERIA, metavar="C1,C2",
                    help=f"subset of {','.join(ALL_CRITERIA)}")
     p.add_argument("--gap-b", type=int, default=50, metavar="B",
                    help="gap-statistic reference datasets (default: 50)")
@@ -413,9 +414,16 @@ def _error_json(exc: BaseException) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves a parser as it was, as argparse
+    # copies an ``append`` default before appending and no other default is
+    # mutable
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "seed"):
             args.seed = _resolve_seed(args.seed)

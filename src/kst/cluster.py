@@ -32,8 +32,14 @@ pool of replicates that is topped up from a queue as replicates finish. The
 queue holds the ``n_init`` replicates of one data set for :func:`kmeans_fit`,
 and those of many data sets for the gap statistic's references. Each
 replicate draws its k-means++ seeds from its own random sub-stream and stops
-on its own. Lloyd's distances are centre-major (k, replicates, n) arrays, so
-the work runs along contiguous rows, and the inertia is computed once per
+on its own. Lloyd's assignment step (:func:`_assign_step`) is certified: one
+batched matrix product gives |c|^2 - 2 x.c for every centre, replicate and
+row, centre-major, and a row takes its lowest centre from it only where that
+centre leads the others by more than a rounding bound (in the manner of
+Elkan 2003, "Using the triangle inequality to accelerate k-means", ICML),
+which makes it the one nearest centre under the exact distances. Ties,
+near-ties and repairs go through the exact distances, so BLAS only rules
+centres out and never sets an output bit. The inertia is computed once per
 replicate as it finishes; the per-pass inertia history is built only for
 :func:`kmeans_fit`, which reports it.
 
@@ -61,7 +67,7 @@ from .rng import DEFAULT_SEED, substream
 
 
 _BLOCK_ELEMENTS = 1 << 18  # float64 entries per block of distance work: 2 MiB
-_POOL_ELEMENTS = 1 << 15  # float64 entries of a Lloyd pool's distances or data: 256 KiB
+_POOL_ELEMENTS = 3 << 15  # float64 entries of a Lloyd pool's products or data: 768 KiB
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -477,37 +483,123 @@ def _repair_empty(
     return len(empty) > 0
 
 
-def _assign_step(
-    rows: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd's assignment step for a pool of replicates, each on its own data:
-    ``rows`` (a, n, d) and ``centers`` (a, k, d). Returns each row's cluster
-    (a, n), the cluster sizes (a, k), and which replicates had an empty
-    cluster repaired (:func:`_repair_empty`, which moves a center in place).
+def _leading(farther: np.ndarray) -> np.ndarray:
+    """Per entry of the centre-major mask ``farther`` (k, ...): how many
+    leading centres are all marked, counted over the first k - 1, in the
+    smallest unsigned type that holds k. With ``farther = d2 > d2.min(axis=0)``
+    that is the lowest centre id at the smallest distance, as ``argmin`` over
+    the k slabs gives it (the data are finite, so no distance is NaN), and it
+    takes no masked write."""
+    run = farther[0].copy()
+    count = run.astype(np.min_scalar_type(len(farther)))
+    for c in range(1, len(farther) - 1):
+        run &= farther[c]
+        count += run.view(np.uint8)
+    return count
 
-    Distances are centre-major, (k, a, n), so each centre's distances for
-    the whole pool lie in one contiguous slab. Each row takes the lowest
-    cluster id among the centres at its smallest distance, as ``argmin``
-    over the k slabs would (the data are finite, so no distance is NaN): it
-    counts the leading centres that are all farther than that distance,
-    which takes no masked write.
+
+_TAU = 64 * 2.0 ** -53  # 2 tau = _TAU (d + 3) (X^2 + 2^-902): see _assign_step
+
+
+def _reach(x: np.ndarray) -> float:
+    """The squared norm X^2 that no centre of a replicate on ``x`` (n, d)
+    may pass for :func:`_assign_step` to decide its rows from the product:
+    the largest squared row norm, with room for rounding (a mean of rows is
+    no longer than the longest). inf when a square passes 2^998, where a
+    distance could overflow: every row is then decided exactly."""
+    reach = float(np.einsum("ij,ij->i", x, x).max()) * (1 + 2.0 ** -20)
+    return reach if reach <= 2.0 ** 998 else np.inf
+
+
+def _assign_step(
+    block: np.ndarray, reach: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd's assignment step for a pool of replicates, each on its own data.
+
+    ``block`` (d + 1, a, n) holds column j of replicate i's rows in
+    ``block[j, i]`` and ones in ``block[d]``; ``reach`` (a,) is the
+    :func:`_reach` of each replicate's data, and ``centers`` (a, k, d) are the
+    centres. Returns each row's cluster (a, n), in the type of
+    :func:`_leading`; the same plus k i for replicate i, the bins of the
+    pool's clusters; the cluster sizes (a, k); and which replicates had an
+    empty cluster repaired (:func:`_repair_empty`, which moves a centre in
+    place).
+
+    A row's cluster is the lowest id among the centres at its smallest
+    :func:`_sq_dist` distance, the exact rule (:func:`_leading`). Most rows
+    are decided without those distances, from one batched product ``S =
+    |c|^2 - 2 x.c`` for every (centre, replicate, row): the centres enter as
+    rows ``(-2c, |c|^2)`` against the data with its row of ones, centre-major,
+    (k, a, n). A row takes the centre of lowest S only when every other
+    centre's S is higher by more than 2 tau, tau = 8 (d + 3) u (4 X^2 +
+    2^-900) with u = 2^-53 and X^2 the reach. Every other row (ties,
+    near-ties, duplicates, anything non-finite) is recomputed through
+    :func:`_sq_dist` and the exact rule, and so is every row of a replicate
+    with a centre beyond the reach (never in Lloyd's loop, where each centre
+    is a row or a mean of rows). k = 1 needs neither: every row is 0. A
+    replicate with an empty cluster has its distances recomputed through
+    :func:`_sq_dist` for the repair. So every output is bit-identical to the
+    exact step: the product, computed by BLAS in any order, only decides
+    which rows are certain, and never sets an output bit.
+
+    Why a certain row is right. Let M be the largest centre norm, s = (|x| +
+    M)^2 <= 4 X^2, D_j the exact distance from x to centre c_j and Dh_j what
+    :func:`_sq_dist` computes. It rounds each difference and square once and
+    adds d terms left to right, so ``|Dh_j - D_j| <= g(d + 2) D_j`` with g(m)
+    = m u / (1 - m u) (Higham 2002, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.1), and D_j <= s. The product Sh_j is an inner
+    product of length d + 1: -2c is exact, and |c_j|^2 is a sum of d squares
+    within g(d) |c_j|^2, so in any summation order, with or without fused
+    multiply-adds, ``|Sh_j - (|c_j|^2 - 2 x.c_j)| <= g(d + 1) (2 |c_j| |x| +
+    (1 + g(d)) |c_j|^2) + g(d) |c_j|^2``. As D_j = |x|^2 - 2 x.c_j + |c_j|^2
+    exactly, E_j = Dh_j - (Sh_j + |x|^2) obeys ``|E_j| <= 3 g(d + 2) (1 +
+    g(d)) s < 4 (d + 3) u s`` for any d < 10^13. If every j other than the
+    row's lowest j* has Sh_j above the computed Sh_j* + 2 tau, then ``Dh_j -
+    Dh_j* = Sh_j - Sh_j* + E_j - E_j* > 2 tau - 8 (d + 3) u s - r``, where r,
+    the rounding of the sum Sh_j* + 2 tau and of X^2 and tau, is a few u (s +
+    tau). As 2 tau >= 16 (d + 3) u s, that is positive: j* is the unique
+    minimiser of the distances :func:`_sq_dist` computes, and the tie rule
+    has nothing to decide. Each operation that underflows adds an absolute
+    error of at most 2^-1075, which the 2^-900 in tau covers many times over;
+    squares below 2^998 keep every intermediate finite. A NaN anywhere fails
+    the strict comparison, and the row is recomputed.
     """
-    a, k = centers.shape[:2]
-    d2 = _sq_dist(rows[None], centers.transpose(1, 0, 2)[:, :, None, :])
-    nearest = d2.min(axis=0)
-    farther = d2[0] > nearest  # per row: every centre so far is farther
-    assign = farther.astype(np.intp)
-    for c in range(1, k - 1):
-        farther &= d2[c] > nearest
-        assign += farther
-    counts = np.bincount((assign + k * np.arange(a)[:, None]).ravel(),
-                         minlength=a * k).reshape(a, k)
+    a, k, d = centers.shape
+    n = block.shape[2]
+    offsets = k * np.arange(a)[:, None]
+    if k == 1:
+        assign = np.zeros((a, n), dtype=np.uint8)
+        return assign, assign + offsets, np.full((a, 1), n), np.zeros(a, dtype=bool)
+    lhs = np.empty((a, k, d + 1))
+    np.multiply(centers, -2.0, out=lhs[:, :, :d])
+    sq = np.einsum("akj,akj->ak", centers, centers, out=lhs[:, :, d])
+    s = np.empty((k, a, n))
+    np.matmul(lhs, block.transpose(1, 0, 2), out=s.transpose(1, 0, 2))
+    margin = (reach + 2.0 ** -902) * (_TAU * (d + 3))
+    margin[~(sq.max(axis=1) <= reach)] = np.nan  # a centre beyond the reach: no row is certain
+    bound = s.min(axis=0)
+    bound += margin[:, None]
+    farther = s > bound  # (k, a, n): the centres ruled out for each row
+    del s  # the products' memory is free before the labels are counted
+    assign = _leading(farther)
+    ruled_out = np.add.reduce(farther, axis=0, dtype=assign.dtype)
+    if ruled_out.min() < k - 1:
+        unsure = np.flatnonzero(ruled_out != k - 1)
+        i, r = np.divmod(unsure, n)
+        d2 = _sq_dist(block[:d, i, r].T, centers[i].transpose(1, 0, 2))
+        assign.flat[unsure] = _leading(d2 > d2.min(axis=0))
+    bins = assign + offsets
+    counts = np.bincount(bins.ravel(), minlength=a * k).reshape(a, k)
     repaired = np.zeros(a, dtype=bool)
     for i in np.flatnonzero((counts == 0).any(axis=1)):
-        repaired[i] = _repair_empty(rows[i], d2[:, i].T, assign[i], counts[i], centers[i])
-    return assign, counts, repaired
+        rows = block[:d, i].T
+        d2 = _sq_dist(rows, centers[i][:, None, :])
+        repaired[i] = _repair_empty(rows, d2.T, assign[i], counts[i], centers[i])
+        bins[i] = assign[i] + offsets[i]
+    return assign, bins, counts, repaired
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in an inf inertia: a KstError
 def _lloyd(
     xs: Sequence[np.ndarray], starts: Iterable[tuple[int, np.ndarray]], max_iter: int,
     *, history: bool = True,
@@ -518,7 +610,7 @@ def _lloyd(
     ``starts`` yields the queue: (g, centers), a replicate of data set
     ``xs[g]`` started from k x d ``centers``. Every data set has one shape,
     (n, d). The pool holds as many replicates as keep both its (k,
-    replicates, n) distances and its (d, replicates, n) data within
+    replicates, n) products and its (d + 1, replicates, n) data within
     ``_POOL_ELEMENTS`` entries. It takes them from the queue in order, and
     the next ones take the slots of those that finish, so every pass carries
     a full pool until the queue runs out. A start is read only when a slot
@@ -526,11 +618,11 @@ def _lloyd(
 
     Each pass moves every replicate in the pool one step: an assignment
     step (:func:`_assign_step`), then centroid sums that add each
-    replicate's rows in order. The slots' data lie in one (d, replicates, n)
-    block, copied into a slot only when it changes data set, so every column
-    difference of the distances runs along contiguous rows. A replicate
-    stops once its assignment repeats with no repair, or after ``max_iter``
-    passes, so each ends exactly where it would alone.
+    replicate's rows in order. The slots' data lie in one (d + 1, replicates,
+    n) block, its last row ones, copied into a slot only when it changes data
+    set, so the product reads each slot's columns as contiguous rows. A
+    replicate stops once its assignment repeats with no repair, or after
+    ``max_iter`` passes, so each ends exactly where it would alone.
 
     ``inertia`` is a final partition's scatter (:func:`_scatter`). Of the
     replicates of one data set the lowest inertia wins, a tie going to the
@@ -543,18 +635,23 @@ def _lloyd(
     if not entered:
         return {}
     (n, d), k = xs[0].shape, len(entered[0][1][1])
-    entered += itertools.islice(queue, max(1, _POOL_ELEMENTS // (max(k, d) * n)) - 1)
-    block = np.empty((d, len(entered), n))  # column j of slot i's data set: block[j, i]
+    entered += itertools.islice(queue, max(1, _POOL_ELEMENTS // (max(k, d + 1) * n)) - 1)
+    block = np.ones((d + 1, len(entered), n))  # column j of slot i's data set: block[j, i]
+    reach = np.empty(len(entered))  # per slot: the _reach of its data set
     centers = np.empty((len(entered), k, d))
-    prev = np.empty((len(entered), n), dtype=np.intp)  # per slot: its last assignment
+    prev = np.empty((len(entered), n), dtype=np.min_scalar_type(k))  # per slot: its last assignment
     fresh = np.ones(len(entered), dtype=bool)  # per slot: no pass run yet
     passes = np.zeros(len(entered), dtype=int)
     slots: list = [None] * len(entered)  # per slot: (data set, queue position, history)
+    reaches: dict[int, float] = {}  # per data set entered: its _reach
 
     def enter(i: int, start: tuple[int, tuple[int, np.ndarray]]) -> None:
         position, (g, init) = start
         if slots[i] is None or slots[i][0] != g:
-            block[:, i] = xs[g].T
+            block[:d, i] = xs[g].T
+            if g not in reaches:
+                reaches[g] = _reach(xs[g])
+            reach[i] = reaches[g]
         centers[i] = init
         fresh[i], passes[i], slots[i] = True, 0, (g, position, [])
 
@@ -563,10 +660,10 @@ def _lloyd(
     best: dict = {}
     while True:
         a = len(slots)
-        rows = block.transpose(1, 2, 0)  # (a, n, d)
-        assign, counts, repaired = _assign_step(rows, centers)
+        rows = block[:d].transpose(1, 2, 0)  # (a, n, d)
+        assign, bins, counts, repaired = _assign_step(block, reach, centers)
         moved = fresh | repaired | (assign != prev).any(axis=1)
-        bins = (assign + k * np.arange(a)[:, None]).ravel()
+        bins = bins.ravel()
         new = np.empty((a, k, d))
         for j in range(d):
             new[:, :, j] = np.bincount(bins, block[j].ravel(), minlength=a * k).reshape(a, k)
@@ -584,7 +681,7 @@ def _lloyd(
         for i, value in zip(done, _scatter(rows[done], centers[done], assign[done]).tolist()):
             g, position, trace = slots[i]
             if g not in best or (value, position) < best[g][:2]:
-                best[g] = (value, position, assign[i].copy(), centers[i].copy(), trace)
+                best[g] = (value, position, assign[i].astype(np.intp), centers[i].copy(), trace)
         vacant = []
         for i in done:
             start = next(queue, None)
@@ -597,7 +694,7 @@ def _lloyd(
             keep[vacant] = False
             if not keep.any():
                 break
-            block, centers, prev = block[:, keep], centers[keep], prev[keep]
+            block, reach, centers, prev = block[:, keep], reach[keep], centers[keep], prev[keep]
             fresh, passes = fresh[keep], passes[keep]
             slots = list(itertools.compress(slots, keep.tolist()))
     return {g: (labels, c, value, trace) for g, (value, _, labels, c, trace) in best.items()}
@@ -614,7 +711,8 @@ def _kmeans_fits(
     Every replicate runs through one pool of :func:`_lloyd`, data set by
     data set and replicate by replicate; the replicates of a data set are
     seeded together as the first of them enters the pool. A data set whose
-    seeding fails maps to its error, and the others are fitted all the same.
+    seeding fails maps to its error, and one whose best inertia overflows to
+    a KstError; the others are fitted all the same.
     Distances add their columns left to right on every memory layout, so
     the result depends only on the values of each data set. For d >= 2
     every replicate's result is bit-identical to a one-replicate Lloyd loop
@@ -638,6 +736,9 @@ def _kmeans_fits(
                 yield g, centers
 
     fits = _lloyd(xs, starts(), max_iter, history=history)
+    for g, fit in fits.items():
+        if not math.isfinite(fit[2]):  # at k = 1 no k-means++ draw checks the scale
+            errors[g] = KstError("k-means distances overflow float64; rescale the data")
     return {g: errors[g] if g in errors else fits[g] for g in seeds}
 
 

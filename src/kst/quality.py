@@ -497,8 +497,8 @@ def gap_statistic(
     reference, and their order can depend on the count. Peak memory grows by
     about one such working set per process: for Ward the n x n distance
     matrix, n**2 * 8 bytes (32 MB at 2,000 rows); for k-means the pool,
-    whose distances and whose copy of its replicates' data hold about 32K
-    entries (256 KiB) each, or one replicate's when n is larger.
+    whose products and whose copy of its replicates' data hold about 96K
+    entries (768 KiB) each, or one replicate's when n is larger.
     ``_labels`` is private to :func:`select_k`: the labels of ``m`` per k
     that it has already computed, as ``_labels_for`` gives them for stream
     key 1.

@@ -66,6 +66,35 @@ def test_parser_defaults():
     assert (args.k_min, args.k_max, args.gap_b) == (1, 8, 50)
 
 
+def test_main_parses_with_one_parser_per_process(monkeypatch, capsys):
+    # main builds its parser once; parsing again must start from the same
+    # defaults, sharing no mutable value with the namespace before it
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(["--version"])
+        parser = cli._parser()
+        assert len(built) == 1
+        first = parser.parse_args(["stability", "--input", "a.csv", "--annotate", "l2=64"])
+        second = parser.parse_args(["stability", "--input", "b.csv"])
+        assert (first.input, first.annotate) == (["a.csv"], [("l2", 64.0)])
+        assert (second.input, second.annotate) == (["b.csv"], [])
+        first.annotate.append(("llc", 128.0))
+        first.input.append("c.csv")
+        third = parser.parse_args(["stability", "--input", "d.csv"])
+        assert (third.input, third.annotate) == (["d.csv"], [])
+        for argv in (["select-k", "--input", "x.csv"], ["cluster", "--input", "x.csv"]):
+            one, two = parser.parse_args(argv), parser.parse_args(argv)
+            assert vars(one) == vars(two)
+            for name, value in vars(one).items():
+                assert not isinstance(value, (list, dict, set)) or value is not getattr(two, name)
+    finally:
+        cli._parser.cache_clear()
+
+
 # ------------------------------------------------------------------- cluster
 
 def test_cluster_agglomerative_outputs(tmp_path, capsys, cpu_csv):

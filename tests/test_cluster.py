@@ -26,6 +26,7 @@ from kst.cluster import (
 )
 from kst.cluster import _kmeans_arrays, _kmeanspp_init, _lloyd, _pairwise_sq, _scatter, _sq_dist
 from kst.cluster import _assign_at_each_k, _canonical_ids, _kmeans_fits, _ward_merge_steps
+from kst.cluster import _assign_step, _reach, _repair_empty
 from kst.errors import KstError
 from kst.rng import subseed, substream
 
@@ -263,6 +264,16 @@ def test_kmeanspp_rejects_overflowing_distances():
         warnings.simplefilter("error")
         with pytest.raises(KstError, match=r"^k-means\+\+ distances overflow"):
             kmeans_fit(make_table([[0.0], [1e200], [2e200]]), 2)
+
+
+def test_kmeans_k_one_rejects_overflowing_distances():
+    # k = 1 draws no k-means++ seeds, so the seeder's check never runs: the
+    # inertia overflows instead, with numpy's warning off, and is rejected
+    t = make_table(np.random.default_rng(5).uniform(-1, 1, size=(12, 3)) * 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KstError, match=r"^k-means distances overflow float64; rescale the data$"):
+            kmeans_fit(t, 1)
 
 
 def test_ward_matches_scipy_linkage():
@@ -588,19 +599,19 @@ def test_batched_kmeans_equals_reference(kind, n, d, data):
 
 @pytest.mark.parametrize("track", [True, False])
 def test_batched_kmeans_split_across_batches_equals_reference(track):
-    # 90 entries per pool at n = 10, d = 3: a pool of 3 for 7 replicates,
-    # topped up as they finish, so it stays full until the queue runs out
+    # 120 entries per pool at n = 10, d = 3 (4 rows of data with the ones): a
+    # pool of 3 for 7 replicates, topped up as they finish, so it stays full
+    # until the queue runs out
     x = _ward_input("normal", 10, 3, 5)
     pool_sizes = []
-    sq_dist = kst.cluster._sq_dist
+    assign_step = kst.cluster._assign_step
 
-    def spy(a, b):
-        if a.ndim == 4:  # Lloyd's (1, replicates, n, d) data
-            pool_sizes.append(a.shape[1])
-        return sq_dist(a, b)
+    def spy(block, reach, centers):
+        pool_sizes.append(len(centers))
+        return assign_step(block, reach, centers)
 
-    with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", 90):
-        with mock.patch.object(kst.cluster, "_sq_dist", spy):
+    with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", 120):
+        with mock.patch.object(kst.cluster, "_assign_step", spy):
             got = _kmeans_arrays(x, 2, 9, 7, 300, history=track)
     # every replicate's passes: its center updates, then the pass that repeats
     passes = sum(len(_reference_lloyd(np.asfortranarray(x), init, 300)[3]) + 1
@@ -769,6 +780,140 @@ def test_lloyd_distance_order_ignores_layout():
         assign, c, inertia, history = _lloyd([layout(x)], [(0, centers)], max_iter=10)[0]
         assert np.array_equal(assign, want[0]) and np.array_equal(c, want[1])
         assert (inertia, history) == (want[2], want[3])
+
+
+# Lloyd's assignment step before the certified product, kept verbatim as the
+# exact reference: every distance through _sq_dist, each row's lowest id at
+# its smallest distance found by counting the leading centres farther away.
+
+def _exact_assign_step(rows: np.ndarray, centers: np.ndarray):
+    a, k = centers.shape[:2]
+    d2 = _sq_dist(rows[None], centers.transpose(1, 0, 2)[:, :, None, :])
+    nearest = d2.min(axis=0)
+    farther = d2[0] > nearest  # per row: every centre so far is farther
+    assign = farther.astype(np.intp)
+    for c in range(1, k - 1):
+        farther &= d2[c] > nearest
+        assign += farther
+    counts = np.bincount((assign + k * np.arange(a)[:, None]).ravel(),
+                         minlength=a * k).reshape(a, k)
+    repaired = np.zeros(a, dtype=bool)
+    for i in np.flatnonzero((counts == 0).any(axis=1)):
+        repaired[i] = _repair_empty(rows[i], d2[:, i].T, assign[i], counts[i], centers[i])
+    return assign, counts, repaired
+
+
+def _assert_step_is_exact(rows: np.ndarray, centers: np.ndarray) -> None:
+    # rows (a, n, d) enter as _lloyd holds them: a (d + 1, a, n) block with a
+    # row of ones last, and the _reach of each replicate's data
+    a, n, d = rows.shape
+    block = np.ones((d + 1, a, n))
+    block[:d] = rows.transpose(2, 0, 1)
+    got_centers, want_centers = centers.copy(), centers.copy()  # repairs move them
+    assign, bins, counts, repaired = _assign_step(block, np.array([_reach(r) for r in rows]),
+                                                  got_centers)
+    want = _exact_assign_step(rows, want_centers)
+    assert np.array_equal(assign, want[0])
+    assert np.array_equal(bins, want[0] + centers.shape[1] * np.arange(a)[:, None])
+    assert np.array_equal(counts, want[1]) and np.array_equal(repaired, want[2])
+    assert np.array_equal(got_centers, want_centers)
+
+
+STEP_INPUTS = ("ties", "duplicates", "corners", "midpoints", "normal", "far")
+
+
+def _step_input(kind: str, a: int, n: int, d: int, k: int, seed: int):
+    # rows (a, n, d) and centres (a, k, d) at unit scale. Centres are rows
+    # (as k-means++ draws them), means of rows (as Lloyd moves them) or, for
+    # "midpoints", non-dyadic points with rows halfway between two of them;
+    # "far" centres may lie beyond every row, where the product decides none
+    rng = np.random.default_rng(seed)
+    if kind == "ties":  # a three-level grid: many rows equidistant from two centres
+        rows = rng.choice([0.1, 0.2, 0.3], size=(a, n, d))
+    elif kind == "duplicates":  # at most three distinct rows
+        rows = rng.normal(size=(a, 3, d))[:, rng.integers(0, 3, size=n)]
+    elif kind == "corners":
+        rows = rng.integers(0, 2, size=(a, n, d)).astype(float)
+    else:
+        rows = rng.normal(size=(a, n, d))
+    picks = rng.integers(0, n, size=(a, k, 2))
+    centers = rows[np.arange(a)[:, None], picks[..., 0]]
+    means = rng.random((a, k)) < 0.5
+    centers[means] = (centers[means] + rows[np.arange(a)[:, None], picks[..., 1]][means]) / 2
+    if kind == "midpoints":
+        centers = rng.integers(-9, 10, size=(a, k, d)) / 3.0
+        pairs = rng.integers(0, k, size=(a, n, 2))
+        halfway = (centers[np.arange(a)[:, None], pairs[..., 0]]
+                   + centers[np.arange(a)[:, None], pairs[..., 1]]) / 2
+        rows = np.where(rng.random((a, n, 1)) < 0.8, halfway, rows)
+        rows[:, :k] = centers  # so that no centre is beyond the rows' reach
+    if kind == "far":
+        centers = rng.normal(size=(a, k, d)) * 3.0
+    return rows, centers
+
+
+@given(st.sampled_from(STEP_INPUTS), st.integers(1, 3), st.integers(1, 12), st.integers(1, 5),
+       st.integers(-300, 150), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_certified_assign_step_equals_exact_step(kind, a, n, d, exponent, data):
+    # The product decides a row only when its lowest centre leads by more
+    # than the rounding of both the product and _sq_dist can carry; every
+    # other row, and every repair, goes through the exact distances. So the
+    # step must equal the exact one bit for bit on ties, duplicates, rows
+    # halfway between non-dyadic centres, at any scale from 1e-300 (where
+    # squares underflow) to 1e150, and at any k from 1 to n, with no warning.
+    k = data.draw(st.integers(1, n), label="k")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rows, centers = _step_input(kind, a, n, d, k, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_step_is_exact(rows * 10.0 ** exponent, centers * 10.0 ** exponent)
+
+
+def test_certified_assign_step_sends_ties_to_the_exact_rule():
+    # rows of a tie grid sit at equal distances from two centres, where the
+    # product cannot decide: they reach _sq_dist from _assign_step (the
+    # reference calls this module's own name, which the spy leaves alone)
+    exact_rows = []
+    sq_dist = kst.cluster._sq_dist
+
+    def spy(a, b):
+        exact_rows.append(len(a))
+        return sq_dist(a, b)
+
+    rows, centers = _step_input("ties", 2, 40, 3, 4, 7)
+    with mock.patch.object(kst.cluster, "_sq_dist", spy):
+        _assert_step_is_exact(rows, centers)
+    assert sum(exact_rows) > 0
+
+
+def test_certified_assign_step_decides_nothing_beyond_the_rows_reach():
+    # Centres at +-1e8 and a row 6e-9 off their midplane: _sq_dist rounds the
+    # offset away and ties the two (the lower id wins), while the product
+    # ranks centre 1 first by 4, far above a margin scaled to rows of norm
+    # about 1. Centres that far beyond every row void the margin, so the
+    # step must take the exact distances.
+    rows = np.array([[[6e-9, 0.3], [0.0, 0.3], [0.0, -0.3], [1.0, 0.0]]])
+    centers = np.array([[[-1e8, 0.0], [1e8, 0.0]]])
+    assert _exact_assign_step(rows, centers.copy())[0].tolist() == [[0, 0, 0, 1]]
+    _assert_step_is_exact(rows, centers)
+
+
+@pytest.mark.parametrize("kind", POOL_INPUTS)
+def test_kmeans_fits_equal_with_every_row_exact(kind):
+    # an infinite margin certifies no row, so every distance is _sq_dist's:
+    # the fits must not change
+    refs = [_pool_input(kind, 20, 3, seed) for seed in range(4)]
+    for k in (1, 2, 5, 20):
+        seeds = {i: subseed(3, i, k) for i in range(len(refs))}
+        want = _kmeans_fits(refs, seeds, k, 3, 30, history=True)
+        with mock.patch.object(kst.cluster, "_TAU", np.inf):
+            got = _kmeans_fits(refs, seeds, k, 3, 30, history=True)
+        for i in seeds:
+            assert np.array_equal(got[i][0], want[i][0])
+            assert np.array_equal(got[i][1], want[i][1])
+            assert got[i][2:] == want[i][2:]
+
 
 def test_batched_kmeans_one_column_drifts_only_in_last_bits():
     # at d = 1 numpy's per-cluster mean adds pairwise, the batched centroid

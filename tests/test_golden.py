@@ -5,6 +5,10 @@ See ``tests/golden_corpus.py`` for the cases and how the record is made.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +46,32 @@ def test_golden_case_json_form(name, tmp_path, monkeypatch, json_golden):
     argv = tuple(arg.replace(".csv", ".json") for arg in CASES[name])
     record = run_case(argv, tmp_path, json_golden)
     assert {**record, "argv": None} == {**RECORDED[name], "argv": None}
+
+
+# k-means decides a row from a BLAS product only where the product provably
+# agrees with the exact distances, so no k-means output may move with the
+# kernel OpenBLAS picks. projection.json still does (report.pca_project's
+# eigh and product), so it alone is left out.
+BLAS_CASES = ("select-k-kmeans-all-criteria", "cluster-kmeans-k3")
+_RUN_CASES = ("import json, sys; from pathlib import Path; from golden_corpus import CASES, run_case; "
+              "print(json.dumps({n: run_case(CASES[n], Path(sys.argv[1]) / n) for n in sys.argv[2:]}))")
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_kmeans_cases_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k not in ("KST_SEED", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    run = subprocess.run([sys.executable, "-c", _RUN_CASES, str(tmp_path), *BLAS_CASES],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    for name, got in json.loads(run.stdout).items():
+        want = RECORDED[name]
+        assert {k: got[k] for k in ("exit", "stdout", "stderr")} == \
+            {k: want[k] for k in ("exit", "stdout", "stderr")}
+        assert got["files"].keys() == want["files"].keys()
+        for file, digest in want["files"].items():
+            if file != "projection.json":
+                assert got["files"][file] == digest, (name, file)
