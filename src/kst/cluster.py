@@ -31,9 +31,14 @@ k-means runs every replicate through one Lloyd loop, :func:`_lloyd`, over a
 pool of replicates that is topped up from a queue as replicates finish. The
 queue holds the ``n_init`` replicates of one data set for :func:`kmeans_fit`,
 and those of many data sets for the gap statistic's references. Each
-replicate draws its k-means++ seeds from its own random sub-stream and stops
-on its own. Lloyd's assignment step (:func:`_assign_step`) is certified: one
-batched matrix product gives |c|^2 - 2 x.c for every centre, replicate and
+replicate draws its k-means++ seeds (Arthur & Vassilvitskii 2007,
+"k-means++: the advantages of careful seeding", SODA) from its own random
+sub-stream and stops on its own. The seeds of a chunk of data sets are drawn
+in one call (:func:`_kmeanspp_init`), as the chunk's first replicate enters
+the pool; each weighted draw over the chunk is one count over a cumulative
+distribution, and each generator is still called in its own order. At k = 1
+every start gives the same fit, so no seeds are drawn. Lloyd's assignment
+step (:func:`_assign_step`) is certified: one batched matrix product gives |c|^2 - 2 x.c for every centre, replicate and
 row, centre-major, and a row takes its lowest centre from it only where that
 centre leads the others by more than a rounding bound (in the manner of
 Elkan 2003, "Using the triangle inequality to accelerate k-means", ICML),
@@ -41,7 +46,8 @@ which makes it the one nearest centre under the exact distances. Ties,
 near-ties and repairs go through the exact distances, so BLAS only rules
 centres out and never sets an output bit. The inertia is computed once per
 replicate as it finishes; the per-pass inertia history is built only for
-:func:`kmeans_fit`, which reports it.
+:func:`kmeans_fit`, which reports it, and only for the winning replicate,
+from the assignments and centres the loop keeps for each pass.
 
 Every squared distance between rows, between rows and centers and between
 centers goes through :func:`_sq_dist`, which adds the columns left to right.
@@ -63,11 +69,12 @@ import numpy as np
 from ._json import FieldDict
 from .dataset import MetricTable
 from .errors import KstError
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, _check_seed, substream
 
 
 _BLOCK_ELEMENTS = 1 << 18  # float64 entries per block of distance work: 2 MiB
 _POOL_ELEMENTS = 3 << 15  # float64 entries of a Lloyd pool's products or data: 768 KiB
+_SEED_ELEMENTS = 1 << 15  # (data set, replicate, row) entries of a k-means++ chunk: 256 KiB
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,10 +110,14 @@ def _scatter(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarr
     sum of squared distances from every row to its own center,
     ``centers[r, assign[r]]``, with ``centers`` (b, k, d) and ``assign``
     (b, n). The squared differences of a partition are added as one flat sum
-    in row-major order, whatever the memory layout."""
-    diff = x - centers[np.arange(len(assign))[:, None], assign]
+    in row-major order, whatever the memory layout. Each row's own center is
+    gathered as a row of the flattened (b k, d) centers, which numpy copies
+    faster than a two-index gather."""
+    b, k, d = centers.shape
+    diff = centers.reshape(b * k, d)[assign + k * np.arange(b)[:, None]]
+    np.subtract(x, diff, out=diff)
     diff *= diff
-    return diff.reshape(len(assign), -1).sum(axis=1)
+    return diff.reshape(b, -1).sum(axis=1)
 
 
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
@@ -426,37 +437,56 @@ class KMeansModel(FieldDict):
         return Partition(self.assignments, self.k)
 
 
-@np.errstate(over="ignore")  # an overflow ends in an inf total: a KstError
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite total
 def _kmeanspp_init(
-    x: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """k-means++ seeding of one replicate per generator in ``rngs``, batched:
-    first center uniform, the rest weighted by squared distance to the
-    nearest chosen center. Returns (replicates, k, d) centers.
+    x: np.ndarray, k: int, rngs: Sequence[Sequence[np.random.Generator]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding for a chunk of data sets at once: first center
+    uniform, the rest weighted by squared distance to the nearest chosen
+    center. ``x`` (g, n, d) stacks the data sets, fastest with each column
+    contiguous (``x.transpose(2, 0, 1)`` C-ordered); ``rngs[i]`` holds data
+    set i's generators, r of them, one per replicate. Returns the (g, r, k,
+    d) centers and which data sets' distances overflow float64, whose centers
+    are undefined and whose generators are left mid-way.
 
-    The replicates share (replicates, n) distance arrays but each draws only
-    from its own generator. A weighted draw is the inverse-CDF lookup that
+    All replicates share (r, g, n) distance arrays, replicate-major, but each
+    draws only from its own generator, once per center: ``integers`` for the
+    first and for a uniform fallback (all remaining mass zero), ``random``
+    for a weighted draw. A weighted draw is the inverse-CDF lookup that
     ``rng.choice(n, p=d2 / total)`` runs (normalised cumsum, one uniform,
     ``searchsorted(side="right")``), so it picks the same index and leaves
-    the generator in the same state, without ``choice``'s checks.
+    the generator in the same state, without ``choice``'s checks; on the
+    non-decreasing cdf, ``searchsorted(side="right")`` is the count of
+    entries <= the uniform, taken for every replicate of the chunk by one
+    ``count_nonzero``. A data set stops drawing at the first center where the
+    total of one of its replicates is not finite. No distances are computed
+    after the last center.
     """
-    n = x.shape[0]
-    centers = np.empty((len(rngs), k, x.shape[1]), dtype=float)
-    centers[:, 0] = x[[int(rng.integers(n)) for rng in rngs]]
-    d2 = _sq_dist(x[None], centers[:, :1])
+    g, n, d = x.shape
+    r = len(rngs[0])
+    gens = [rngs[i][j] for j in range(r) for i in range(g)]  # replicate-major, as d2
+    sets = np.arange(g)
+    centers = np.empty((r, g, k, d))
+    idx = np.array([rng.integers(n) for rng in gens]).reshape(r, g)
+    centers[:, :, 0] = x[sets, idx]
+    overflow = np.zeros(g, dtype=bool)
+    d2 = cdf = None
     for j in range(1, k):
-        total = d2.sum(axis=1)
-        if not np.isfinite(total).all():
-            raise KstError("k-means++ distances overflow float64; rescale the data")
-        drawn = total > 0  # all remaining mass zero: uniform fallback
-        cdf = (d2[drawn] / total[drawn, None]).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        rows = iter(cdf)
-        idx = [int(next(rows).searchsorted(rng.random(), side="right")) if w
-               else int(rng.integers(n)) for rng, w in zip(rngs, drawn.tolist())]
-        centers[:, j] = x[idx]
-        np.minimum(d2, _sq_dist(x[None], centers[:, j:j + 1]), out=d2)
-    return centers
+        near = _sq_dist(x[None], centers[:, :, None, j - 1])  # (r, g, n)
+        d2 = near if d2 is None else np.minimum(d2, near, out=d2)
+        total = d2.sum(axis=2)
+        overflow |= ~np.isfinite(total).all(axis=0)
+        cdf = np.divide(d2, total[:, :, None], out=cdf)  # NaN rows at a zero total
+        np.cumsum(cdf, axis=2, out=cdf)
+        cdf /= cdf[:, :, -1:]
+        total[:, overflow] = np.nan  # an overflowed data set draws no more
+        weighted, uniform = total > 0, total == 0
+        u = np.zeros((r, g))
+        u[weighted] = [gens[q].random() for q in np.flatnonzero(weighted).tolist()]
+        drawn = np.count_nonzero(cdf <= u[:, :, None], axis=2)
+        drawn[uniform] = [gens[q].integers(n) for q in np.flatnonzero(uniform).tolist()]
+        centers[:, :, j] = x[sets, drawn]
+    return centers.transpose(1, 0, 2, 3), overflow
 
 
 def _repair_empty(
@@ -627,8 +657,11 @@ def _lloyd(
     ``inertia`` is a final partition's scatter (:func:`_scatter`). Of the
     replicates of one data set the lowest inertia wins, a tie going to the
     one earlier in the queue; only the best so far is kept, as copies.
-    ``history``, the inertia after every pass, is built only when asked for
-    and is empty otherwise; its last entry equals ``inertia``.
+    ``history``, the winner's inertia after every pass, is built only when
+    asked for and is empty otherwise; its last entry equals ``inertia``. The
+    loop then keeps each replicate's assignment and centers after every pass
+    that moves it, and the scatter of those is taken for the winners alone,
+    a pool's worth of passes per call.
     """
     queue = enumerate(starts)  # (queue position, (data set, centers))
     entered = list(itertools.islice(queue, 1))
@@ -642,7 +675,7 @@ def _lloyd(
     prev = np.empty((len(entered), n), dtype=np.min_scalar_type(k))  # per slot: its last assignment
     fresh = np.ones(len(entered), dtype=bool)  # per slot: no pass run yet
     passes = np.zeros(len(entered), dtype=int)
-    slots: list = [None] * len(entered)  # per slot: (data set, queue position, history)
+    slots: list = [None] * len(entered)  # per slot: (data set, queue position, its passes)
     reaches: dict[int, float] = {}  # per data set entered: its _reach
 
     def enter(i: int, start: tuple[int, tuple[int, np.ndarray]]) -> None:
@@ -668,10 +701,9 @@ def _lloyd(
         for j in range(d):
             new[:, :, j] = np.bincount(bins, block[j].ravel(), minlength=a * k).reshape(a, k)
         new /= counts[:, :, None]
-        if history and moved.any():
-            for i, value in zip(moved.nonzero()[0].tolist(),
-                                _scatter(rows[moved], new[moved], assign[moved]).tolist()):
-                slots[i][2].append(value)
+        if history:
+            for i in moved.nonzero()[0].tolist():
+                slots[i][2].append((assign[i], new[i]))
         centers[moved] = new[moved]
         passes += moved
         prev, fresh[:] = assign, False
@@ -679,9 +711,9 @@ def _lloyd(
         if not done:
             continue
         for i, value in zip(done, _scatter(rows[done], centers[done], assign[done]).tolist()):
-            g, position, trace = slots[i]
+            g, position, trail = slots[i]
             if g not in best or (value, position) < best[g][:2]:
-                best[g] = (value, position, assign[i].astype(np.intp), centers[i].copy(), trace)
+                best[g] = (value, position, assign[i].astype(np.intp), centers[i].copy(), trail)
         vacant = []
         for i in done:
             start = next(queue, None)
@@ -697,7 +729,15 @@ def _lloyd(
             block, reach, centers, prev = block[:, keep], reach[keep], centers[keep], prev[keep]
             fresh, passes = fresh[keep], passes[keep]
             slots = list(itertools.compress(slots, keep.tolist()))
-    return {g: (labels, c, value, trace) for g, (value, _, labels, c, trace) in best.items()}
+    fits = {}
+    step = max(1, _POOL_ELEMENTS // (n * d or 1))  # the winner's passes per scatter
+    for g, (value, _, labels, c, trail) in best.items():
+        trace: list[float] = []
+        for lo in range(0, len(trail), step):
+            assigns, centroids = zip(*trail[lo:lo + step])
+            trace += _scatter(xs[g], np.array(centroids), np.array(assigns)).tolist()
+        fits[g] = (labels, c, value, trace)
+    return fits
 
 
 def _kmeans_fits(
@@ -709,10 +749,15 @@ def _kmeans_fits(
     (seeds[g], r), and ties on inertia keep the earliest replicate.
 
     Every replicate runs through one pool of :func:`_lloyd`, data set by
-    data set and replicate by replicate; the replicates of a data set are
-    seeded together as the first of them enters the pool. A data set whose
-    seeding fails maps to its error, and one whose best inertia overflows to
-    a KstError; the others are fitted all the same.
+    data set and replicate by replicate. The data sets are seeded in chunks
+    of at most ``_SEED_ELEMENTS`` (data set, replicate, row) entries, one
+    :func:`_kmeanspp_init` call each, as the first replicate of a chunk
+    enters the pool. At k = 1 every start gives the same one-cluster fit, so
+    a data set enters one replicate, started on its first row, and no
+    generator is built (its seed is still checked). A data set whose seed is
+    invalid or whose seeding overflows maps to its error, and one whose best
+    inertia overflows to a KstError; the others are fitted all the same.
+    ``history`` asks :func:`_lloyd` for each winner's inertia per pass.
     Distances add their columns left to right on every memory layout, so
     the result depends only on the values of each data set. For d >= 2
     every replicate's result is bit-identical to a one-replicate Lloyd loop
@@ -723,17 +768,34 @@ def _kmeans_fits(
     """
     if n_init < 1 or max_iter < 1:
         raise KstError("n_init and max_iter must be >= 1")
-    errors = {}
+    errors: dict[int, Exception] = {}
 
     def starts() -> Iterator[tuple[int, np.ndarray]]:
-        for g, seed in seeds.items():
-            try:
-                init = _kmeanspp_init(xs[g], k, [substream(seed, r) for r in range(n_init)])
-            except Exception as exc:  # the caller's to raise, for this data set only
-                errors[g] = exc
+        n, d = xs[0].shape
+        pending = iter(seeds.items())
+        while chunk := list(itertools.islice(pending, max(1, _SEED_ELEMENTS // (n_init * n)))):
+            valid = []
+            for g, seed in chunk:
+                try:  # the caller's to raise, for this data set only
+                    _check_seed(seed)
+                    valid.append(g)
+                except KstError as exc:
+                    errors[g] = exc
+            if k == 1:
+                yield from ((g, xs[g][:1]) for g in valid)
                 continue
-            for centers in init:
-                yield g, centers
+            if not valid:
+                continue
+            stack = np.empty((d, len(valid), n))  # the chunk's columns, each contiguous
+            for i, g in enumerate(valid):
+                stack[:, i] = xs[g].T
+            rngs = [[substream(seeds[g], r) for r in range(n_init)] for g in valid]
+            init, overflow = _kmeanspp_init(stack.transpose(1, 2, 0), k, rngs)
+            for g, centers, failed in zip(valid, init, overflow.tolist()):
+                if failed:
+                    errors[g] = KstError("k-means++ distances overflow float64; rescale the data")
+                else:
+                    yield from ((g, c) for c in centers)
 
     fits = _lloyd(xs, starts(), max_iter, history=history)
     for g, fit in fits.items():

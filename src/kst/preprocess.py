@@ -62,6 +62,9 @@ class TransformSpec:
             raise ParseError("transform spec must be a JSON array")
         cols = []
         for i, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise ParseError(f"transform spec record {i}: expected an object, "
+                                 f"got {type(rec).__name__}")
             try:
                 cols.append(ColumnTransform(rec["metric"], rec["log"], rec["mean"], rec["std"]))
             except KeyError as exc:

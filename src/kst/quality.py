@@ -498,7 +498,10 @@ def gap_statistic(
     about one such working set per process: for Ward the n x n distance
     matrix, n**2 * 8 bytes (32 MB at 2,000 rows); for k-means the pool,
     whose products and whose copy of its replicates' data hold about 96K
-    entries (768 KiB) each, or one replicate's when n is larger.
+    entries (768 KiB) each, or one replicate's when n is larger, plus, while
+    the k-means++ seeds of a chunk of references are drawn, a few arrays of
+    about 32K entries (256 KiB) each, or one reference's replicates' worth
+    when n_init * n is larger.
     ``_labels`` is private to :func:`select_k`: the labels of ``m`` per k
     that it has already computed, as ``_labels_for`` gives them for stream
     key 1.

@@ -107,10 +107,12 @@ def family_similarity(
 
 
 def geometric_mean(xs: Iterable[float]) -> float:
-    """exp(mean(log xs)); all inputs must be strictly positive."""
+    """exp(mean(log xs)); all inputs must be finite and strictly positive."""
     xs = [float(x) for x in xs]
     if not xs:
         raise KstError("geometric_mean of an empty sequence")
+    if not all(map(math.isfinite, xs)):
+        raise KstError("geometric_mean requires finite values")
     if any(x <= 0 for x in xs):
         raise KstError("geometric_mean requires strictly positive values")
     return math.exp(sum(math.log(x) for x in xs) / len(xs))

@@ -699,29 +699,106 @@ def test_kmeans_inertia_ties_keep_the_earliest_replicate():
                 assert (inertia, history) == (want[2], want[3])
 
 
-def test_kmeanspp_weights_equal_reference():
-    # the batched seeder against the one-replicate reference, replicate by
-    # replicate on real sub-streams: the same centers, and each generator
-    # left in the same state. Three distinct rows and k = 6 exhaust the
-    # weights, so every replicate ends on uniform draws. In `tiny`, t^2
-    # underflows to 0 but (2t)^2 does not: under seed 11, replicates 1 and 2
-    # start on row 1 and fall back at once, while the others start on row 2
-    # and still draw by weight, in the same batch.
+def _seeding_inputs() -> dict[str, np.ndarray]:
+    # 40 x 12 tables of four kinds. `few` has three distinct rows, so k = 6
+    # exhausts the weights and every replicate ends on uniform draws. In
+    # `tiny`, t^2 underflows to 0 but (2t)^2 does not: a replicate that
+    # starts on a row of t falls back at once, the others still draw by
+    # weight, in the same chunk. `huge` overflows at its first weighted draw.
     rng = np.random.default_rng(27)
-    few = rng.normal(size=(3, 12))[rng.integers(3, size=40)]
-    tiny = np.zeros((3, 12))
-    tiny[:, 0] = [0.0, 1.2e-162, 2.4e-162]
-    for x in (rng.normal(size=(40, 12)) * 3.0, few, tiny):
-        xf = np.asfortranarray(x)  # numpy adds the columns of this layout left to right
-        for k in range(1, min(6, len(x)) + 1):
-            for layout in (x, xf):  # the same centers on both layouts
-                got_rngs = [substream(11, r) for r in range(7)]
-                got = _kmeanspp_init(layout, k, got_rngs)
-                assert got.shape == (7, k, 12)
-                for r, got_rng in enumerate(got_rngs):
-                    want_rng = substream(11, r)
-                    assert np.array_equal(got[r], _reference_kmeanspp_init(xf, k, want_rng))
-                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    tiny = np.zeros((40, 12))
+    tiny[:, 0] = rng.choice([0.0, 1.2e-162, 2.4e-162], size=40)
+    return {"normal": rng.normal(size=(40, 12)) * 3.0,
+            "few": rng.normal(size=(3, 12))[rng.integers(3, size=40)],
+            "tiny": tiny,
+            "huge": rng.uniform(-1, 1, size=(40, 12)) * 1e300}
+
+
+def test_kmeanspp_chunk_equals_reference():
+    # the chunked seeder against the one-replicate reference, replicate by
+    # replicate on real sub-streams, five data sets in one call: the same
+    # centers, each generator left in the same state, on either layout of
+    # the stack. The overflowing data set is flagged, with no warning, and
+    # the others in its chunk are unaffected.
+    inputs = _seeding_inputs()
+    names = ["normal", "huge", "few", "tiny", "normal"]
+    sets = [inputs[name] for name in names]
+    starts_on_t = set()
+    for k in range(1, 7):
+        columns = np.ascontiguousarray(np.stack(sets).transpose(2, 0, 1)).transpose(1, 2, 0)
+        for stack in (columns, np.stack(sets)):
+            rngs = [[substream(11 + i, r) for r in range(7)] for i in range(len(sets))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, overflow = _kmeanspp_init(stack, k, rngs)
+            assert got.shape == (5, 7, k, 12)
+            assert overflow.tolist() == [name == "huge" and k > 1 for name in names]
+            for i, x in enumerate(sets):
+                xf = np.asfortranarray(x)  # numpy adds the columns of this layout left to right
+                for r in range(7):
+                    want_rng = substream(11 + i, r)
+                    with np.errstate(over="ignore", invalid="ignore"):  # `huge`'s reference
+                        if overflow[i]:
+                            with pytest.raises(ValueError, match="contain NaN"):
+                                _reference_kmeanspp_init(xf, k, want_rng)
+                            continue
+                        want = _reference_kmeanspp_init(xf, k, want_rng)
+                    assert np.array_equal(got[i, r], want)
+                    assert rngs[i][r].bit_generator.state == want_rng.bit_generator.state
+            starts_on_t.update((got[3, :, 0, 0] == 1.2e-162).tolist())
+    assert starts_on_t == {True, False}  # `tiny` reaches both kinds of draw
+
+
+def test_kmeanspp_chunks_split_at_any_boundary():
+    # _kmeans_fits seeds at most _SEED_ELEMENTS (data set, replicate, row)
+    # entries per call: 280 per data set here (40 rows, 7 replicates). Every
+    # split gives the fits of each data set alone, the overflowing one maps
+    # to its own error, and an invalid seed to its own.
+    inputs = _seeding_inputs()
+    names = ["normal", "few", "huge", "tiny", "normal", "few", "bad seed"]
+    refs = [inputs.get(name, inputs["normal"]) for name in names]
+    seeds = {i: -1 if name == "bad seed" else subseed(5, i) for i, name in enumerate(names)}
+    alone = {i: _kmeans_fits([x], {0: seeds[i]}, 3, 7, 30)[0] for i, x in enumerate(refs)}
+    assert isinstance(alone[6], KstError) and "seed must be" in str(alone[6])
+    assert str(alone[2]) == "k-means++ distances overflow float64; rescale the data"
+    seed_centers = kst.cluster._kmeanspp_init
+    for cap, want_chunks in ((1, [1] * 6), (560, [2, 2, 2]), (839, [2, 2, 2]), (840, [3, 3]),
+                             (None, [6])):
+        chunks = []
+
+        def spy(x, k, rngs):
+            chunks.append(len(rngs))
+            return seed_centers(x, k, rngs)
+
+        with mock.patch.object(kst.cluster, "_SEED_ELEMENTS", cap or kst.cluster._SEED_ELEMENTS), \
+                mock.patch.object(kst.cluster, "_kmeanspp_init", spy), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kmeans_fits(refs, seeds, 3, 7, 30)
+        assert chunks == want_chunks
+        assert list(got) == list(seeds)
+        for i, fit in got.items():
+            if isinstance(alone[i], Exception):
+                assert type(fit) is KstError and str(fit) == str(alone[i])
+                continue
+            assert np.array_equal(fit[0], alone[i][0]) and np.array_equal(fit[1], alone[i][1])
+            assert fit[2:] == alone[i][2:]
+
+
+def test_kmeans_k_one_draws_nothing_and_checks_the_seed():
+    # at k = 1 every start gives the same fit: no generator is built and one
+    # replicate enters per data set, yet the fit is the reference's and an
+    # invalid seed is still an error
+    x = _pool_input("normal", 30, 3, 8)
+    with mock.patch.object(kst.cluster, "substream", side_effect=AssertionError), \
+            mock.patch.object(kst.cluster, "_kmeanspp_init", side_effect=AssertionError):
+        fits = _kmeans_fits([x, x, x], {0: 4, 1: -1, 2: 5}, 1, 10, 300, history=True)
+        with pytest.raises(KstError, match="^seed must be a non-negative integer"):
+            kmeans_fit(make_table(x), 1, seed=-1)
+    assert isinstance(fits[1], KstError)
+    want = reference_kmeans(np.asfortranarray(x), 1, 4, 10, 300)
+    for fit in (fits[0], fits[2]):
+        assert np.array_equal(fit[0], want[0]) and np.array_equal(fit[1], want[1])
+        assert (fit[2], fit[3]) == (want[2], want[3])
 
 
 @pytest.mark.parametrize("weights", [

@@ -146,6 +146,14 @@ def test_spec_records_need_their_json_types_and_finite_numbers(record, message):
         TransformSpec.from_json(f"[{good}, {{{record}}}]")
 
 
+@pytest.mark.parametrize("record, kind", [("1", "int"), ("[1, 2]", "list"), ('"m"', "str"),
+                                          ("null", "NoneType")])
+def test_spec_records_must_be_objects(record, kind):
+    good = '{"metric": "a", "log": true, "mean": 0.5, "std": 2}'
+    with pytest.raises(ParseError, match=f"^transform spec record 1: expected an object, got {kind}$"):
+        TransformSpec.from_json(f"[{good}, {record}]")
+
+
 def test_spec_records_take_integers_and_column_transform_checks_itself():
     (col,) = TransformSpec.from_json('[{"metric": "m", "log": false, "mean": 1, "std": 2}]').columns
     assert col == ColumnTransform("m", False, 1.0, 2.0)

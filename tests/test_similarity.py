@@ -121,6 +121,14 @@ def test_geometric_mean_identity_and_errors():
         geometric_mean([1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_geometric_mean_rejects_non_finite_values(bad):
+    # a NaN passes the positivity check and inf has a log, so both would
+    # come back as the result without this check
+    with pytest.raises(KstError, match="^geometric_mean requires finite values$"):
+        geometric_mean([2.0, bad])
+
+
 @given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=10))
 @settings(max_examples=200, deadline=None)
 def test_geometric_mean_bounded_by_extremes(xs):
