@@ -69,7 +69,7 @@ import numpy as np
 from ._json import FieldDict
 from .dataset import MetricTable
 from .errors import KstError
-from .rng import DEFAULT_SEED, _check_seed, substream
+from .rng import DEFAULT_SEED, _check_ints, _check_seed, substream
 
 
 _BLOCK_ELEMENTS = 1 << 18  # float64 entries per block of distance work: 2 MiB
@@ -403,6 +403,7 @@ def cut_dendrogram(d: Dendrogram, k: int) -> Partition:
     the one-walk cut of :func:`_assign_at_each_k` at a single k, the same
     that the quality criteria take at every k they score.
     """
+    _check_ints(k=k)
     n = len(d.leaves)
     if not 1 <= k <= n:
         raise KstError(f"k must be between 1 and {n}, got {k}")
@@ -632,7 +633,7 @@ def _assign_step(
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in an inf inertia: a KstError
 def _lloyd(
     xs: Sequence[np.ndarray], starts: Iterable[tuple[int, np.ndarray]], max_iter: int,
-    *, history: bool = True,
+    *, history: bool = False,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, float, list[float]]]:
     """Lloyd's algorithm for a queue of replicates, run in one pool; returns
     the best replicate of each data set as (assign, centers, inertia, history).
@@ -656,12 +657,14 @@ def _lloyd(
 
     ``inertia`` is a final partition's scatter (:func:`_scatter`). Of the
     replicates of one data set the lowest inertia wins, a tie going to the
-    one earlier in the queue; only the best so far is kept, as copies.
-    ``history``, the winner's inertia after every pass, is built only when
-    asked for and is empty otherwise; its last entry equals ``inertia``. The
-    loop then keeps each replicate's assignment and centers after every pass
-    that moves it, and the scatter of those is taken for the winners alone,
-    a pool's worth of passes per call.
+    one earlier in the queue; only the best so far is kept, as copies, its
+    ``assign`` in the smallest unsigned type that holds k (that of
+    :func:`_assign_step`), one byte per row for k < 256. ``history``, the
+    winner's inertia after every pass, is built only when asked for and is
+    empty otherwise; its last entry equals ``inertia``. The loop then keeps
+    each replicate's assignment and centers after every pass that moves it,
+    and the scatter of those is taken for the winners alone, a pool's worth
+    of passes per call.
     """
     queue = enumerate(starts)  # (queue position, (data set, centers))
     entered = list(itertools.islice(queue, 1))
@@ -713,7 +716,7 @@ def _lloyd(
         for i, value in zip(done, _scatter(rows[done], centers[done], assign[done]).tolist()):
             g, position, trail = slots[i]
             if g not in best or (value, position) < best[g][:2]:
-                best[g] = (value, position, assign[i].astype(np.intp), centers[i].copy(), trail)
+                best[g] = (value, position, assign[i].copy(), centers[i].copy(), trail)
         vacant = []
         for i in done:
             start = next(queue, None)
@@ -742,7 +745,7 @@ def _lloyd(
 
 def _kmeans_fits(
     xs: Sequence[np.ndarray], seeds: Mapping[int, int], k: int, n_init: int, max_iter: int,
-    history: bool = False,
+    *, history: bool = False,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, float, list[float]] | Exception]:
     """Best of n_init replicates for each data set ``xs[g]``, g in ``seeds``:
     replicate r of data set g draws its k-means++ seeds from sub-stream
@@ -757,7 +760,8 @@ def _kmeans_fits(
     generator is built (its seed is still checked). A data set whose seed is
     invalid or whose seeding overflows maps to its error, and one whose best
     inertia overflows to a KstError; the others are fitted all the same.
-    ``history`` asks :func:`_lloyd` for each winner's inertia per pass.
+    ``history`` asks :func:`_lloyd` for each winner's inertia per pass; only
+    :func:`kmeans_fit`, which reports it, asks.
     Distances add their columns left to right on every memory layout, so
     the result depends only on the values of each data set. For d >= 2
     every replicate's result is bit-identical to a one-replicate Lloyd loop
@@ -804,19 +808,6 @@ def _kmeans_fits(
     return {g: errors[g] if g in errors else fits[g] for g in seeds}
 
 
-def _kmeans_arrays(
-    x: np.ndarray, k: int, seed: int, n_init: int, max_iter: int, history: bool = True
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Best of n_init replicates on ``x``: :func:`_kmeans_fits` for one data
-    set, raising its error. ``history=False`` skips the per-pass inertia (the
-    returned history is then empty) for callers that only use the partition.
-    """
-    fit = _kmeans_fits([x], {0: seed}, k, n_init, max_iter, history)[0]
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
-
-
 def kmeans_fit(
     m: MetricTable,
     k: int,
@@ -831,10 +822,14 @@ def kmeans_fit(
     cluster size (equal sizes ordered by smallest member label) so ids are
     comparable with :func:`cut_dendrogram` output.
     """
+    _check_ints(k=k, n_init=n_init, max_iter=max_iter)
     n = len(m.rows)
     if not 1 <= k <= n:
         raise KstError(f"k must be between 1 and {n}, got {k}")
-    assign, centers, inertia, history = _kmeans_arrays(m.data, k, seed, n_init, max_iter)
+    fit = _kmeans_fits([m.data], {0: seed}, k, n_init, max_iter, history=True)[0]
+    if isinstance(fit, Exception):
+        raise fit
+    assign, centers, inertia, history = fit
 
     assignments, order = _canonical_ids(m.rows, assign.tolist(), k)
     return KMeansModel(

@@ -29,7 +29,6 @@ from .cluster import (
     Partition,
     _assign_at_each_k,
     _canonical_ids,
-    _kmeans_arrays,
     _kmeans_fits,
     _pairwise_sq,
     _scatter,
@@ -41,7 +40,7 @@ from .cluster import (
 from .cluster import agglomerative_ward  # noqa: F401
 from .dataset import MetricTable
 from .errors import KstError
-from .rng import DEFAULT_SEED, subseed, substream
+from .rng import DEFAULT_SEED, _check_ints, subseed, substream
 
 CLUSTER_METHODS = ("agglomerative", "kmeans")
 DEFAULT_CRITERIA = ("silhouette", "calinski_harabasz", "dunn", "gap")
@@ -279,41 +278,34 @@ class GapCurve(FieldDict):
     dropped_features: tuple[str, ...] = ()
 
 
-def _labels_for(x: np.ndarray, ks: Sequence[int], method: str, seed: int,
-                n_init: int, max_iter: int, *stream_key: int) -> dict[int, np.ndarray]:
-    """Cluster ``x`` once per k with the requested method: one Ward run cut
-    at every k, or one k-means fit per k on sub-stream (seed, *stream_key, k).
-    Cluster ids are 0..k-1, every one of them used."""
+def _labels_for(xs: Sequence[np.ndarray], keys: Mapping[int, tuple[int, ...]],
+                ks: Sequence[int], method: str, seed: int, n_init: int,
+                max_iter: int) -> Iterator[dict[int, np.ndarray]]:
+    """Cluster each data set ``xs[i]``, i in ``keys``, at every k in ``ks``
+    with the requested method, and yield its labels per k in key order.
+    Ward runs once per data set, as it is reached, cut at every k. k-means
+    fits every data set at each k in one Lloyd pool (:func:`_kmeans_fits`),
+    on sub-stream (seed, *keys[i], k), all before the first yield; a data set
+    whose fit fails is not fitted at larger k, and its error is raised when
+    it is reached. Cluster ids are 0..k-1, every one of them used."""
     if method == "agglomerative":
-        return _assign_at_each_k(_ward_merge_steps(x), x.shape[0], ks)
-    return {k: _kmeans_arrays(x, k, subseed(seed, *stream_key, k), n_init, max_iter,
-                              history=False)[0]
-            for k in ks}
-
-
-def _kmeans_log_w(xs: Sequence[np.ndarray], indices: Sequence[int], ks: Sequence[int],
-                  seed: int, n_init: int, max_iter: int,
-                  *stream_key: int) -> dict[int, list[float] | Exception]:
-    """log W_k of each data set ``xs[i]``, i in ``indices``, at each k in
-    ``ks``, from its k-means labels on sub-stream (seed, *stream_key, i, k).
-    Every data set is fitted in one Lloyd pool per k (:func:`_kmeans_fits`),
-    and only the dispersions are kept. A data set maps to its log W_k, or to
-    the error that fitting it at every k and then taking each dispersion
-    raises first: a failed fit ends its fits, and a failed dispersion is
-    kept while the larger k are still fitted."""
-    failed: dict[int, Exception] = {}
-    log_w: dict[int, list[float] | Exception] = {i: [] for i in indices}
+        for i in keys:
+            yield _assign_at_each_k(_ward_merge_steps(xs[i]), xs[i].shape[0], ks)
+        return
+    labels: dict[int, dict[int, np.ndarray] | Exception] = {i: {} for i in keys}
     for k in ks:
-        seeds = {i: subseed(seed, *stream_key, i, k) for i in indices if i not in failed}
+        seeds = {i: subseed(seed, *key, k) for i, key in keys.items()
+                 if not isinstance(labels[i], Exception)}
         for i, fit in _kmeans_fits(xs, seeds, k, n_init, max_iter).items():
             if isinstance(fit, Exception):
-                failed[i] = fit
-            elif isinstance(log_w[i], list):
-                try:
-                    log_w[i].append(_log_dispersion(xs[i], fit[0], k))
-                except Exception as exc:  # the data set's error, after any failed fit
-                    log_w[i] = exc
-    return {i: failed.get(i, log_w[i]) for i in indices}
+                labels[i] = fit
+            else:
+                labels[i][k] = fit[0]
+    for i in keys:
+        fit = labels.pop(i)  # kept no longer than the caller keeps it
+        if isinstance(fit, Exception):
+            raise fit
+        yield fit
 
 
 def _log_dispersion(x: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -490,24 +482,27 @@ def gap_statistic(
     CPUs this process may run on (its affinity, capped by its cgroup's CPU
     quota), at most ``b``; elsewhere, and while other Python threads run, in
     this process (see :func:`_fit_all`). The curve does not depend on the
-    count. Each process fits its stride of references one at a time for
-    Ward, and at each k in one pool of k-means replicates for k-means
-    (:func:`_kmeans_fits`), keeping only their dispersions. So with k-means
-    the warnings of a process's whole stride reach the caller at its first
-    reference, and their order can depend on the count. Peak memory grows by
-    about one such working set per process: for Ward the n x n distance
-    matrix, n**2 * 8 bytes (32 MB at 2,000 rows); for k-means the pool,
-    whose products and whose copy of its replicates' data hold about 96K
-    entries (768 KiB) each, or one replicate's when n is larger, plus, while
-    the k-means++ seeds of a chunk of references are drawn, a few arrays of
-    about 32K entries (256 KiB) each, or one reference's replicates' worth
-    when n_init * n is larger.
+    count. Each process fits its stride of references through
+    :func:`_labels_for`: one at a time for Ward, and at each k in one pool
+    of k-means replicates for k-means, keeping only their dispersions once
+    taken. So with k-means the warnings of a process's whole stride reach
+    the caller at its first reference, and their order can depend on the
+    count. Peak memory grows by about one such working set per process: for
+    Ward the n x n distance matrix, n**2 * 8 bytes (32 MB at 2,000 rows);
+    for k-means the pool, whose products and whose copy of its replicates'
+    data hold about 96K entries (768 KiB) each, or one replicate's when n is
+    larger, plus, while the k-means++ seeds of a chunk of references are
+    drawn, a few arrays of about 32K entries (256 KiB) each, or one
+    reference's replicates' worth when n_init * n is larger. k-means also
+    holds each reference's labels at every k until its dispersions are
+    taken: n bytes per k and reference of a process's stride.
     ``_labels`` is private to :func:`select_k`: the labels of ``m`` per k
     that it has already computed, as ``_labels_for`` gives them for stream
-    key 1.
+    key (1,).
     """
     if method not in CLUSTER_METHODS:
         raise KstError(f"unknown clustering method {method!r}")
+    _check_ints(k_max=k_max, b=b, k_min=k_min, n_init=n_init, max_iter=max_iter)
     n = len(m.rows)
     if not 1 <= k_min <= k_max <= n - 1:
         raise KstError(
@@ -531,20 +526,15 @@ def gap_statistic(
     rng = substream(seed, 0)
     refs = [rng.uniform(lo, hi, size=x.shape) for _ in range(b)]
 
-    labels_data = _labels if _labels is not None else _labels_for(
-        x, ks, method, seed, n_init, max_iter, 1)
+    labels_data = _labels if _labels is not None else next(_labels_for(
+        [x], {0: (1,)}, ks, method, seed, n_init, max_iter))
     log_w = [_log_dispersion(x, labels_data[k], k) for k in ks]
 
     def fit_references(indices: list[int]) -> Iterator[list[float]]:
-        if method == "kmeans":  # the whole list at each k in one pool
-            for curve in _kmeans_log_w(refs, indices, ks, seed, n_init, max_iter, 2).values():
-                if isinstance(curve, Exception):
-                    raise curve
-                yield curve
-        else:  # one reference at a time, as each is reached
-            for bi in indices:
-                labels_ref = _labels_for(refs[bi], ks, method, seed, n_init, max_iter, 2, bi)
-                yield [_log_dispersion(refs[bi], labels_ref[k], k) for k in ks]
+        keys = {bi: (2, bi) for bi in indices}
+        for bi, labels in zip(indices, _labels_for(refs, keys, ks, method, seed, n_init,
+                                                   max_iter)):
+            yield [_log_dispersion(refs[bi], labels[k], k) for k in ks]
 
     log_w_ref = np.array(_fit_all(fit_references, b))
 
@@ -664,9 +654,13 @@ def select_k(
         raise KstError(f"unknown criteria {unknown}; expected a subset of {list(ALL_CRITERIA)}")
     if len(set(criteria)) != len(criteria):
         raise KstError("criteria contains duplicates")
+    _check_ints(gap_b=gap_b, n_init=n_init, max_iter=max_iter)
     n = len(m.rows)
     # a range is bounded by its ends, so a huge one fails without being listed
-    ks = k_range if isinstance(k_range, range) else sorted(set(int(k) for k in k_range))
+    ks = k_range if isinstance(k_range, range) else list(k_range)
+    if not isinstance(ks, range):
+        _check_ints(**{f"k_range[{i}]": k for i, k in enumerate(ks)})
+        ks = sorted(set(int(k) for k in ks))
     if not ks:
         raise KstError("k_range is empty")
     lo, hi = sorted((ks[0], ks[-1]))
@@ -699,7 +693,8 @@ def select_k(
     fit_gap = "gap" in criteria and len(gap_ks) >= 2
     needed = set().union(*(domain for _, _, domain in scored.values()))
     fit_ks = sorted(needed.union(gap_ks if fit_gap else ()))
-    labels = _labels_for(m.data, fit_ks, method, seed, n_init, max_iter, 1) if fit_ks else {}
+    labels = next(_labels_for([m.data], {0: (1,)}, fit_ks, method, seed, n_init,
+                              max_iter)) if fit_ks else {}
     partitions = {k: Partition(_canonical_ids(m.rows, labels[k].tolist(), k)[0], k)
                   for k in needed}
     results = _score_all(m, scored, partitions)

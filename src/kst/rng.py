@@ -34,3 +34,11 @@ def subseed(seed: int, *key: int) -> int:
 def _check_seed(seed: int) -> None:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise KstError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_ints(**counts: object) -> None:
+    """Raise a KstError naming the first of ``counts`` that is not a Python
+    or numpy integer; a bool is not one, as for a seed."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise KstError(f"{name} must be an integer, got {value!r}")

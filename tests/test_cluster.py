@@ -24,7 +24,7 @@ from kst.cluster import (
     cut_dendrogram,
     kmeans_fit,
 )
-from kst.cluster import _kmeans_arrays, _kmeanspp_init, _lloyd, _pairwise_sq, _scatter, _sq_dist
+from kst.cluster import _kmeanspp_init, _lloyd, _pairwise_sq, _scatter, _sq_dist
 from kst.cluster import _assign_at_each_k, _canonical_ids, _kmeans_fits, _ward_merge_steps
 from kst.cluster import _assign_step, _reach, _repair_empty
 from kst.errors import KstError
@@ -586,8 +586,8 @@ def test_batched_kmeans_equals_reference(kind, n, d, data):
     pool = data.draw(st.sampled_from([None, 1, 200]), label="pool")  # 1: one replicate per pass
     track = data.draw(st.booleans(), label="history")
     with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", pool or kst.cluster._POOL_ELEMENTS):
-        assign, centers, inertia, history = _kmeans_arrays(x, k, seed, n_init, max_iter,
-                                                           history=track)
+        assign, centers, inertia, history = _kmeans_fits([x], {0: seed}, k, n_init, max_iter,
+                                                         history=track)[0]
     # numpy adds a column-major table's columns left to right, as _sq_dist
     # does on both layouts
     want = reference_kmeans(np.asfortranarray(x), k, seed, n_init, max_iter)
@@ -612,7 +612,7 @@ def test_batched_kmeans_split_across_batches_equals_reference(track):
 
     with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", 120):
         with mock.patch.object(kst.cluster, "_assign_step", spy):
-            got = _kmeans_arrays(x, 2, 9, 7, 300, history=track)
+            got = _kmeans_fits([x], {0: 9}, 2, 7, 300, history=track)[0]
     # every replicate's passes: its center updates, then the pass that repeats
     passes = sum(len(_reference_lloyd(np.asfortranarray(x), init, 300)[3]) + 1
                  for init in (_reference_kmeanspp_init(x, 2, substream(9, r)) for r in range(7)))
@@ -658,7 +658,7 @@ def test_pooled_kmeans_fits_equal_fits_alone(n, d, data):
     pool = data.draw(st.sampled_from([1, k * n, 3 * k * n, None]), label="pool")
     refs = [_pool_input(kind, n, d, seed + i) for i, kind in enumerate(kinds)]
     seeds = {i: subseed(seed, 2, i, k) for i in range(len(refs))}
-    alone = {i: _kmeans_arrays(x, k, seeds[i], n_init, max_iter, history=False)
+    alone = {i: _kmeans_fits([x], {0: seeds[i]}, k, n_init, max_iter)[0]
              for i, x in enumerate(refs)}
     with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", pool or kst.cluster._POOL_ELEMENTS):
         for processes in (1, 2, 3):
@@ -854,7 +854,8 @@ def test_lloyd_distance_order_ignores_layout():
     assert want[0].tolist() == [0, 1]
     assert _reference_lloyd(np.ascontiguousarray(x), centers, max_iter=10)[0].tolist() == [1, 0]
     for layout in (np.ascontiguousarray, np.asfortranarray):
-        assign, c, inertia, history = _lloyd([layout(x)], [(0, centers)], max_iter=10)[0]
+        assign, c, inertia, history = _lloyd([layout(x)], [(0, centers)], max_iter=10,
+                                             history=True)[0]
         assert np.array_equal(assign, want[0]) and np.array_equal(c, want[1])
         assert (inertia, history) == (want[2], want[3])
 
@@ -999,7 +1000,8 @@ def test_batched_kmeans_one_column_drifts_only_in_last_bits():
     for trial in range(20):
         x = rng.normal(size=(int(rng.integers(20, 300)), 1)) * float(rng.uniform(0.5, 20))
         k, seed = int(rng.integers(1, 8)), int(rng.integers(1000))
-        assign, centers, inertia, history = _kmeans_arrays(x, k, seed, 10, 300)
+        assign, centers, inertia, history = _kmeans_fits([x], {0: seed}, k, 10, 300,
+                                                         history=True)[0]
         want = reference_kmeans(x, k, seed, 10, 300)
         assert np.array_equal(assign, want[0]), f"trial {trial}"
         np.testing.assert_allclose(centers, want[1], rtol=1e-12)

@@ -22,6 +22,7 @@ from kst.cluster import (
     _pairwise_sq,
     agglomerative_ward,
     cut_dendrogram,
+    kmeans_fit,
 )
 from kst.errors import KstError
 from kst.dataset import MetricTable
@@ -447,10 +448,10 @@ def test_select_k_fits_kmeans_once_per_k_on_the_data(two_blob_table, monkeypatch
     assert sorted(calls) == sorted(str(k) for k in range(1, 9) for _ in range(51))
 
 
-def test_kmeans_log_w_fails_as_one_loop_over_each_reference(monkeypatch):
-    # one loop over a reference fits it at every k, then takes each
+def test_labels_for_fails_as_one_loop_over_each_kmeans_data_set(monkeypatch):
+    # one loop over a data set fits it at every k, then takes each
     # dispersion: a failed fit, at any k, comes before a failed dispersion,
-    # and ends that reference's fits
+    # and ends that data set's fits
     xs = [np.random.default_rng(i).normal(size=(12, 2)) for i in range(3)]
     fits, dispersion = kst.quality._kmeans_fits, kst.quality._log_dispersion
     fitted = {}
@@ -469,10 +470,65 @@ def test_kmeans_log_w_fails_as_one_loop_over_each_reference(monkeypatch):
 
     monkeypatch.setattr(kst.quality, "_kmeans_fits", failing_fits)
     monkeypatch.setattr(kst.quality, "_log_dispersion", failing_dispersion)
-    got = kst.quality._kmeans_log_w(xs, [0, 1, 2], [1, 2, 3, 4], 3, 2, 300, 2)
+    keys = {0: (2, 0), 2: (2, 2), 1: (2, 1)}  # the failed fit last, so every error is seen
+    ks = [1, 2, 3, 4]
+    labels = _labels_for(xs, keys, ks, "kmeans", 3, 2, 300)
+    got = {}
+    for i in keys:
+        try:
+            fit = next(labels)
+            got[i] = [kst.quality._log_dispersion(xs[i], fit[k], k) for k in ks]
+        except KstError as exc:
+            got[i] = exc
     assert len(got[0]) == 4
     assert [str(got[i]) for i in (1, 2)] == ["fit of 1 at k=3", "dispersion at k=2"]
     assert fitted == {1: [0, 1, 2], 2: [0, 1, 2], 3: [0, 1, 2], 4: [0, 2]}
+
+
+def test_labels_for_fits_ward_data_sets_as_they_are_reached(monkeypatch):
+    # Ward fits a data set only when its labels are asked for: one that
+    # fails ends the generator, and the data sets after it are never fitted
+    xs = [np.random.default_rng(i).normal(size=(12, 2)) for i in range(3)]
+    steps, fitted = kst.quality._ward_merge_steps, []
+
+    def failing_steps(x):
+        fitted.append(next(i for i, y in enumerate(xs) if y is x))
+        if x is xs[1]:
+            raise KstError("merges of 1")
+        return steps(x)
+
+    monkeypatch.setattr(kst.quality, "_ward_merge_steps", failing_steps)
+    labels = _labels_for(xs, {i: (2, i) for i in range(3)}, [1, 2, 3], "agglomerative", 3, 2,
+                         300)
+    assert fitted == []
+    assert sorted(next(labels)) == [1, 2, 3] and fitted == [0]
+    with pytest.raises(KstError, match="merges of 1"):
+        next(labels)
+    assert next(labels, None) is None
+    assert fitted == [0, 1]
+
+
+@pytest.mark.parametrize("method", CLUSTER_METHODS)
+def test_labels_for_many_data_sets_equal_each_fitted_alone(method):
+    # each data set's labels depend on its values and its stream key only,
+    # not on the data sets fitted beside it; k = 5 and 6 empty clusters of
+    # the data set with three distinct rows, which k-means repairs
+    rng = np.random.default_rng(11)
+    xs = [rng.normal(size=(15, 3)) * scale for scale in (1.0, 7.0, 0.01)]
+    xs.append(xs[0][rng.integers(0, 3, size=15)])
+    keys = {i: (2, i) for i in range(len(xs))}
+    ks = [1, 2, 3, 5, 6]
+    together = list(_labels_for(xs, keys, ks, method, 7, 3, 300))
+    assert len(together) == len(xs)
+    for i, labels in enumerate(together):
+        alone = next(_labels_for([xs[i]], {0: keys[i]}, ks, method, 7, 3, 300))
+        assert sorted(labels) == sorted(alone) == ks
+        for k in ks:
+            assert labels[k].dtype == alone[k].dtype
+            assert np.array_equal(labels[k], alone[k])
+            assert sorted(set(labels[k].tolist())) == list(range(k))
+            if method == "kmeans":  # one byte per row held until the dispersions
+                assert labels[k].dtype == np.uint8
 
 
 def test_select_k_scores_the_gap_statistics_data_labels(two_blob_table, monkeypatch):
@@ -487,7 +543,7 @@ def test_select_k_scores_the_gap_statistics_data_labels(two_blob_table, monkeypa
     ks = range(1, 9)
     rep = select_k(t, "kmeans", criteria=("dunn", "gap"), k_range=ks, seed=4, gap_b=4,
                    n_init=1)
-    labels = _labels_for(t.data, ks, "kmeans", 4, 1, 300, 1)
+    labels = next(_labels_for([t.data], {0: (1,)}, ks, "kmeans", 4, 1, 300))
     assert sorted(scored) == list(range(2, 9))
     for k, p in scored.items():
         assert p == Partition(_canonical_ids(t.rows, labels[k].tolist(), k)[0], k)
@@ -537,6 +593,42 @@ def test_select_k_validation(four_point_line):
         select_k(four_point_line, k_range=range(2, 99))
     with pytest.raises(KstError):
         select_k(four_point_line, k_range=[])
+
+
+COUNT_ARGUMENTS = {
+    "kmeans_fit-n_init-float": (lambda t: kmeans_fit(t, 2, n_init=2.5), "n_init", 2.5),
+    "kmeans_fit-k-float": (lambda t: kmeans_fit(t, 2.0), "k", 2.0),
+    "cut_dendrogram-k-float": (lambda t: cut_dendrogram(agglomerative_ward(t), 2.0), "k", 2.0),
+    "gap_statistic-b-float": (lambda t: gap_statistic(t, "kmeans", 3, 2.5), "b", 2.5),
+    "gap_statistic-k_max-float": (lambda t: gap_statistic(t, "kmeans", 3.0, 4), "k_max", 3.0),
+    "select_k-gap_b-float": (lambda t: select_k(t, "kmeans", gap_b=2.5), "gap_b", 2.5),
+    "kmeans_fit-max_iter-float": (lambda t: kmeans_fit(t, 2, max_iter=2.5), "max_iter", 2.5),
+    "select_k-k_range-float": (lambda t: select_k(t, "kmeans", k_range=[1.5, 2]),
+                               "k_range[0]", 1.5),
+    "kmeans_fit-n_init-bool": (lambda t: kmeans_fit(t, 2, n_init=True), "n_init", True),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS.keys())
+def test_count_arguments_must_be_integers(two_blob_table, case):
+    # a float or a bool count is refused by name, as a float or bool seed is,
+    # instead of failing inside numpy or being rounded or run without a cap
+    call, name, value = case
+    with pytest.raises(KstError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(two_blob_table[0])
+
+
+def test_count_arguments_may_be_numpy_integers(two_blob_table):
+    t, _ = two_blob_table
+    got = kmeans_fit(t, np.int64(3), seed=2, n_init=np.int32(2), max_iter=np.uint16(50))
+    want = kmeans_fit(t, 3, seed=2, n_init=2, max_iter=50)
+    assert np.array_equal(got.centroids, want.centroids)
+    assert (got.assignments, got.inertia_history) == (want.assignments, want.inertia_history)
+    assert cut_dendrogram(agglomerative_ward(t), np.int8(2)) == \
+        cut_dendrogram(agglomerative_ward(t), 2)
+    ks = [np.int64(1), np.uint8(2), np.int16(3)]
+    assert select_k(t, "kmeans", k_range=ks, seed=2, gap_b=np.int64(4), n_init=np.int64(2)) \
+        == select_k(t, "kmeans", k_range=[1, 2, 3], seed=2, gap_b=4, n_init=2)
 
 
 def test_select_k_deterministic(two_blob_table):
