@@ -33,21 +33,22 @@ queue holds the ``n_init`` replicates of one data set for :func:`kmeans_fit`,
 and those of many data sets for the gap statistic's references. Each
 replicate draws its k-means++ seeds (Arthur & Vassilvitskii 2007,
 "k-means++: the advantages of careful seeding", SODA) from its own random
-sub-stream and stops on its own. The seeds of a chunk of data sets are drawn
-in one call (:func:`_kmeanspp_init`), as the chunk's first replicate enters
-the pool; each weighted draw over the chunk is one count over a cumulative
+sub-stream and stops on its own. Every replicate's seeds are drawn before
+the pool starts, a chunk of data sets per call (:func:`_kmeanspp_init`);
+each weighted draw over the chunk is one count over a cumulative
 distribution, and each generator is still called in its own order. At k = 1
 every start gives the same fit, so no seeds are drawn. Lloyd's assignment
-step (:func:`_assign_step`) is certified: one batched matrix product gives |c|^2 - 2 x.c for every centre, replicate and
-row, centre-major, and a row takes its lowest centre from it only where that
-centre leads the others by more than a rounding bound (in the manner of
-Elkan 2003, "Using the triangle inequality to accelerate k-means", ICML),
-which makes it the one nearest centre under the exact distances. Ties,
-near-ties and repairs go through the exact distances, so BLAS only rules
-centres out and never sets an output bit. The inertia is computed once per
-replicate as it finishes; the per-pass inertia history is built only for
-:func:`kmeans_fit`, which reports it, and only for the winning replicate,
-from the assignments and centres the loop keeps for each pass.
+step (:func:`_assign_step`) is certified: one batched matrix product gives
+|c|^2 - 2 x.c for every centre, replicate and row, centre-major, and a row
+takes its lowest centre from it only where that centre leads the others by
+more than a rounding bound (in the manner of Elkan 2003, "Using the triangle
+inequality to accelerate k-means", ICML), which makes it the one nearest
+centre under the exact distances. Ties, near-ties and repairs go through the
+exact distances, so BLAS only rules centres out and never sets an output bit.
+The inertia is computed once per replicate as it finishes; the per-pass
+inertia history is built only for :func:`kmeans_fit`, which reports it, and
+only for the winning replicate, from the assignments and centres the loop
+keeps for each pass.
 
 Every squared distance between rows, between rows and centers and between
 centers goes through :func:`_sq_dist`, which adds the columns left to right.
@@ -62,7 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -567,11 +568,11 @@ def _assign_step(
     near-ties, duplicates, anything non-finite) is recomputed through
     :func:`_sq_dist` and the exact rule, and so is every row of a replicate
     with a centre beyond the reach (never in Lloyd's loop, where each centre
-    is a row or a mean of rows). k = 1 needs neither: every row is 0. A
-    replicate with an empty cluster has its distances recomputed through
+    is a row or a mean of rows). At k = 1 every row is certain, in cluster 0.
+    A replicate with an empty cluster has its distances recomputed through
     :func:`_sq_dist` for the repair. So every output is bit-identical to the
-    exact step: the product, computed by BLAS in any order, only decides
-    which rows are certain, and never sets an output bit.
+    exact step: the product, computed by BLAS in any order, only decides which
+    rows are certain, and never sets an output bit.
 
     Why a certain row is right. Let M be the largest centre norm, s = (|x| +
     M)^2 <= 4 X^2, D_j the exact distance from x to centre c_j and Dh_j what
@@ -598,9 +599,6 @@ def _assign_step(
     a, k, d = centers.shape
     n = block.shape[2]
     offsets = k * np.arange(a)[:, None]
-    if k == 1:
-        assign = np.zeros((a, n), dtype=np.uint8)
-        return assign, assign + offsets, np.full((a, 1), n), np.zeros(a, dtype=bool)
     lhs = np.empty((a, k, d + 1))
     np.multiply(centers, -2.0, out=lhs[:, :, :d])
     sq = np.einsum("akj,akj->ak", centers, centers, out=lhs[:, :, d])
@@ -632,20 +630,19 @@ def _assign_step(
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in an inf inertia: a KstError
 def _lloyd(
-    xs: Sequence[np.ndarray], starts: Iterable[tuple[int, np.ndarray]], max_iter: int,
+    xs: Sequence[np.ndarray], starts: Sequence[tuple[int, np.ndarray]], max_iter: int,
     *, history: bool = False,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, float, list[float]]]:
     """Lloyd's algorithm for a queue of replicates, run in one pool; returns
     the best replicate of each data set as (assign, centers, inertia, history).
 
-    ``starts`` yields the queue: (g, centers), a replicate of data set
-    ``xs[g]`` started from k x d ``centers``. Every data set has one shape,
-    (n, d). The pool holds as many replicates as keep both its (k,
-    replicates, n) products and its (d + 1, replicates, n) data within
-    ``_POOL_ELEMENTS`` entries. It takes them from the queue in order, and
-    the next ones take the slots of those that finish, so every pass carries
-    a full pool until the queue runs out. A start is read only when a slot
-    is free for it.
+    ``starts`` is the queue: (g, centers), a replicate of data set ``xs[g]``
+    started from k x d ``centers``. Every data set has one shape, (n, d).
+    The pool holds as many replicates as keep both its (k, replicates, n)
+    products and its (d + 1, replicates, n) data within ``_POOL_ELEMENTS``
+    entries. It takes them from the queue in order, and the next ones take
+    the slots of those that finish, so every pass carries a full pool until
+    the queue runs out.
 
     Each pass moves every replicate in the pool one step: an assignment
     step (:func:`_assign_step`), then centroid sums that add each
@@ -666,23 +663,21 @@ def _lloyd(
     and the scatter of those is taken for the winners alone, a pool's worth
     of passes per call.
     """
-    queue = enumerate(starts)  # (queue position, (data set, centers))
-    entered = list(itertools.islice(queue, 1))
-    if not entered:
+    if not starts:
         return {}
-    (n, d), k = xs[0].shape, len(entered[0][1][1])
-    entered += itertools.islice(queue, max(1, _POOL_ELEMENTS // (max(k, d + 1) * n)) - 1)
-    block = np.ones((d + 1, len(entered), n))  # column j of slot i's data set: block[j, i]
-    reach = np.empty(len(entered))  # per slot: the _reach of its data set
-    centers = np.empty((len(entered), k, d))
-    prev = np.empty((len(entered), n), dtype=np.min_scalar_type(k))  # per slot: its last assignment
-    fresh = np.ones(len(entered), dtype=bool)  # per slot: no pass run yet
-    passes = np.zeros(len(entered), dtype=int)
-    slots: list = [None] * len(entered)  # per slot: (data set, queue position, its passes)
+    (n, d), k = xs[0].shape, len(starts[0][1])
+    size = min(len(starts), max(1, _POOL_ELEMENTS // (max(k, d + 1) * n)))
+    block = np.ones((d + 1, size, n))  # column j of slot i's data set: block[j, i]
+    reach = np.empty(size)  # per slot: the _reach of its data set
+    centers = np.empty((size, k, d))
+    prev = np.empty((size, n), dtype=np.min_scalar_type(k))  # per slot: its last assignment
+    fresh = np.ones(size, dtype=bool)  # per slot: no pass run yet
+    passes = np.zeros(size, dtype=int)
+    slots: list = [None] * size  # per slot: (data set, queue position, its passes)
     reaches: dict[int, float] = {}  # per data set entered: its _reach
 
-    def enter(i: int, start: tuple[int, tuple[int, np.ndarray]]) -> None:
-        position, (g, init) = start
+    def enter(i: int, position: int) -> None:
+        g, init = starts[position]
         if slots[i] is None or slots[i][0] != g:
             block[:d, i] = xs[g].T
             if g not in reaches:
@@ -691,8 +686,9 @@ def _lloyd(
         centers[i] = init
         fresh[i], passes[i], slots[i] = True, 0, (g, position, [])
 
-    for i, start in enumerate(entered):
-        enter(i, start)
+    for i in range(size):
+        enter(i, i)
+    queued = size  # the queue position of the next start
     best: dict = {}
     while True:
         a = len(slots)
@@ -719,11 +715,11 @@ def _lloyd(
                 best[g] = (value, position, assign[i].copy(), centers[i].copy(), trail)
         vacant = []
         for i in done:
-            start = next(queue, None)
-            if start is None:
-                vacant.append(i)
+            if queued < len(starts):
+                enter(i, queued)
+                queued += 1
             else:
-                enter(i, start)
+                vacant.append(i)
         if vacant:  # the queue has run out: the pool shrinks
             keep = np.ones(a, dtype=bool)
             keep[vacant] = False
@@ -752,14 +748,15 @@ def _kmeans_fits(
     (seeds[g], r), and ties on inertia keep the earliest replicate.
 
     Every replicate runs through one pool of :func:`_lloyd`, data set by
-    data set and replicate by replicate. The data sets are seeded in chunks
-    of at most ``_SEED_ELEMENTS`` (data set, replicate, row) entries, one
-    :func:`_kmeanspp_init` call each, as the first replicate of a chunk
-    enters the pool. At k = 1 every start gives the same one-cluster fit, so
-    a data set enters one replicate, started on its first row, and no
-    generator is built (its seed is still checked). A data set whose seed is
-    invalid or whose seeding overflows maps to its error, and one whose best
-    inertia overflows to a KstError; the others are fitted all the same.
+    data set and replicate by replicate. Every data set is seeded before the
+    pool starts, in chunks of at most ``_SEED_ELEMENTS`` (data set,
+    replicate, row) entries, one :func:`_kmeanspp_init` call each; the
+    seeded centres hold n_init k d numbers per data set. At k = 1 every
+    start gives the same one-cluster fit, so a data set enters one
+    replicate, started on its first row, and no generator is built. The
+    seeds are the caller's to check. A data set whose seeding overflows maps
+    to a KstError, and so does one whose best inertia overflows; the others
+    are fitted all the same.
     ``history`` asks :func:`_lloyd` for each winner's inertia per pass; only
     :func:`kmeans_fit`, which reports it, asks.
     Distances add their columns left to right on every memory layout, so
@@ -770,38 +767,23 @@ def _kmeans_fits(
     instead, so at d = 1 centroids and inertia can differ from it in the
     last bits (ULP), and on tied distances so can an assignment.
     """
-    if n_init < 1 or max_iter < 1:
-        raise KstError("n_init and max_iter must be >= 1")
     errors: dict[int, Exception] = {}
-
-    def starts() -> Iterator[tuple[int, np.ndarray]]:
-        n, d = xs[0].shape
-        pending = iter(seeds.items())
-        while chunk := list(itertools.islice(pending, max(1, _SEED_ELEMENTS // (n_init * n)))):
-            valid = []
-            for g, seed in chunk:
-                try:  # the caller's to raise, for this data set only
-                    _check_seed(seed)
-                    valid.append(g)
-                except KstError as exc:
-                    errors[g] = exc
-            if k == 1:
-                yield from ((g, xs[g][:1]) for g in valid)
-                continue
-            if not valid:
-                continue
-            stack = np.empty((d, len(valid), n))  # the chunk's columns, each contiguous
-            for i, g in enumerate(valid):
-                stack[:, i] = xs[g].T
-            rngs = [[substream(seeds[g], r) for r in range(n_init)] for g in valid]
-            init, overflow = _kmeanspp_init(stack.transpose(1, 2, 0), k, rngs)
-            for g, centers, failed in zip(valid, init, overflow.tolist()):
+    if k == 1:
+        starts = [(g, xs[g][:1]) for g in seeds]
+    else:
+        starts = []
+        pending, step = iter(seeds), max(1, _SEED_ELEMENTS // (n_init * len(xs[0])))
+        while chunk := list(itertools.islice(pending, step)):
+            init, overflow = _kmeanspp_init(  # the chunk's stacked columns, each contiguous
+                np.stack([xs[g].T for g in chunk], axis=1).transpose(1, 2, 0), k,
+                [[substream(seeds[g], r) for r in range(n_init)] for g in chunk])
+            for g, centers, failed in zip(chunk, init, overflow.tolist()):
                 if failed:
                     errors[g] = KstError("k-means++ distances overflow float64; rescale the data")
                 else:
-                    yield from ((g, c) for c in centers)
+                    starts += ((g, c) for c in centers)
 
-    fits = _lloyd(xs, starts(), max_iter, history=history)
+    fits = _lloyd(xs, starts, max_iter, history=history)
     for g, fit in fits.items():
         if not math.isfinite(fit[2]):  # at k = 1 no k-means++ draw checks the scale
             errors[g] = KstError("k-means distances overflow float64; rescale the data")
@@ -826,6 +808,9 @@ def kmeans_fit(
     n = len(m.rows)
     if not 1 <= k <= n:
         raise KstError(f"k must be between 1 and {n}, got {k}")
+    if n_init < 1 or max_iter < 1:
+        raise KstError("n_init and max_iter must be >= 1")
+    _check_seed(seed)
     fit = _kmeans_fits([m.data], {0: seed}, k, n_init, max_iter, history=True)[0]
     if isinstance(fit, Exception):
         raise fit

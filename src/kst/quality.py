@@ -488,13 +488,16 @@ def gap_statistic(
     taken. So with k-means the warnings of a process's whole stride reach
     the caller at its first reference, and their order can depend on the
     count. Peak memory grows by about one such working set per process: for
-    Ward the n x n distance matrix, n**2 * 8 bytes (32 MB at 2,000 rows);
-    for k-means the pool, whose products and whose copy of its replicates'
-    data hold about 96K entries (768 KiB) each, or one replicate's when n is
-    larger, plus, while the k-means++ seeds of a chunk of references are
-    drawn, a few arrays of about 32K entries (256 KiB) each, or one
-    reference's replicates' worth when n_init * n is larger. k-means also
-    holds each reference's labels at every k until its dispersions are
+    Ward the n x n distance matrix, n**2 * 8 bytes (32 MB at 2,000 rows); for
+    k-means the pool, whose products and whose copy of its replicates' data
+    hold about 96K entries (768 KiB) each, or one replicate's when n is
+    larger. The k-means++ seeds of every reference are drawn before the pool
+    starts, a chunk of references at a time, in a few arrays of about 32K
+    entries (256 KiB) each, or one reference's replicates' worth when n_init *
+    n is larger; those arrays are gone before the pool starts, so they no
+    longer come on top of its memory. The seeded centres stay, n_init * k * d
+    numbers per reference (64 KB for 25 references at k = 8, d = 4). k-means
+    also holds each reference's labels at every k until its dispersions are
     taken: n bytes per k and reference of a process's stride.
     ``_labels`` is private to :func:`select_k`: the labels of ``m`` per k
     that it has already computed, as ``_labels_for`` gives them for stream
@@ -511,6 +514,8 @@ def gap_statistic(
         )
     if b < 2:
         raise KstError(f"gap statistic needs at least 2 reference datasets, got {b}")
+    if n_init < 1 or max_iter < 1:
+        raise KstError("n_init and max_iter must be >= 1")
     x = m.data
     ks = list(range(k_min, k_max + 1))
 
@@ -666,6 +671,8 @@ def select_k(
     lo, hi = sorted((ks[0], ks[-1]))
     if lo < 1 or hi > n:
         raise KstError(f"k_range must stay within 1..{n}, got {lo}..{hi}")
+    if n_init < 1 or max_iter < 1:
+        raise KstError("n_init and max_iter must be >= 1")
     ks = sorted(ks)
 
     # 1. Each scored criterion's domain, checked before anything is clustered.

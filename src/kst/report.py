@@ -4,8 +4,9 @@ Everything written to disk goes through :func:`emit_report`, which produces
 versioned JSON (``schema_version: 1``) with sections in a fixed canonical
 order so identical inputs yield byte-identical documents. The document is
 written by :func:`kst._json.dumps`, the one JSON writer, which walks the
-section objects straight to text and falls back to :func:`to_jsonable` for a
-type it does not know; :func:`parse_report` reads like ``parse_samples``.
+section objects straight to text and falls back to
+:func:`kst._json.to_jsonable` for a type it does not know;
+:func:`parse_report` reads like ``parse_samples``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import IO, Any, Mapping, Sequence
 
 import numpy as np
 
-# to_jsonable is not called here; it stays importable as kst.report.to_jsonable
-from ._json import FieldDict, dumps, load_json, to_jsonable  # noqa: F401
+from ._json import FieldDict, dumps, load_json
 from .cluster import Partition
 from .dataset import FRACTION, TIME, MetricDescriptor, MetricTable
 from .errors import KstError, ParseError

@@ -326,11 +326,13 @@ def test_select_k_bad_range(tmp_path, capsys, cpu_csv):
     assert json.loads(err)["error"] == "KstError"
 
 
+@pytest.mark.parametrize("method", ["kmeans", "agglomerative"])
 @pytest.mark.parametrize("flag", ["--n-init", "--max-iter"])
-def test_select_k_gap_rejects_zero_kmeans_budget(tmp_path, capsys, cpu_csv, flag):
-    # gap is the only criterion, so no kmeans_fit call checks the budget first
+def test_select_k_gap_rejects_zero_kmeans_budget(tmp_path, capsys, cpu_csv, flag, method):
+    # gap is the only criterion, so no kmeans_fit call checks the budget
+    # first; Ward uses no budget but rejects a zero one all the same
     code, out, err = run(capsys, "select-k", "--input", cpu_csv, "--size", 4194304,
-                         "--method", "kmeans", "--criteria", "gap", flag, 0,
+                         "--method", method, "--criteria", "gap", flag, 0,
                          "--out", tmp_path / "o")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1

@@ -752,14 +752,13 @@ def test_kmeanspp_chunk_equals_reference():
 def test_kmeanspp_chunks_split_at_any_boundary():
     # _kmeans_fits seeds at most _SEED_ELEMENTS (data set, replicate, row)
     # entries per call: 280 per data set here (40 rows, 7 replicates). Every
-    # split gives the fits of each data set alone, the overflowing one maps
-    # to its own error, and an invalid seed to its own.
+    # split gives the fits of each data set alone, and the overflowing one
+    # maps to its own error.
     inputs = _seeding_inputs()
-    names = ["normal", "few", "huge", "tiny", "normal", "few", "bad seed"]
-    refs = [inputs.get(name, inputs["normal"]) for name in names]
-    seeds = {i: -1 if name == "bad seed" else subseed(5, i) for i, name in enumerate(names)}
+    names = ["normal", "few", "huge", "tiny", "normal", "few"]
+    refs = [inputs[name] for name in names]
+    seeds = {i: subseed(5, i) for i in range(len(names))}
     alone = {i: _kmeans_fits([x], {0: seeds[i]}, 3, 7, 30)[0] for i, x in enumerate(refs)}
-    assert isinstance(alone[6], KstError) and "seed must be" in str(alone[6])
     assert str(alone[2]) == "k-means++ distances overflow float64; rescale the data"
     seed_centers = kst.cluster._kmeanspp_init
     for cap, want_chunks in ((1, [1] * 6), (560, [2, 2, 2]), (839, [2, 2, 2]), (840, [3, 3]),
@@ -786,17 +785,16 @@ def test_kmeanspp_chunks_split_at_any_boundary():
 
 def test_kmeans_k_one_draws_nothing_and_checks_the_seed():
     # at k = 1 every start gives the same fit: no generator is built and one
-    # replicate enters per data set, yet the fit is the reference's and an
-    # invalid seed is still an error
+    # replicate enters per data set, yet the fit is the reference's, and
+    # kmeans_fit checks the seed before any of it
     x = _pool_input("normal", 30, 3, 8)
     with mock.patch.object(kst.cluster, "substream", side_effect=AssertionError), \
             mock.patch.object(kst.cluster, "_kmeanspp_init", side_effect=AssertionError):
-        fits = _kmeans_fits([x, x, x], {0: 4, 1: -1, 2: 5}, 1, 10, 300, history=True)
+        fits = _kmeans_fits([x, x], {0: 4, 1: 5}, 1, 10, 300, history=True)
         with pytest.raises(KstError, match="^seed must be a non-negative integer"):
             kmeans_fit(make_table(x), 1, seed=-1)
-    assert isinstance(fits[1], KstError)
     want = reference_kmeans(np.asfortranarray(x), 1, 4, 10, 300)
-    for fit in (fits[0], fits[2]):
+    for fit in fits.values():
         assert np.array_equal(fit[0], want[0]) and np.array_equal(fit[1], want[1])
         assert (fit[2], fit[3]) == (want[2], want[3])
 
@@ -963,6 +961,19 @@ def test_certified_assign_step_sends_ties_to_the_exact_rule():
     with mock.patch.object(kst.cluster, "_sq_dist", spy):
         _assert_step_is_exact(rows, centers)
     assert sum(exact_rows) > 0
+
+
+def test_certified_assign_step_at_k_one_puts_every_row_in_cluster_zero():
+    # one centre rules no row out, so every row is certain, NaN rows too
+    rows = np.array([[[0.5, 1.0], [np.nan, 2.0], [3.0, -1.0]]])
+    block = np.ones((3, 1, 3))
+    block[:2] = rows.transpose(2, 0, 1)
+    centers = np.array([[[1.0, 0.5]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assign, bins, counts, repaired = _assign_step(block, np.array([5.0]), centers)
+    assert assign.tolist() == bins.tolist() == [[0, 0, 0]]
+    assert counts.tolist() == [[3]] and repaired.tolist() == [False]
 
 
 def test_certified_assign_step_decides_nothing_beyond_the_rows_reach():

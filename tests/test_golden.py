@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import kst.quality
 from conftest import json_records
 from golden_corpus import CASES, GOLDEN, MANIFEST, run_case
 
@@ -27,6 +28,15 @@ def test_manifest_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_case(name, tmp_path, monkeypatch):
     monkeypatch.delenv("KST_SEED", raising=False)
+    assert run_case(CASES[name], tmp_path) == RECORDED[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items() if argv[0] == "select-k"))
+def test_select_k_case_in_one_process(name, tmp_path, monkeypatch):
+    # the gap statistic fits every reference in this one process here, and in
+    # as many forked processes as there are CPUs in test_golden_case
+    monkeypatch.delenv("KST_SEED", raising=False)
+    monkeypatch.setattr(kst.quality, "_cpu_count", lambda: 1)
     assert run_case(CASES[name], tmp_path) == RECORDED[name]
 
 
@@ -51,8 +61,10 @@ def test_golden_case_json_form(name, tmp_path, monkeypatch, json_golden):
 # k-means decides a row from a BLAS product only where the product provably
 # agrees with the exact distances, so no k-means output may move with the
 # kernel OpenBLAS picks. projection.json still does (report.pca_project's
-# eigh and product), so it alone is left out.
-BLAS_CASES = ("select-k-kmeans-all-criteria", "cluster-kmeans-k3")
+# eigh and product), so it alone is left out. Each kernel's cases run in a
+# fresh process, which fits the select-k cases' gap references in as many
+# forked processes as it has CPUs.
+BLAS_CASES = ("select-k-kmeans-all-criteria", "select-k-ward", "cluster-kmeans-k3")
 _RUN_CASES = ("import json, sys; from pathlib import Path; from golden_corpus import CASES, run_case; "
               "print(json.dumps({n: run_case(CASES[n], Path(sys.argv[1]) / n) for n in sys.argv[2:]}))")
 

@@ -347,10 +347,30 @@ def test_gap_parameter_validation(four_point_line):
         gap_statistic(four_point_line, "kmeans", k_max=2, b=4, k_min=3)
 
 
-@pytest.mark.parametrize("budget", [{"n_init": 0}, {"max_iter": 0}], ids=["n_init", "max_iter"])
-def test_gap_kmeans_rejects_zero_budget(two_blob_table, budget):
-    with pytest.raises(KstError, match="n_init and max_iter must be >= 1"):
-        gap_statistic(two_blob_table[0], "kmeans", k_max=3, b=4, **budget)
+@pytest.mark.parametrize("method", ["kmeans", "agglomerative"])
+@pytest.mark.parametrize("budget", [{"n_init": 0}, {"max_iter": 0}, {"n_init": -1, "max_iter": -5}],
+                         ids=["n_init", "max_iter", "both"])
+def test_gap_kmeans_rejects_zero_budget(two_blob_table, budget, method):
+    # Ward uses no budget, yet the same call must fail the same way whatever
+    # the method, in select_k as in gap_statistic
+    t = two_blob_table[0]
+    with pytest.raises(KstError, match="^n_init and max_iter must be >= 1$"):
+        gap_statistic(t, method, k_max=3, b=4, **budget)
+    with pytest.raises(KstError, match="^n_init and max_iter must be >= 1$"):
+        select_k(t, method, k_range=range(1, 4), gap_b=4, **budget)
+
+
+def test_budget_error_comes_before_warnings_and_criterion_domains(four_point_line):
+    # the budget is checked with the other arguments, before gap_statistic
+    # warns of a constant feature and before select_k checks each criterion
+    # has a k to score
+    t = make_table([[0.0, 0.0], [0.0, 0.1], [0.0, 10.0], [0.0, 10.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KstError, match="^n_init and max_iter must be >= 1$"):
+            gap_statistic(t, "kmeans", k_max=3, b=4, n_init=0)
+    with pytest.raises(KstError, match="^n_init and max_iter must be >= 1$"):
+        select_k(four_point_line, "kmeans", criteria=("silhouette",), k_range=[1], max_iter=0)
 
 
 def test_gap_rejects_k_equal_to_row_count(four_point_line):

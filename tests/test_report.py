@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kst._json import to_jsonable
 from kst.cluster import Partition, kmeans_fit
 from kst.dataset import MetricTable, descriptor_for
 from kst.errors import KstError
@@ -17,7 +18,6 @@ from kst.report import (
     format_metric_value,
     parse_report,
     pca_project,
-    to_jsonable,
 )
 
 from conftest import make_table
