@@ -33,18 +33,21 @@ queue holds the ``n_init`` replicates of one data set for :func:`kmeans_fit`,
 and those of many data sets for the gap statistic's references. Each
 replicate draws its k-means++ seeds (Arthur & Vassilvitskii 2007,
 "k-means++: the advantages of careful seeding", SODA) from its own random
-sub-stream and stops on its own. Every replicate's seeds are drawn before
-the pool starts, a chunk of data sets per call (:func:`_kmeanspp_init`);
-each weighted draw over the chunk is one count over a cumulative
-distribution, and each generator is still called in its own order. At k = 1
-every start gives the same fit, so no seeds are drawn. Lloyd's assignment
-step (:func:`_assign_step`) is certified: one batched matrix product gives
-|c|^2 - 2 x.c for every centre, replicate and row, centre-major, and a row
-takes its lowest centre from it only where that centre leads the others by
-more than a rounding bound (in the manner of Elkan 2003, "Using the triangle
-inequality to accelerate k-means", ICML), which makes it the one nearest
-centre under the exact distances. Ties, near-ties and repairs go through the
-exact distances, so BLAS only rules centres out and never sets an output bit.
+sub-stream and stops on its own. The sub-streams are numpy's SeedSequence +
+PCG64 streams, derived together for every replicate of a call in plain
+integer arithmetic (``rng._Streams``), with no numpy ``Generator`` per
+replicate. Every replicate's seeds are drawn before the pool starts, a chunk
+of data sets per call (:func:`_kmeanspp_init`); each centre is drawn for the
+whole chunk at once, and each weighted draw over the chunk is one count over
+a cumulative distribution. At k = 1 every start gives the same fit, so no
+seeds are drawn. Lloyd's assignment step (:func:`_assign_step`) is
+certified: one batched matrix product gives |c|^2 - 2 x.c for every centre,
+replicate and row, centre-major, and a row takes its lowest centre from it
+only where that centre leads the others by more than a rounding bound (in
+the manner of Elkan 2003, "Using the triangle inequality to accelerate
+k-means", ICML), which makes it the one nearest centre under the exact
+distances. Ties, near-ties and repairs go through the exact distances, so
+BLAS only rules centres out and never sets an output bit.
 The inertia is computed once per replicate as it finishes; the per-pass
 inertia history is built only for :func:`kmeans_fit`, which reports it, and
 only for the winning replicate, from the assignments and centres the loop
@@ -70,7 +73,7 @@ import numpy as np
 from ._json import FieldDict
 from .dataset import MetricTable
 from .errors import KstError
-from .rng import DEFAULT_SEED, _check_ints, _check_seed, substream
+from .rng import DEFAULT_SEED, _check_ints, _check_seed, _Streams
 
 
 _BLOCK_ELEMENTS = 1 << 18  # float64 entries per block of distance work: 2 MiB
@@ -121,8 +124,9 @@ def _scatter(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarr
     return diff.reshape(b, -1).sum(axis=1)
 
 
-def _pairwise_sq(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``x``, as an n x n array.
+def _pairwise_sq(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x``, as an n x n
+    array, written into ``out`` when it is given.
 
     Built a block of rows at a time, each block spanning at most about
     ``_BLOCK_ELEMENTS`` coordinate differences, so temporaries stay small.
@@ -133,7 +137,7 @@ def _pairwise_sq(x: np.ndarray) -> np.ndarray:
     for either.
     """
     n, d = x.shape
-    out = np.empty((n, n))
+    out = np.empty((n, n)) if out is None else out
     rows = max(1, _BLOCK_ELEMENTS // max(1, n * d))
     for lo in range(0, n, rows):
         block = _sq_dist(x[lo:lo + rows, None, :], x[None, lo:, :])
@@ -211,7 +215,9 @@ class Partition:
 
 
 @np.errstate(over="ignore")  # an overflow ends in an inf distance: a KstError
-def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int]]:
+def _ward_merge_steps(
+    x: np.ndarray, d2: np.ndarray | None = None
+) -> list[tuple[int, int, float, int]]:
     """Lance-Williams Ward merges on raw coordinates.
 
     Returns (left, right, height, size) per step, with node ids as in
@@ -251,14 +257,16 @@ def _ward_merge_steps(x: np.ndarray) -> list[tuple[int, int, float, int]]:
 
     Cost: O(n^2) memory at the start. O(n^2) time on typical data; rescans
     push it towards O(n^3) only when many rows share one nearest neighbour,
-    as with many duplicate rows.
+    as with many duplicate rows. ``d2``, an n x n array, is used as the
+    starting matrix when given, so that a caller running Ward on many data
+    sets of one shape allocates it once; its values are overwritten.
     """
     n = x.shape[0]
     if n < 2:
         return []
     node_id = list(range(n))           # per position
     size = np.ones(n)                  # per position: leaf count
-    d2 = _pairwise_sq(x)               # squared Ward distances; stale in dead columns
+    d2 = _pairwise_sq(x, out=d2)       # squared Ward distances; stale in dead columns
     np.fill_diagonal(d2, np.inf)
     nn_idx = d2.argmin(axis=1)         # per row: column of its smallest distance (-1 once dead)
     nn_val = d2[np.arange(n), nn_idx]  # per row: that distance (inf once dead)
@@ -441,23 +449,25 @@ class KMeansModel(FieldDict):
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite total
 def _kmeanspp_init(
-    x: np.ndarray, k: int, rngs: Sequence[Sequence[np.random.Generator]]
+    x: np.ndarray, k: int, streams: _Streams, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding for a chunk of data sets at once: first center
     uniform, the rest weighted by squared distance to the nearest chosen
     center. ``x`` (g, n, d) stacks the data sets, fastest with each column
-    contiguous (``x.transpose(2, 0, 1)`` C-ordered); ``rngs[i]`` holds data
-    set i's generators, r of them, one per replicate. Returns the (g, r, k,
-    d) centers and which data sets' distances overflow float64, whose centers
-    are undefined and whose generators are left mid-way.
+    contiguous (``x.transpose(2, 0, 1)`` C-ordered); ``rows`` (g, r) holds
+    the streams of data set i's replicates, one per replicate, in
+    ``streams``. Returns the (g, r, k, d) centers and which data sets'
+    distances overflow float64, whose centers are undefined and whose
+    streams are left mid-way.
 
-    All replicates share (r, g, n) distance arrays, replicate-major, but each
-    draws only from its own generator, once per center: ``integers`` for the
-    first and for a uniform fallback (all remaining mass zero), ``random``
-    for a weighted draw. A weighted draw is the inverse-CDF lookup that
+    All replicates share (r, g, n) distance arrays, replicate-major, and
+    each center is drawn for the whole chunk at once, each replicate from
+    its own stream, once per center: ``integers`` for the first and for a
+    uniform fallback (all remaining mass zero), ``random`` for a weighted
+    draw. A weighted draw is the inverse-CDF lookup that
     ``rng.choice(n, p=d2 / total)`` runs (normalised cumsum, one uniform,
     ``searchsorted(side="right")``), so it picks the same index and leaves
-    the generator in the same state, without ``choice``'s checks; on the
+    the stream in the same state, without ``choice``'s checks; on the
     non-decreasing cdf, ``searchsorted(side="right")`` is the count of
     entries <= the uniform, taken for every replicate of the chunk by one
     ``count_nonzero``. A data set stops drawing at the first center where the
@@ -465,12 +475,11 @@ def _kmeanspp_init(
     after the last center.
     """
     g, n, d = x.shape
-    r = len(rngs[0])
-    gens = [rngs[i][j] for j in range(r) for i in range(g)]  # replicate-major, as d2
+    r = rows.shape[1]
+    drawing = rows.T.ravel()  # the stream of each (replicate, data set), replicate-major as d2
     sets = np.arange(g)
     centers = np.empty((r, g, k, d))
-    idx = np.array([rng.integers(n) for rng in gens]).reshape(r, g)
-    centers[:, :, 0] = x[sets, idx]
+    centers[:, :, 0] = x[sets, streams.integers(drawing, n).reshape(r, g)]
     overflow = np.zeros(g, dtype=bool)
     d2 = cdf = None
     for j in range(1, k):
@@ -484,9 +493,10 @@ def _kmeanspp_init(
         total[:, overflow] = np.nan  # an overflowed data set draws no more
         weighted, uniform = total > 0, total == 0
         u = np.zeros((r, g))
-        u[weighted] = [gens[q].random() for q in np.flatnonzero(weighted).tolist()]
+        u[weighted] = streams.random(drawing[weighted.ravel()])
         drawn = np.count_nonzero(cdf <= u[:, :, None], axis=2)
-        drawn[uniform] = [gens[q].integers(n) for q in np.flatnonzero(uniform).tolist()]
+        if uniform.any():
+            drawn[uniform] = streams.integers(drawing[uniform.ravel()], n)
         centers[:, :, j] = x[sets, drawn]
     return centers.transpose(1, 0, 2, 3), overflow
 
@@ -748,15 +758,16 @@ def _kmeans_fits(
     (seeds[g], r), and ties on inertia keep the earliest replicate.
 
     Every replicate runs through one pool of :func:`_lloyd`, data set by
-    data set and replicate by replicate. Every data set is seeded before the
-    pool starts, in chunks of at most ``_SEED_ELEMENTS`` (data set,
-    replicate, row) entries, one :func:`_kmeanspp_init` call each; the
-    seeded centres hold n_init k d numbers per data set. At k = 1 every
-    start gives the same one-cluster fit, so a data set enters one
-    replicate, started on its first row, and no generator is built. The
-    seeds are the caller's to check. A data set whose seeding overflows maps
-    to a KstError, and so does one whose best inertia overflows; the others
-    are fitted all the same.
+    data set and replicate by replicate. The sub-streams of every data set
+    and replicate are derived in one :class:`~kst.rng._Streams`, and every
+    data set is seeded before the pool starts, in chunks of at most
+    ``_SEED_ELEMENTS`` (data set, replicate, row) entries, one
+    :func:`_kmeanspp_init` call each; the seeded centres hold n_init k d
+    numbers per data set. At k = 1 every start gives the same one-cluster
+    fit, so a data set enters one replicate, started on its first row, and
+    no stream is derived. The seeds are the caller's to check. A data set
+    whose seeding overflows maps to a KstError, and so does one whose best
+    inertia overflows; the others are fitted all the same.
     ``history`` asks :func:`_lloyd` for each winner's inertia per pass; only
     :func:`kmeans_fit`, which reports it, asks.
     Distances add their columns left to right on every memory layout, so
@@ -772,16 +783,20 @@ def _kmeans_fits(
         starts = [(g, xs[g][:1]) for g in seeds]
     else:
         starts = []
-        pending, step = iter(seeds), max(1, _SEED_ELEMENTS // (n_init * len(xs[0])))
-        while chunk := list(itertools.islice(pending, step)):
+        streams = _Streams(list(seeds.values()), [(r,) for r in range(n_init)])
+        rows = np.arange(len(streams)).reshape(len(seeds), n_init)  # each data set's streams
+        order, step = list(seeds), max(1, _SEED_ELEMENTS // (n_init * len(xs[0])))
+        for lo in range(0, len(order), step):
+            chunk = order[lo:lo + step]
             init, overflow = _kmeanspp_init(  # the chunk's stacked columns, each contiguous
                 np.stack([xs[g].T for g in chunk], axis=1).transpose(1, 2, 0), k,
-                [[substream(seeds[g], r) for r in range(n_init)] for g in chunk])
+                streams, rows[lo:lo + step])
             for g, centers, failed in zip(chunk, init, overflow.tolist()):
                 if failed:
                     errors[g] = KstError("k-means++ distances overflow float64; rescale the data")
                 else:
                     starts += ((g, c) for c in centers)
+        del streams  # free before the pool starts
 
     fits = _lloyd(xs, starts, max_iter, history=history)
     for g, fit in fits.items():

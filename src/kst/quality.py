@@ -40,7 +40,7 @@ from .cluster import (
 from .cluster import agglomerative_ward  # noqa: F401
 from .dataset import MetricTable
 from .errors import KstError
-from .rng import DEFAULT_SEED, _check_ints, subseed, substream
+from .rng import DEFAULT_SEED, _check_ints, _subseeds, substream
 
 CLUSTER_METHODS = ("agglomerative", "kmeans")
 DEFAULT_CRITERIA = ("silhouette", "calinski_harabasz", "dunn", "gap")
@@ -283,19 +283,23 @@ def _labels_for(xs: Sequence[np.ndarray], keys: Mapping[int, tuple[int, ...]],
                 max_iter: int) -> Iterator[dict[int, np.ndarray]]:
     """Cluster each data set ``xs[i]``, i in ``keys``, at every k in ``ks``
     with the requested method, and yield its labels per k in key order.
-    Ward runs once per data set, as it is reached, cut at every k. k-means
-    fits every data set at each k in one Lloyd pool (:func:`_kmeans_fits`),
-    on sub-stream (seed, *keys[i], k), all before the first yield; a data set
-    whose fit fails is not fitted at larger k, and its error is raised when
-    it is reached. Cluster ids are 0..k-1, every one of them used."""
+    Every data set has one shape, (n, d). Ward runs once per data set, as it
+    is reached, cut at every k, in one n x n working matrix allocated once.
+    k-means fits every data set at each k in one Lloyd pool
+    (:func:`_kmeans_fits`), on sub-stream (seed, *keys[i], k), each k's seeds
+    derived in one call, all before the first yield; a data set whose fit
+    fails is not fitted at larger k, and its error is raised when it is
+    reached. Cluster ids are 0..k-1, every one of them used."""
     if method == "agglomerative":
+        n = xs[0].shape[0]
+        work = np.empty((n, n))  # each data set's distance matrix in turn
         for i in keys:
-            yield _assign_at_each_k(_ward_merge_steps(xs[i]), xs[i].shape[0], ks)
+            yield _assign_at_each_k(_ward_merge_steps(xs[i], work), n, ks)
         return
     labels: dict[int, dict[int, np.ndarray] | Exception] = {i: {} for i in keys}
     for k in ks:
-        seeds = {i: subseed(seed, *key, k) for i, key in keys.items()
-                 if not isinstance(labels[i], Exception)}
+        live = [i for i in keys if not isinstance(labels[i], Exception)]
+        seeds = dict(zip(live, _subseeds(seed, [(*keys[i], k) for i in live])))
         for i, fit in _kmeans_fits(xs, seeds, k, n_init, max_iter).items():
             if isinstance(fit, Exception):
                 labels[i] = fit

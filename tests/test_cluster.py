@@ -28,7 +28,7 @@ from kst.cluster import _kmeanspp_init, _lloyd, _pairwise_sq, _scatter, _sq_dist
 from kst.cluster import _assign_at_each_k, _canonical_ids, _kmeans_fits, _ward_merge_steps
 from kst.cluster import _assign_step, _reach, _repair_empty
 from kst.errors import KstError
-from kst.rng import subseed, substream
+from kst.rng import _Streams, subseed, substream
 
 from conftest import make_table, two_blob_array
 
@@ -716,21 +716,25 @@ def _seeding_inputs() -> dict[str, np.ndarray]:
 
 def test_kmeanspp_chunk_equals_reference():
     # the chunked seeder against the one-replicate reference, replicate by
-    # replicate on real sub-streams, five data sets in one call: the same
-    # centers, each generator left in the same state, on either layout of
-    # the stack. The overflowing data set is flagged, with no warning, and
-    # the others in its chunk are unaffected.
+    # replicate on numpy's generators of the same sub-streams, five data sets
+    # in one call: the same centers, each stream left in the state numpy's
+    # generator is left in, on either layout of the stack. The streams are
+    # rows of a larger derivation, not in its order. The overflowing data
+    # set is flagged, with no warning, and the others in its chunk are
+    # unaffected.
     inputs = _seeding_inputs()
     names = ["normal", "huge", "few", "tiny", "normal"]
     sets = [inputs[name] for name in names]
     starts_on_t = set()
-    for k in range(1, 7):
+    for k in (*range(1, 7), 11):  # 11 centres: more draws than a block of states holds
         columns = np.ascontiguousarray(np.stack(sets).transpose(2, 0, 1)).transpose(1, 2, 0)
         for stack in (columns, np.stack(sets)):
-            rngs = [[substream(11 + i, r) for r in range(7)] for i in range(len(sets))]
+            streams = _Streams([11 + i for i in range(len(sets))][::-1] + [99],
+                               [(r,) for r in range(7)])
+            rows = np.arange(len(sets) * 7).reshape(len(sets), 7)[::-1]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got, overflow = _kmeanspp_init(stack, k, rngs)
+                got, overflow = _kmeanspp_init(stack, k, streams, rows)
             assert got.shape == (5, 7, k, 12)
             assert overflow.tolist() == [name == "huge" and k > 1 for name in names]
             for i, x in enumerate(sets):
@@ -744,7 +748,7 @@ def test_kmeanspp_chunk_equals_reference():
                             continue
                         want = _reference_kmeanspp_init(xf, k, want_rng)
                     assert np.array_equal(got[i, r], want)
-                    assert rngs[i][r].bit_generator.state == want_rng.bit_generator.state
+                    assert streams.state(rows[i, r]) == want_rng.bit_generator.state
             starts_on_t.update((got[3, :, 0, 0] == 1.2e-162).tolist())
     assert starts_on_t == {True, False}  # `tiny` reaches both kinds of draw
 
@@ -765,9 +769,9 @@ def test_kmeanspp_chunks_split_at_any_boundary():
                              (None, [6])):
         chunks = []
 
-        def spy(x, k, rngs):
-            chunks.append(len(rngs))
-            return seed_centers(x, k, rngs)
+        def spy(x, k, streams, rows):
+            chunks.append(len(rows))
+            return seed_centers(x, k, streams, rows)
 
         with mock.patch.object(kst.cluster, "_SEED_ELEMENTS", cap or kst.cluster._SEED_ELEMENTS), \
                 mock.patch.object(kst.cluster, "_kmeanspp_init", spy), warnings.catch_warnings():
@@ -784,11 +788,11 @@ def test_kmeanspp_chunks_split_at_any_boundary():
 
 
 def test_kmeans_k_one_draws_nothing_and_checks_the_seed():
-    # at k = 1 every start gives the same fit: no generator is built and one
+    # at k = 1 every start gives the same fit: no stream is derived and one
     # replicate enters per data set, yet the fit is the reference's, and
     # kmeans_fit checks the seed before any of it
     x = _pool_input("normal", 30, 3, 8)
-    with mock.patch.object(kst.cluster, "substream", side_effect=AssertionError), \
+    with mock.patch.object(kst.cluster, "_Streams", side_effect=AssertionError), \
             mock.patch.object(kst.cluster, "_kmeanspp_init", side_effect=AssertionError):
         fits = _kmeans_fits([x, x], {0: 4, 1: 5}, 1, 10, 300, history=True)
         with pytest.raises(KstError, match="^seed must be a non-negative integer"):

@@ -20,6 +20,7 @@ from kst.cluster import (
     Partition,
     _canonical_ids,
     _pairwise_sq,
+    _ward_merge_steps,
     agglomerative_ward,
     cut_dendrogram,
     kmeans_fit,
@@ -434,10 +435,10 @@ def test_select_k_runs_ward_once_on_the_data(two_blob_table, monkeypatch, tmp_pa
     log = tmp_path / "calls"
     ward = kst.cluster._ward_merge_steps
 
-    def counted(x):
+    def counted(x, *work):
         with open(log, "a") as fh:
             fh.write(f"{x.shape}\n")
-        return ward(x)
+        return ward(x, *work)
 
     monkeypatch.setattr(kst.cluster, "_ward_merge_steps", counted)
     monkeypatch.setattr(kst.quality, "_ward_merge_steps", counted)
@@ -511,11 +512,11 @@ def test_labels_for_fits_ward_data_sets_as_they_are_reached(monkeypatch):
     xs = [np.random.default_rng(i).normal(size=(12, 2)) for i in range(3)]
     steps, fitted = kst.quality._ward_merge_steps, []
 
-    def failing_steps(x):
+    def failing_steps(x, *work):
         fitted.append(next(i for i, y in enumerate(xs) if y is x))
         if x is xs[1]:
             raise KstError("merges of 1")
-        return steps(x)
+        return steps(x, *work)
 
     monkeypatch.setattr(kst.quality, "_ward_merge_steps", failing_steps)
     labels = _labels_for(xs, {i: (2, i) for i in range(3)}, [1, 2, 3], "agglomerative", 3, 2,
@@ -526,6 +527,43 @@ def test_labels_for_fits_ward_data_sets_as_they_are_reached(monkeypatch):
         next(labels)
     assert next(labels, None) is None
     assert fitted == [0, 1]
+
+
+def test_ward_reuses_one_matrix_without_carrying_values():
+    # _labels_for runs every data set's Ward in one working matrix: b's
+    # labels after a are b's labels alone, and b's merges in a matrix that a
+    # Ward which overflowed midway left behind are b's merges alone
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(20, 3)), rng.normal(size=(20, 3)) * 5
+    a[::4] = a[0]  # duplicates: tied distances, rescans
+    ks = [1, 2, 3, 7]
+    together = list(_labels_for([a, b], {0: (2, 0), 1: (2, 1)}, ks, "agglomerative", 7, 3, 300))
+    alone = next(_labels_for([b], {0: (2, 1)}, ks, "agglomerative", 7, 3, 300))
+    for k in ks:
+        assert np.array_equal(together[1][k], alone[k])
+    huge = a.copy()
+    huge[:2] = 1e160  # their squared distances to the rest overflow: the 18 others merge first
+    work = np.empty((20, 20))
+    with pytest.raises(KstError, match="overflow"):
+        _ward_merge_steps(huge, work)
+    assert np.isfinite(work).any() and not np.isfinite(work).all()  # it ran, and left inf
+    assert _ward_merge_steps(b, work) == _ward_merge_steps(b)
+
+
+def test_kmeans_select_k_builds_one_generator(two_blob_table, monkeypatch):
+    # every k-means++ stream and every per-k seed is derived in bulk: the one
+    # numpy SeedSequence a k-means select-k builds is the gap statistic's,
+    # for its reference draws
+    built, seed_sequence = [], np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    _cpus(monkeypatch, 1)
+    select_k(two_blob_table[0], "kmeans", seed=5, gap_b=10)
+    assert built == [{"entropy": 5, "spawn_key": (0,)}]
 
 
 @pytest.mark.parametrize("method", CLUSTER_METHODS)
@@ -915,10 +953,10 @@ def test_gap_kmeans_fit_warnings_all_reach_the_caller(two_blob_table, monkeypatc
     # The seeder takes a chunk of data sets per call and warns for each.
     seed_centers = kst.cluster._kmeanspp_init
 
-    def warning_seeds(x, k, rngs):
+    def warning_seeds(x, k, streams, rows):
         for data in x:
             warnings.warn(f"seeding k={k} on the data set starting {data[0, 0]!r}", UserWarning)
-        return seed_centers(x, k, rngs)
+        return seed_centers(x, k, streams, rows)
 
     monkeypatch.setattr(kst.cluster, "_kmeanspp_init", warning_seeds)
     runs = []
