@@ -32,11 +32,11 @@ the column division raises its error for the first sample it rejects.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import IO, Any, Callable, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -440,20 +440,22 @@ def _first_repeat(*codes: np.ndarray) -> tuple[int, int] | None:
 
 
 class _FirstBad:
-    """The first bad record of a file. Checks run in the order they run on one
-    record, so on a tie the record's earlier check keeps its error."""
+    """The first bad record of a file, by its record number in the file.
+    Checks run in the order they run on one record, so on a tie the record's
+    earlier check keeps its error. A check of a block of records starting at
+    record ``base`` passes ``make`` the index within the block."""
 
-    def __init__(self, end: int, error: Exception | None = None):
+    def __init__(self, end: int = sys.maxsize, error: Exception | None = None):
         self.row, self.error = end, error  # error at record ``end``, if any
 
-    def at(self, row: int, make: Callable[[int], Exception]) -> None:
-        if row < self.row:
-            self.row, self.error = row, make(row)
+    def at(self, row: int, make: Callable[[int], Exception], base: int = 0) -> None:
+        if base + row < self.row:
+            self.row, self.error = base + row, make(row)
 
-    def check(self, bad: np.ndarray, make: Callable[[int], Exception]) -> None:
-        hit = np.flatnonzero(bad[: self.row])
+    def check(self, bad: np.ndarray, make: Callable[[int], Exception], base: int = 0) -> None:
+        hit = np.flatnonzero(bad[: max(self.row - base, 0)])
         if hit.size:
-            self.at(int(hit[0]), make)
+            self.at(int(hit[0]), make, base)
 
     def raise_first(self) -> None:
         if self.error is not None:
@@ -525,8 +527,9 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
 def read_inputs(paths: Sequence[str], fmt: str = "auto") -> Samples:
     """The samples of several files as one batch, each file read by
     :func:`parse_samples`; ``fmt`` "auto" reads a ``.json`` file as JSON and
-    any other as CSV. A key repeated across the files is an error, and one
-    among the files read before a file that fails is reported first."""
+    any other as CSV. One file's batch is returned as parsed. A key repeated
+    across the files is an error, and one among the files read before a file
+    that fails is reported first."""
     parts: list[Samples] = []
     try:
         for path in paths:
@@ -536,7 +539,7 @@ def read_inputs(paths: Sequence[str], fmt: str = "auto") -> Samples:
     except Exception:
         _join(parts)
         raise
-    samples = _join(parts)
+    samples = parts[0] if len(parts) == 1 else _join(parts)
     if not len(samples):
         raise KstError("input files contain no samples")
     return samples
@@ -568,9 +571,19 @@ def _join(parts: Sequence[Samples]) -> Samples:
     return samples
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each with its "\n", as ``io.StringIO(text)`` gives
+    them, without the copy of the whole text (four bytes a character) it makes."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _csv_line(text: str, index: int) -> int:
     """The line on which the index-th record of a CSV text ends."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     next(reader)
     for row in reader:
         if row:
@@ -609,32 +622,96 @@ def _float_cells(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, int | No
     return values, present, None
 
 
-def _split_columns(text: str, width: int) -> list[list[str]] | None:
-    """The cells of the records after the header line, column by column, from
-    one split on ","; None when csv.reader could read the text otherwise."""
+_BLOCK_CHARS = 1 << 16  # characters of CSV text read at once, in whole lines: about 64K
+
+
+def _split_blocks(text: str, width: int) -> Iterator[list[list[str]] | None]:
+    """The cells of the records after the header line, column by column, a
+    block of whole lines of about ``_BLOCK_CHARS`` characters at a time (at
+    least one block), each from one split on ","; None, and no further block,
+    where csv.reader could read the text otherwise: at once for a text holding
+    a quote, carriage return or NUL, else at the first block with a line over
+    ``csv.field_size_limit()`` or a non-blank line without ``width`` cells."""
     if '"' in text or "\r" in text or "\x00" in text:
-        return None
-    lines = list(filter(None, text.split("\n")[1:]))  # a blank line holds no record
-    if not lines:
-        return [[] for _ in range(width)]
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
-        return None
-    joined = ",".join(lines)
-    del lines  # freed before the split makes the cells: a lower peak
-    flat = joined.split(",")
-    del joined
-    return [flat[j::width] for j in range(width)]
+        yield None
+        return
+    limit = csv.field_size_limit()
+    start = text.find("\n") + 1 or len(text)  # the first record's line, if any
+    while True:
+        end = text.find("\n", start + _BLOCK_CHARS)
+        end = len(text) if end < 0 else end
+        lines = list(filter(None, text[start:end].split("\n")))  # a blank line holds no record
+        if lines and (max(map(len, lines)) > limit
+                      or list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines)):
+            yield None
+            return
+        flat = ",".join(lines).split(",") if lines else []
+        del lines
+        yield [flat[j::width] for j in range(width)]
+        start = end + 1
+        if start >= len(text):
+            return
+
+
+def _read_rows(reader: Any, width: int,
+               line: Callable[[int], int]) -> tuple[list[Sequence[str]], _FirstBad]:
+    """The cells of the records ``reader`` has left, column by column, up to the
+    first record without ``width`` cells or a CSV error, which is the error."""
+    rows: list[list[str]] = []
+    stop = None
+    try:
+        rows.extend(filter(None, reader))  # a blank line holds no record
+    except csv.Error as exc:  # raised after the records before it are checked
+        stop = ParseError(str(exc), reader.line_num)
+    first = _FirstBad(len(rows), stop)
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    first.check(lengths != width, lambda i: ParseError(
+        f"expected {width} cells, got {lengths[i]}", line(i)))
+    return (list(zip(*rows[: first.row])) if first.row else [()] * width), first
+
+
+def _cell_columns(cells: Sequence[Sequence[str]], metric_names: Sequence[str], keys: _Keys,
+                  first: _FirstBad, base: int, line: Callable[[int], int]) -> list[np.ndarray]:
+    """The key codes, interned in ``keys``, and the metric floats of a block of
+    records, the first of them record ``base``; each bad cell goes to ``first``."""
+    kernels, platforms, sizes, trials, *metrics = cells
+
+    def at(i: int) -> int:
+        return line(base + i)
+
+    kernel = _codes(kernels, {k: _intern(keys.kernel, k.strip()) for k in dict.fromkeys(kernels)})
+    platform = _codes(platforms, {p: _PLATFORM_CODES.get(p.strip().lower(), -1)
+                                  for p in dict.fromkeys(platforms)})
+    first.check(platform < 0, lambda i: ParseError(
+        f"unknown platform {platforms[i]!r}", at(i)), base)
+    size = _int_codes(sizes, keys.size)
+    first.check(size < 0, lambda i: ParseError(
+        f"problem_size_bytes is not an integer: {sizes[i].strip()!r}", at(i)), base)
+    trial = _int_codes(trials, keys.trial)
+    first.check(trial < 0, lambda i: ParseError(
+        f"trial is not an integer: {trials[i].strip()!r}", at(i)), base)
+    columns = [kernel, platform, size, trial]
+    for name, column in zip(metric_names, metrics):
+        v, p, bad = _float_cells(column)
+        if bad is not None:
+            first.at(bad, lambda i: ParseError(
+                f"metric {name!r} is not a number: {column[i].strip()!r}", at(i)), base)
+        first.check(p & ~np.isfinite(v), lambda i: ParseError(
+            f"metric {name!r} has non-finite value {column[i].strip()!r}", at(i)), base)
+        columns.append(v)
+    return columns
 
 
 def _csv_columns(text: str) -> Samples:
-    """The records of a CSV text as columns. A text with no quote, carriage
-    return or NUL, no line over ``csv.field_size_limit()`` and the header's
-    cell count on every non-blank line is split once (:func:`_split_columns`);
-    any other goes through csv.reader, which raises every CSV error with its
-    message and line."""
-    reader = csv.reader(io.StringIO(text))
+    """The records of a CSV text as columns, read a block of whole lines at a
+    time (:func:`_split_blocks`): each block's cells become key codes, interned
+    in one set of tables in order of first appearance, and floats, and the
+    blocks' columns are joined once, so the parse holds the text and about
+    one block of cells. Reading stops at the first block that holds a bad
+    record. A text that :func:`_split_blocks` declines before that goes
+    through csv.reader whole, which raises every CSV error with its message
+    and line."""
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -653,47 +730,22 @@ def _csv_columns(text: str) -> Samples:
     def line(i: int) -> int:
         return _csv_line(text, i)
 
-    columns = _split_columns(text, len(header))
-    if columns is not None:
-        first = _FirstBad(len(columns[0]))
-    else:
-        rows: list[list[str]] = []
-        stop = None
-        try:
-            rows.extend(filter(None, reader))  # a blank line holds no record
-        except csv.Error as exc:  # raised after the records before it are checked
-            stop = ParseError(str(exc), reader.line_num)
-        first = _FirstBad(len(rows), stop)
-        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        first.check(lengths != len(header), lambda i: ParseError(
-            f"expected {len(header)} cells, got {lengths[i]}", line(i)))
-        columns = list(zip(*rows[: first.row])) if first.row else [()] * len(header)
-    kernels, platforms, sizes, trials, *cells = columns
-    n = len(kernels)
-
-    keys = _Keys()
-    kernel = _codes(kernels, {k: _intern(keys.kernel, k.strip()) for k in dict.fromkeys(kernels)})
-    platform = _codes(platforms, {p: _PLATFORM_CODES.get(p.strip().lower(), -1)
-                                  for p in dict.fromkeys(platforms)})
-    first.check(platform < 0, lambda i: ParseError(f"unknown platform {platforms[i]!r}", line(i)))
-    size = _int_codes(sizes, keys.size)
-    first.check(size < 0, lambda i: ParseError(
-        f"problem_size_bytes is not an integer: {sizes[i].strip()!r}", line(i)))
-    trial = _int_codes(trials, keys.trial)
-    first.check(trial < 0, lambda i: ParseError(
-        f"trial is not an integer: {trials[i].strip()!r}", line(i)))
-    values = {}
-    for name, column in zip(metric_names, cells):
-        v, p, bad = _float_cells(column)
-        if bad is not None:
-            first.at(bad, lambda i: ParseError(
-                f"metric {name!r} is not a number: {column[i].strip()!r}", line(i)))
-        first.check(p & ~np.isfinite(v), lambda i: ParseError(
-            f"metric {name!r} has non-finite value {column[i].strip()!r}", line(i)))
-        values[name] = v
-
+    keys, first, blocks, n = _Keys(), _FirstBad(), [], 0
+    for cells in _split_blocks(text, len(header)):
+        if cells is None:  # csv.reader reads the whole text, from its first record
+            keys, blocks, n = _Keys(), [], 0
+            cells, first = _read_rows(reader, len(header), line)
+        blocks.append(_cell_columns(cells, metric_names, keys, first, n, line))
+        n += len(cells[0])
+        if first.error is not None:
+            break
+    columns = list(zip(*blocks))
+    del blocks
+    for j, pieces in enumerate(columns):
+        columns[j] = np.concatenate(pieces)  # its pieces go before the next is joined
+    kernel, platform, size, trial, *values = columns
     layout = np.full(n, _intern(keys.layout, tuple(metric_names)), np.intp)
-    cols = Samples(keys, kernel, platform, size, trial, layout, values)
+    cols = Samples(keys, kernel, platform, size, trial, layout, dict(zip(metric_names, values)))
     _check_rows(cols, first, lambda i: ParseError(
         str(_raised(lambda: _samples(cols.take([i])))), line(i)))
     first.raise_first()

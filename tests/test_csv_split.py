@@ -1,14 +1,20 @@
-"""The one-split CSV path against csv.reader.
+"""The block-split CSV path against csv.reader.
 
-``dataset._csv_columns`` splits a plain text (no quote, carriage return or
+``dataset._csv_columns`` reads a plain text (no quote, carriage return or
 NUL, no line over the field limit, the header's cell count on every
-non-blank line) once on commas and sends any other text through
-``csv.reader``. On every text both paths must give the same columns, or the
-same error class, message and line; the reader path is called directly by
-making ``_split_columns`` decline.
+non-blank line) a block of whole lines at a time, each block split once on
+commas, and sends any other text through ``csv.reader``. On every text both
+paths must give the same columns, or the same error class, message and line;
+the reader path is called directly by making ``_split_blocks`` decline. The
+blocks are patched down to a few lines, so texts cross many block boundaries,
+and must read what one whole-file block reads.
 """
 
 import csv
+import importlib.util
+import time
+import tracemalloc
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -84,20 +90,48 @@ def _outcome(text):
 
 
 def _via_reader(text):
-    with mock.patch.object(dataset, "_split_columns", lambda text, width: None):
+    with mock.patch.object(dataset, "_split_blocks", lambda text, width: iter([None])):
         return _outcome(text)
 
 
+def _in_blocks(text, chars):
+    with mock.patch.object(dataset, "_BLOCK_CHARS", chars):
+        return _outcome(text)
+
+
+def _outcome_whole(text):
+    return _in_blocks(text, len(text) + 1)
+
+
+def _blocks(text):
+    return list(dataset._split_blocks(text, text.split("\n", 1)[0].count(",") + 1))
+
+
 def _split(text):
-    return dataset._split_columns(text, text.split("\n", 1)[0].count(",") + 1)
+    """The cells of every block, column by column; None when the split declines."""
+    blocks = _blocks(text)
+    if any(b is None for b in blocks):
+        return None
+    return [list(chain.from_iterable(column)) for column in zip(*blocks)]
+
+
+@pytest.fixture(params=[None, 1, 24], ids=["whole", "block-1", "block-24"])
+def block(request, monkeypatch):
+    """The block size: the module's (one block for these texts), or a line or
+    two per block."""
+    if request.param:
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", request.param)
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(text=texts())
-def test_the_split_reads_what_csv_reader_reads(text):
+@given(text=texts(), chars=st.sampled_from([1, 2, 16, 40]))
+def test_the_split_reads_what_csv_reader_reads(text, chars):
     outcome = _outcome(text)
     event(f"split: {_split(text) is not None}, {outcome[0]}")
     assert outcome == _via_reader(text)
+    with mock.patch.object(dataset, "_BLOCK_CHARS", chars):
+        event(f"blocks: {min(len(_blocks(text)), 4)}")
+        assert _outcome(text) == outcome
 
 
 @pytest.mark.parametrize("body", [
@@ -109,7 +143,7 @@ def test_the_split_reads_what_csv_reader_reads(text):
     "a,cpu,1024,0,0.25,0.5",  # no newline at the end
     "",  # the header alone
 ])
-def test_plain_texts_take_the_split(body):
+def test_plain_texts_take_the_split(body, block):
     text = HEADER + "\n" + body
     assert _split(text) is not None
     assert _outcome(text) == _via_reader(text)
@@ -121,7 +155,7 @@ def test_plain_texts_take_the_split(body):
     ('a,cpu,1024,0,"0.25",0.5\n"b,c",cpu,1024,0\n', "line 3: expected 6 cells, got 4"),
     ("a,cpu,1024,0,0.25,0.5\r\nb,cpu,1024,0,0.25\r\n", "line 3: expected 6 cells, got 5"),
 ], ids=["short-and-long", "whitespace-line", "quotes", "crlf"])
-def test_other_texts_go_through_csv_reader(body, message):
+def test_other_texts_go_through_csv_reader(body, message, block):
     text = HEADER + "\n" + body
     assert _split(text) is None
     assert _outcome(text) == _via_reader(text)
@@ -129,7 +163,7 @@ def test_other_texts_go_through_csv_reader(body, message):
         dataset._csv_columns(text)
 
 
-def test_a_nul_goes_through_csv_reader():
+def test_a_nul_goes_through_csv_reader(block):
     # Python 3.10's csv.reader rejects NUL and 3.11's reads it: either way
     # the split must not decide
     text = HEADER + "\na\x00b,cpu,1024,0,0.25,0.5\n"
@@ -137,7 +171,7 @@ def test_a_nul_goes_through_csv_reader():
     assert _outcome(text) == _via_reader(text)
 
 
-def test_a_line_over_the_field_limit_goes_through_csv_reader():
+def test_a_line_over_the_field_limit_goes_through_csv_reader(block):
     limit = csv.field_size_limit()
     try:
         csv.field_size_limit(40)
@@ -165,3 +199,110 @@ def test_benchmark_shaped_files_take_the_split(name):
     columns = _split(text)
     assert columns is not None and len(columns[0]) == text.count("\n") - 1
     assert _outcome(text) == _via_reader(text)
+
+
+CLEAN = ["a,cpu,1024,0,0.25,0.5", "b,gpu,2048,1,,0.5", "c,cpu,1024,2,1e-3,"]
+
+
+@pytest.mark.parametrize("last, message", [
+    ("d,cpu,1024,0,0.25,x", "line 8: metric 'm2' is not a number: 'x'"),
+    ("d,cpu,1024,0,inf,0.5", "line 8: metric 'm1' has non-finite value 'inf'"),
+    ("d,cpu,1024.5,0,0.25,0.5", "line 8: problem_size_bytes is not an integer: '1024.5'"),
+    ("d,cpu,1024,-1,0.25,0.5", "line 8: trial must be a non-negative integer, got -1"),
+    ("d,tpu,1024,0,0.25,0.5", "line 8: unknown platform 'tpu'"),
+], ids=["float", "non-finite", "size", "trial", "platform"])
+def test_a_bad_record_in_the_last_block(last, message, block):
+    text = "\n".join([HEADER] + CLEAN * 2 + [last]) + "\n"
+    assert _split(text) is not None
+    assert _outcome(text) == _via_reader(text)
+    with pytest.raises(KstError, match=f"^{message}$"):
+        dataset._csv_columns(text)
+
+
+@pytest.mark.parametrize("later", [
+    "z,cpu,1024,0,0.5", "z,cpu,1024,0,0.5,x", "z,tpu,1024,0,0.5,0.5",
+], ids=["cell-count", "value", "platform"])
+@pytest.mark.parametrize("bad, message", [
+    ("a,cpu,1024,0,x,0.5", "line 3: metric 'm1' is not a number: 'x'"),
+    ("a@1,cpu,1024,0,0.25,0.5", "line 3: kernel name must not contain '@', got 'a@1'"),
+], ids=["cell", "row-rule"])
+def test_an_early_bad_value_beats_a_later_bad_line(bad, message, later, block):
+    # a later wrong cell count sends a whole-file block to csv.reader, while
+    # small blocks stop at the bad value's block; a row rule is checked once
+    # the blocks are joined: the same first error either way
+    text = "\n".join([HEADER, CLEAN[1], bad] + CLEAN * 3 + [later]) + "\n"
+    assert _outcome(text) == _via_reader(text)
+    with pytest.raises(KstError, match=f"^{message}$"):
+        dataset._csv_columns(text)
+
+
+def test_a_block_boundary_right_after_a_blank_line():
+    lines = [f"{k},cpu,1024,0,0.25,0.5" for k in "abc"]
+    text = HEADER + "\n" + "\n\n".join(lines) + "\n"
+    # a block ends at the first newline at least this far past its start:
+    # the blank line's own
+    chars = len(lines[0]) + 1
+    with mock.patch.object(dataset, "_BLOCK_CHARS", chars):
+        blocks = _blocks(text)
+        assert [len(b[0]) for b in blocks] == [1, 1, 1]
+        assert _outcome(text) == _outcome_whole(text) == _via_reader(text)
+
+
+def test_a_last_line_without_a_newline():
+    text = "\n".join([HEADER] + CLEAN * 3)
+    for chars in (1, len(CLEAN[0]), len(text)):
+        with mock.patch.object(dataset, "_BLOCK_CHARS", chars):
+            assert len(_split(text)[0]) == 9
+            assert _outcome(text) == _via_reader(text)
+
+
+def test_a_line_longer_than_one_block():
+    long = f"long,cpu,1024,0,{'1' * 60},{'2' * 60}"
+    text = "\n".join([HEADER, CLEAN[0], long, CLEAN[1]]) + "\n"
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 8):
+        blocks = _blocks(text)
+        assert [len(b[0]) for b in blocks] == [1, 1, 1]
+        assert blocks[1][5] == ["2" * 60]
+        assert _outcome(text) == _outcome_whole(text) == _via_reader(text)
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.mark.parametrize("chars", [1, 100, 5000])
+@pytest.mark.parametrize("platform", ["cpu", "gpu"])
+def test_small_blocks_give_the_whole_file_samples(platform, chars):
+    # key tables in the same order, the same codes, the same float bits and
+    # layouts, on perfbench's own files
+    gen = _perfbench_gen()
+    text = (gen.cpu_csv if platform == "cpu" else gen.gpu_csv)(
+        20, (1048576, 4194304), 3, 11).decode()
+    outcome = _in_blocks(text, chars)
+    assert outcome[0] == "columns" and len(outcome[2][0]) == 120
+    assert outcome == _outcome_whole(text)
+
+
+# The parse's traced peak on the 12,000-row GPU file of perfbench's
+# ingest-pipeline (0.97 MB of text): 2.8 MiB with 64K-character blocks, and
+# 11.7 MiB when the whole file was split into one string per cell at once.
+PARSE_PEAK_BOUND = 4 << 20
+
+
+def test_the_parse_holds_about_one_block_of_cells():
+    data = _perfbench_gen().gpu_csv(300, (16777216, 67108864, 268435456, 1073741824), 10, 7)
+    dataset.parse_samples(data)  # imports and caches outside the traced call
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        samples = dataset.parse_samples(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 12000
+    assert peak < PARSE_PEAK_BOUND, f"traced parse peak {peak / 2**20:.2f} MiB"
+    assert time.perf_counter() - start < 1.0

@@ -20,7 +20,9 @@ from kst.dataset import (
     ingest_summary,
     merge_platforms,
     parse_samples,
+    read_inputs,
 )
+from kst import dataset
 from kst.errors import KstError, ParseError
 
 import reference_ingest as ref
@@ -308,6 +310,24 @@ def test_ingest_summary_of_an_empty_batch_is_a_kst_error():
     assert len(samples) == 0
     with pytest.raises(KstError, match="^no samples to summarize$"):
         ingest_summary(samples)
+
+
+def test_read_inputs_returns_one_files_batch_as_parsed(tmp_path, monkeypatch):
+    # one file has no key to check across files and no codes to intern again
+    text = csv_bytes(CPU_HEADER, [["K2", "cpu", 2048, 1, 0.1, 0.7, 0.05, 0.05],
+                                  ["K1", "cpu", 1024, 0, 0.2, 0.6, 0.05, 0.05]])
+    (tmp_path / "a.csv").write_text(text)
+    (tmp_path / "empty.csv").write_text(csv_bytes(CPU_HEADER, []))
+    parsed = parse_samples(text)
+    monkeypatch.setattr(dataset, "_join", lambda parts: pytest.fail("one file was joined"))
+    samples = read_inputs([str(tmp_path / "a.csv")])
+    assert vars(samples.keys) == vars(parsed.keys)
+    for name in ("kernel", "platform", "size", "trial", "layout"):
+        assert getattr(samples, name).tolist() == getattr(parsed, name).tolist()
+    assert {n: v.tobytes() for n, v in samples.values.items()} == {
+        n: v.tobytes() for n, v in parsed.values.items()}
+    with pytest.raises(KstError, match="^input files contain no samples$"):
+        read_inputs([str(tmp_path / "empty.csv")])
 
 
 @pytest.mark.parametrize("field", ["problem_size_bytes", "trial"])
