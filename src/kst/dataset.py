@@ -646,7 +646,7 @@ def _split_blocks(text: str, width: int) -> Iterator[list[list[str]] | None]:
             yield None
             return
         flat = ",".join(lines).split(",") if lines else []
-        del lines
+        del lines  # freed before the caller converts the cells: a lower peak
         yield [flat[j::width] for j in range(width)]
         start = end + 1
         if start >= len(text):
