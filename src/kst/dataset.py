@@ -453,7 +453,7 @@ class _FirstBad:
             self.row, self.error = base + row, make(row)
 
     def check(self, bad: np.ndarray, make: Callable[[int], Exception], base: int = 0) -> None:
-        hit = np.flatnonzero(bad[: max(self.row - base, 0)])
+        hit = np.flatnonzero(bad[: self.row - base])  # base <= row: no block follows a bad one
         if hit.size:
             self.at(int(hit[0]), make, base)
 
