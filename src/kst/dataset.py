@@ -508,7 +508,9 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
     fields, a ``values`` object mapping metric names to numbers, or both; a
     record gives each field and each metric once.
     Every record is checked, and keys must be distinct; the first bad record
-    is reported. The result is a read-only sequence of :class:`RawSample`.
+    is reported. A CSV text is read a block of lines at a time, so the parse
+    holds the text plus about one block of cells; a JSON document is loaded
+    whole. The result is a read-only sequence of :class:`RawSample`.
     """
     text = _as_text(source)
     if fmt == "csv":
