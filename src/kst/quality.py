@@ -524,6 +524,9 @@ def gap_statistic(
     ks = list(range(k_min, k_max + 1))
 
     lo, hi = x.min(axis=0), x.max(axis=0)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo).all():  # numpy's uniform draw would raise
+            raise KstError("gap reference ranges overflow float64; rescale the data")
     degenerate = [m.columns[j].name for j in range(x.shape[1]) if lo[j] == hi[j]]
     if degenerate:
         warnings.warn(

@@ -79,9 +79,12 @@ def pca_project(
     n, d = x.shape
     if n < 2 or d < 2:
         raise KstError(f"projection needs at least 2 rows and 2 columns, got {n}x{d}")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = np.einsum("ij,ik->jk", xc, xc) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        xc = x - mean
+        cov = np.einsum("ij,ik->jk", xc, xc) / n
+    if not np.isfinite(cov).all():
+        raise KstError("projection covariance overflows float64; rescale the data")
     evals, evecs = np.linalg.eigh(cov)  # ascending
     top = [d - 1, d - 2]
     comps = evecs[:, top].T.copy()

@@ -9,16 +9,17 @@ distinct keys never share a stream.
 
 :func:`substream` builds one numpy ``Generator``, for the gap statistic's
 reference draws. Every other stream is derived in bulk, many keys per call
-(:class:`_Streams`, :func:`_subseeds`), in plain integer arithmetic: numpy's
-SeedSequence hash (``mix_entropy`` and ``generate_state`` of numpy's
-``bit_generator.pyx``) on ``uint32`` arrays, and PCG64 (O'Neill 2014, "PCG: A
-Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-Random Number Generation"), XSL-RR output, on (hi, lo) ``uint64`` pairs,
-serving ``random()`` and ``integers(n)`` as numpy's ``Generator`` does. The
-values are numpy's bit for bit (``tests/test_rng.py`` holds them to
-numpy's own generators), but they no longer depend on how a numpy release
-implements its ``Generator`` methods. Every operand is unsigned: a
-``uint64`` mixed with a signed array promotes to float64.
+(:class:`_Streams`, :func:`_subseeds`), in plain integer arithmetic that
+follows numpy's own loops: SeedSequence's ``mix_entropy`` and
+``generate_state`` (numpy's ``bit_generator.pyx``) on ``uint32`` columns,
+and PCG64 (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation"), one step and
+one XSL-RR output per 64-bit draw, on (hi, lo) ``uint64`` pairs, serving
+``random()`` and ``integers(n)`` as numpy's ``Generator`` does. The values
+are numpy's bit for bit (``tests/test_rng.py`` holds them to numpy's own
+generators), but they no longer depend on how a numpy release implements
+its ``Generator`` methods. Every operand is unsigned: a ``uint64`` mixed
+with a signed array promotes to float64.
 """
 
 from __future__ import annotations
@@ -34,13 +35,15 @@ DEFAULT_SEED = 42
 
 _U32, _U64 = np.uint32, np.uint64
 _M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
 _POOL = 4  # SeedSequence's default pool size, in 32-bit words
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the hash constants of mix_entropy
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and of generate_state
 _MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier
+# its high and low halves, and the low half's two 32-bit limbs
+_MULT_HI, _MULT_LO, _MULT_LO0, _MULT_LO1 = (
+    _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & (1 << 64) - 1),
+    _U64(_PCG_MULT & _M32), _U64(_PCG_MULT >> 32 & _M32))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -49,13 +52,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def subseed(seed: int, *key: int) -> int:
-    """Derived integer seed, for call sites that take a seed rather than a stream."""
-    return _subseeds(seed, [key])[0]
-
-
 def _subseeds(seed: int, keys: Sequence[Sequence[int]]) -> list[int]:
-    """:func:`subseed` for every key of ``keys``, from one derivation:
+    """Derived integer seeds, one per key of ``keys``, from one derivation:
     ``SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)``
     halved, so it stays inside the non-negative int64 range accepted
     everywhere."""
@@ -87,11 +85,11 @@ def _words(value: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _hash_consts(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constants of ``count`` successive SeedSequence hashes after
-    ``start`` of them: hash t xors with ``init * mult**t mod 2**32`` and
-    multiplies by the next power. Returns the xor and the multiply constants."""
-    c = init * pow(mult, start, 1 << 32) & _M32
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``count`` successive SeedSequence hashes: hash t
+    xors with ``init * mult**t mod 2**32`` and multiplies by the next power.
+    Returns the xor and the multiply constants."""
+    c = init
     out = [c]
     for _ in range(count):
         c = c * mult & _M32
@@ -117,112 +115,57 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spread_consts() -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per pool word, the constants with which ``mix_entropy`` hashes it
-    for each other word it is mixed into, by that word's place (the word's
-    own place holds one of them, unused)."""
-    xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL, _POOL * (_POOL - 1))
-    spread, t = [], 0
-    for src in range(_POOL):
-        cols = [t + dst - (dst > src) for dst in range(_POOL)]
-        cols[src] = t
-        spread.append((xor[cols], mul[cols]))
-        t += _POOL - 1
-    return spread
-
-
-_FILL = _hash_consts(_INIT_A, _MULT_A, 0, _POOL)  # the hashes of the first four words
-_SPREAD = _spread_consts()
-_MIXED = _POOL * _POOL  # the hashes mix_entropy makes before the words beyond the pool
-
-
-def _mix_in(pool: np.ndarray, words: Sequence[np.ndarray], start: int) -> np.ndarray:
-    """Mix each of ``words``, in order, into every word of ``pool`` (..., 4),
-    as ``mix_entropy`` mixes the entropy beyond the pool's size, after
-    ``start`` hashes; each word broadcasts against the pool's leading axes."""
-    xor, mul = _hash_consts(_INIT_A, _MULT_A, start, _POOL * len(words))
-    for w, word in enumerate(words):
-        at = slice(_POOL * w, _POOL * (w + 1))
-        pool = _mix(pool, _hashmix(word, xor[at], mul[at]))
-    return pool
-
-
 def _pools(seeds: Sequence[int], keys: Sequence[Sequence[int]]) -> np.ndarray:
     """The entropy pools of ``SeedSequence(entropy=seeds[i], spawn_key=keys[j])``
     for every i and j, as a (seeds, keys, 4) ``uint32`` array.
 
     The entropy is the seed's words (:func:`_words`), padded with zero words
     to the pool size (numpy pads only when a key follows, but it hashes a
-    missing word as a zero), then the words of each key entry. The first
-    four words are mixed once per seed, every word into every other; each
-    further word is mixed into every pool word, with hashes that depend on
-    its place. So seeds are grouped by word count and keys by theirs, and
-    never padded to one width.
+    missing word as a zero), then the words of each key entry. The pairs
+    are grouped by their entropy's word count, and each group runs numpy's
+    ``mix_entropy`` on whole columns: the first four words hashed into the
+    pool, then each word mixed into every other pool word in numpy's loop
+    order, each hash taking the next constants.
     """
-    pools = np.empty((len(seeds), len(keys), _POOL), dtype=_U32)
-    seed_words = [_words(s) for s in seeds]
+    seed_words = [w + [0] * (_POOL - len(w)) for w in map(_words, seeds)]
     key_words = [[w for part in key for w in _words(part)] for key in keys]
-    for width in sorted({max(len(w), _POOL) for w in seed_words}):
-        rows = [i for i, w in enumerate(seed_words) if max(len(w), _POOL) == width]
-        entropy = np.array([seed_words[i] + [0] * (width - len(seed_words[i])) for i in rows],
-                           dtype=_U32)
-        pool = _hashmix(entropy[:, :_POOL], *_FILL)
-        for src, consts in enumerate(_SPREAD):
-            mixed = _mix(pool, _hashmix(pool[:, src, None], *consts))
-            mixed[:, src] = pool[:, src]  # a word is not mixed into itself
-            pool = mixed
-        pool = _mix_in(pool, [entropy[:, w, None] for w in range(_POOL, width)], _MIXED)
-        done = _MIXED + _POOL * (width - _POOL)
-        for length in sorted({len(w) for w in key_words}):
-            cols = [j for j, w in enumerate(key_words) if len(w) == length]
-            words = np.array([key_words[j] for j in cols], dtype=_U32).reshape(len(cols), length)
-            pools[np.ix_(rows, cols)] = _mix_in(
-                pool[:, None], [words[:, w, None] for w in range(length)], done)
-    return pools
+    entropy = [s + k for s in seed_words for k in key_words]
+    pools = np.empty((len(entropy), _POOL), dtype=_U32)
+    for width in {len(e) for e in entropy}:
+        rows = [i for i, e in enumerate(entropy) if len(e) == width]
+        words = np.array([entropy[i] for i in rows], dtype=_U32).T  # one row per word
+        xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL * width)
+        pool = _hashmix(words[:_POOL], xor[:_POOL, None], mul[:_POOL, None])
+        t = _POOL
+        for src in range(width):
+            word = pool[src] if src < _POOL else words[src]
+            for dst in range(_POOL):
+                if dst != src:  # a pool word is not mixed into itself
+                    pool[dst] = _mix(pool[dst], _hashmix(word, xor[t], mul[t]))
+                    t += 1
+        pools[rows] = pool.T
+    return pools.reshape(len(seeds), len(keys), _POOL)
 
 
 def _state_words(pools: np.ndarray, count: int) -> np.ndarray:
     """``generate_state(count, np.uint64)`` of each pool of ``pools`` (..., 4):
     2 count hashed words, cycling through the pool, paired little-endian."""
     words = _hashmix(pools[..., np.arange(2 * count) % _POOL],
-                     *_hash_consts(_INIT_B, _MULT_B, 0, 2 * count)).astype(_U64)
+                     *_hash_consts(_INIT_B, _MULT_B, 2 * count)).astype(_U64)
     return words[..., 0::2] | words[..., 1::2] << _U64(32)
 
 
-def _jumps(count: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """PCG64's jump-ahead constants for 0 .. count - 1 steps: t steps take a
-    state s to ``A_t s + C_t inc`` mod 2^128, with A_t = _PCG_MULT^t and C_t
-    = 1 + _PCG_MULT + ... + _PCG_MULT^(t - 1). Each as :func:`_split` gives
-    it."""
-    a, c, mults, incs = 1, 0, [], []
-    for _ in range(count):
-        mults.append(a)
-        incs.append(c)
-        a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + 1) & _M128
-    return _split(mults), _split(incs)
-
-
-def _split(values: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """128-bit integers as ``uint64`` arrays: the high and low halves, and the
-    low half's two 32-bit limbs."""
-    return tuple(np.array([v >> shift & mask for v in values], dtype=_U64)
-                 for shift, mask in ((64, _M64), (0, _M64), (0, _M32), (32, _M32)))
-
-
-def _mul(hi: np.ndarray, lo: np.ndarray, c_hi: np.ndarray, c_lo: np.ndarray,
-         c_lo0: np.ndarray, c_lo1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * (c_hi, c_lo) mod 2^128, on 64-bit halves; the high half of
-    ``lo * c_lo`` is summed from 32-bit limbs (``c_lo0``, ``c_lo1``)."""
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+          inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 step, state * _PCG_MULT + inc mod 2^128, on 64-bit halves;
+    the high half of ``lo * _MULT_LO`` is summed from 32-bit limbs."""
     lo0, lo1 = lo & _U64(_M32), lo >> _U64(32)
-    p00, p01, p10 = lo0 * c_lo0, lo0 * c_lo1, lo1 * c_lo0
+    p00, p01, p10 = lo0 * _MULT_LO0, lo0 * _MULT_LO1, lo1 * _MULT_LO0
     mid = (p00 >> _U64(32)) + (p01 & _U64(_M32)) + (p10 & _U64(_M32))
-    out_hi = lo1 * c_lo1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
-    out_hi += hi * c_lo + lo * c_hi
-    return out_hi, lo * c_lo
-
-
-_AHEAD = 10  # PCG64 states kept per stream: its current one and those after it
-_JUMP_MULT, _JUMP_INC = _jumps(_AHEAD)
+    out_hi = lo1 * _MULT_LO1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    out_hi += hi * _MULT_LO + lo * _MULT_HI + inc_hi
+    out_lo = lo * _MULT_LO + inc_lo
+    return out_hi + (out_lo < inc_lo), out_lo
 
 
 class _Streams:
@@ -232,62 +175,40 @@ class _Streams:
     Each stream is seeded as ``PCG64`` seeds itself: seed and increment are
     ``generate_state(4, np.uint64)``, then state 0, increment 2 seq + 1, one
     step, the seed added, one step. :meth:`random` and :meth:`integers` draw
-    once on each stream of an index array of distinct streams, and leave
-    every stream where numpy's ``Generator`` would leave it, 32-bit buffer
-    included (:meth:`state`).
-
-    Each stream holds a block of ``_AHEAD`` consecutive states and their
-    XSL-RR outputs, all jumped to at once from the first (``_jumps``), and
-    where it is in the block; a draw reads the next output, and a stream
-    that reaches the end of its block starts a new one from its last state.
-    A fresh stream has 8 outputs ahead, k-means++'s draws for up to 8
-    centres in the usual case. A stream takes 3 ``_AHEAD`` + 4 words of 8
-    bytes.
+    once on each stream of an index array of distinct streams, one PCG64
+    step per 64-bit output, and leave every stream where numpy's
+    ``Generator`` would leave it, 32-bit buffer included (:meth:`state`).
+    A stream takes 41 bytes: its state, increment and held 32-bit half,
+    8 bytes each, and whether a half is held.
     """
 
     def __init__(self, seeds: Sequence[int], keys: Sequence[Sequence[int]]):
         seed_hi, seed_lo, seq_hi, seq_lo = _state_words(_pools(seeds, keys), 4).reshape(-1, 4).T
-        self.inc_hi = (seq_hi << _U64(1) | seq_lo >> _U64(63))[:, None]
-        self.inc_lo = (seq_lo << _U64(1) | _U64(1))[:, None]
-        lo = self.inc_lo[:, 0] + seed_lo  # one step from state 0 gives the increment
-        self.hi, self.lo, self.out = (np.empty((len(lo), _AHEAD), dtype=_U64) for _ in range(3))
-        self._fill(slice(None), (self.inc_hi[:, 0] + seed_hi + (lo < seed_lo))[:, None],
-                   lo[:, None])
-        self.at = np.ones(len(lo), dtype=np.intp)  # the column of each stream's state
+        self.inc_hi = seq_hi << _U64(1) | seq_lo >> _U64(63)
+        self.inc_lo = seq_lo << _U64(1) | _U64(1)
+        lo = self.inc_lo + seed_lo  # one step from state 0 gives the increment
+        self.hi, self.lo = _step(self.inc_hi + seed_hi + (lo < seed_lo), lo,
+                                 self.inc_hi, self.inc_lo)
         self.has32 = np.zeros(len(lo), dtype=bool)  # the upper half of an output is held
         self.buf = np.zeros(len(lo), dtype=_U64)
 
     def __len__(self) -> int:
-        return len(self.at)
-
-    def _fill(self, rows: np.ndarray | slice, hi: np.ndarray, lo: np.ndarray) -> None:
-        """Start the blocks of streams ``rows`` at states (hi, lo), one row each."""
-        hi, lo = _mul(hi, lo, *_JUMP_MULT)
-        inc_hi, inc_lo = _mul(self.inc_hi[rows], self.inc_lo[rows], *_JUMP_INC)
-        lo += inc_lo
-        hi += inc_hi + (lo < inc_lo)
-        x, rot = hi ^ lo, hi >> _U64(58)  # XSL-RR: rotate by the top six bits
-        self.hi[rows], self.lo[rows] = hi, lo
-        self.out[rows] = x >> rot | x << ((_U64(64) - rot) & _U64(63))
+        return len(self.hi)
 
     def state(self, i: int) -> dict:
         """Stream i's state in the form of numpy's ``bit_generator.state``."""
-        at = self.at[i]
         return {"bit_generator": "PCG64",
-                "state": {"state": int(self.hi[i, at]) << 64 | int(self.lo[i, at]),
-                          "inc": int(self.inc_hi[i, 0]) << 64 | int(self.inc_lo[i, 0])},
+                "state": {"state": int(self.hi[i]) << 64 | int(self.lo[i]),
+                          "inc": int(self.inc_hi[i]) << 64 | int(self.inc_lo[i])},
                 "has_uint32": int(self.has32[i]), "uinteger": int(self.buf[i])}
 
     def _next64(self, rows: np.ndarray) -> np.ndarray:
-        at = self.at[rows] + 1
-        ended = at == _AHEAD
-        if ended.any():
-            ended = rows[ended]
-            self._fill(ended, self.hi[ended, -1:], self.lo[ended, -1:])
-            self.at[ended] = 0
-            at = self.at[rows] + 1
-        self.at[rows] = at
-        return self.out[rows, at]
+        """One step of each stream of ``rows`` and its XSL-RR output: the
+        state's halves xored, rotated by the top six bits."""
+        hi, lo = _step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = hi, lo
+        x, rot = hi ^ lo, hi >> _U64(58)
+        return x >> rot | x << ((_U64(64) - rot) & _U64(63))
 
     def _next32(self, rows: np.ndarray) -> np.ndarray:
         """The held upper half of the last 64-bit output where there is one,

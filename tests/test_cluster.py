@@ -28,7 +28,7 @@ from kst.cluster import _kmeanspp_init, _lloyd, _pairwise_sq, _scatter, _sq_dist
 from kst.cluster import _assign_at_each_k, _canonical_ids, _kmeans_fits, _ward_merge_steps
 from kst.cluster import _assign_step, _reach, _repair_empty
 from kst.errors import KstError
-from kst.rng import _Streams, subseed, substream
+from kst.rng import _Streams, _subseeds, substream
 
 from conftest import make_table, two_blob_array
 
@@ -657,7 +657,7 @@ def test_pooled_kmeans_fits_equal_fits_alone(n, d, data):
     seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed")
     pool = data.draw(st.sampled_from([1, k * n, 3 * k * n, None]), label="pool")
     refs = [_pool_input(kind, n, d, seed + i) for i, kind in enumerate(kinds)]
-    seeds = {i: subseed(seed, 2, i, k) for i in range(len(refs))}
+    seeds = {i: _subseeds(seed, [(2, i, k)])[0] for i in range(len(refs))}
     alone = {i: _kmeans_fits([x], {0: seeds[i]}, k, n_init, max_iter)[0]
              for i, x in enumerate(refs)}
     with mock.patch.object(kst.cluster, "_POOL_ELEMENTS", pool or kst.cluster._POOL_ELEMENTS):
@@ -726,7 +726,7 @@ def test_kmeanspp_chunk_equals_reference():
     names = ["normal", "huge", "few", "tiny", "normal"]
     sets = [inputs[name] for name in names]
     starts_on_t = set()
-    for k in (*range(1, 7), 11):  # 11 centres: more draws than a block of states holds
+    for k in (*range(1, 7), 11):  # 11 centres: more than 10 draws on a stream
         columns = np.ascontiguousarray(np.stack(sets).transpose(2, 0, 1)).transpose(1, 2, 0)
         for stack in (columns, np.stack(sets)):
             streams = _Streams([11 + i for i in range(len(sets))][::-1] + [99],
@@ -761,7 +761,7 @@ def test_kmeanspp_chunks_split_at_any_boundary():
     inputs = _seeding_inputs()
     names = ["normal", "few", "huge", "tiny", "normal", "few"]
     refs = [inputs[name] for name in names]
-    seeds = {i: subseed(5, i) for i in range(len(names))}
+    seeds = {i: _subseeds(5, [(i,)])[0] for i in range(len(names))}
     alone = {i: _kmeans_fits([x], {0: seeds[i]}, 3, 7, 30)[0] for i, x in enumerate(refs)}
     assert str(alone[2]) == "k-means++ distances overflow float64; rescale the data"
     seed_centers = kst.cluster._kmeanspp_init
@@ -998,7 +998,7 @@ def test_kmeans_fits_equal_with_every_row_exact(kind):
     # the fits must not change
     refs = [_pool_input(kind, 20, 3, seed) for seed in range(4)]
     for k in (1, 2, 5, 20):
-        seeds = {i: subseed(3, i, k) for i in range(len(refs))}
+        seeds = {i: _subseeds(3, [(i, k)])[0] for i in range(len(refs))}
         want = _kmeans_fits(refs, seeds, k, 3, 30, history=True)
         with mock.patch.object(kst.cluster, "_TAU", np.inf):
             got = _kmeans_fits(refs, seeds, k, 3, 30, history=True)

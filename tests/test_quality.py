@@ -271,6 +271,17 @@ def test_gap_log_w_decreases_for_nested_cuts(two_blob_table):
     assert all(b <= a + 1e-12 for a, b in zip(c.log_w, c.log_w[1:]))
 
 
+@pytest.mark.parametrize("method", CLUSTER_METHODS)
+def test_gap_statistic_ranges_that_overflow_raise(method):
+    # a column's max - min overflows float64, so no reference can be drawn
+    # over it: an error before any draw, with no warning
+    x = np.tile([[1e308, 1.0], [-1e308, 2.0]], (6, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KstError, match="rescale the data$"):
+            gap_statistic(make_table(x), method, k_max=3, b=2)
+
+
 def test_gap_statistic_deterministic(two_blob_table):
     t, _ = two_blob_table
     a = gap_statistic(t, "kmeans", k_max=3, b=8, seed=7)
@@ -504,6 +515,33 @@ def test_labels_for_fails_as_one_loop_over_each_kmeans_data_set(monkeypatch):
     assert len(got[0]) == 4
     assert [str(got[i]) for i in (1, 2)] == ["fit of 1 at k=3", "dispersion at k=2"]
     assert fitted == {1: [0, 1, 2], 2: [0, 1, 2], 3: [0, 1, 2], 4: [0, 2]}
+
+
+def test_labels_for_derives_no_stream_once_every_kmeans_data_set_failed(monkeypatch):
+    # every data set fails at k = 2: each larger k hands _kmeans_fits no
+    # seeds, which derives an empty set of streams and fits nothing
+    xs = [np.random.default_rng(i).normal(size=(12, 2)) for i in range(2)]
+    fits, streams = kst.quality._kmeans_fits, kst.cluster._Streams
+    fitted, derived = {}, []
+
+    def failing_fits(data, seeds, k, *args):
+        fitted[k] = sorted(seeds)
+        out = fits(data, seeds, k, *args)
+        return {i: KstError(f"fit of {i} at k=2") for i in out} if k == 2 else out
+
+    def counted_streams(*args):
+        out = streams(*args)
+        derived.append(len(out))
+        return out
+
+    monkeypatch.setattr(kst.quality, "_kmeans_fits", failing_fits)
+    monkeypatch.setattr(kst.cluster, "_Streams", counted_streams)
+    labels = _labels_for(xs, {0: (2, 0), 1: (2, 1)}, [1, 2, 3, 4], "kmeans", 3, 2, 300)
+    with pytest.raises(KstError, match="fit of 0 at k=2"):
+        next(labels)
+    assert next(labels, None) is None
+    assert fitted == {1: [0, 1], 2: [0, 1], 3: [], 4: []}
+    assert derived == [4, 0, 0]  # k = 2: 2 data sets x 2 replicates; none after
 
 
 def test_labels_for_fits_ward_data_sets_as_they_are_reached(monkeypatch):

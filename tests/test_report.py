@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_projection_input_validation():
     t = make_table([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(KstError):
         pca_project(t, centroids=[[1.0]])  # wrong width
+
+
+@pytest.mark.parametrize("x", [
+    np.tile([[1e308, -1e308, 1.0], [-1e308, 1e308, 2.0]], (6, 1)),  # rows near +-1e308
+    np.random.default_rng(0).normal(size=(12, 3)) * 1e200,  # finite mean, squares overflow
+    np.full((12, 2), 1.5e308) * np.repeat([[1.0], [-1.0]], 6, axis=0),  # the mean overflows
+])
+def test_projection_covariance_that_overflows_raises(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KstError, match="rescale the data$"):
+            pca_project(make_table(x))
 
 
 # ------------------------------------------------------------------ boxplots

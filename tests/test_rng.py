@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kst.errors import KstError
-from kst.rng import DEFAULT_SEED, _Streams, _subseeds, subseed, substream
+from kst.rng import DEFAULT_SEED, _Streams, _subseeds, substream
 
 
 def test_default_seed_value():
@@ -29,15 +29,15 @@ def test_substream_key_sensitivity():
 
 
 def test_subseed_deterministic_and_nonnegative():
-    vals = {subseed(11, i) for i in range(50)}
+    vals = {_subseeds(11, [(i,)])[0] for i in range(50)}
     assert len(vals) == 50  # distinct keys give distinct seeds
     assert all(v >= 0 for v in vals)
-    assert subseed(11, 3) == subseed(11, 3)
+    assert _subseeds(11, [(3,)])[0] == _subseeds(11, [(3,)])[0]
 
 
 def test_subseed_feeds_default_rng():
     # derived seeds must be valid Generator entropy
-    s = subseed(0, 9, 9)
+    s = _subseeds(0, [(9, 9)])[0]
     np.random.default_rng(s).random()
 
 
@@ -46,7 +46,7 @@ def test_bad_seed_rejected(bad):
     with pytest.raises(KstError):
         substream(bad, 0)
     with pytest.raises(KstError):
-        subseed(bad, 0)
+        _subseeds(bad, [(0,)])[0]
 
 
 # Entropies of 1 to 5 words: SeedSequence hashes each word by its place, so
@@ -73,9 +73,9 @@ def _numpy_stream(seed, key):
 def test_streams_equal_numpys_generators(seeds, keys, data):
     # every stream of one bulk derivation against numpy's own generator of
     # the same SeedSequence, through a random interleaving of random() and
-    # integers(n) on random subsets of the streams in random order, longer
-    # than a block of states: the same values, and each stream ends in the
-    # generator's final state, 32-bit buffer included
+    # integers(n) on random subsets of the streams in random order: the
+    # same values, and each stream ends in the generator's final state,
+    # 32-bit buffer included
     streams = _Streams(seeds, keys)
     gens = [_numpy_stream(seed, key) for seed in seeds for key in keys]
     assert len(streams) == len(gens)
@@ -94,13 +94,13 @@ def test_streams_equal_numpys_generators(seeds, keys, data):
 
 
 def test_streams_draw_all_at_once_in_any_order():
-    # every stream in each draw, in reverse order, past the ends of several
-    # blocks of states, so that all of them start a new block at once
+    # every stream in each draw, in reverse order, so that each draw steps
+    # all of them at once and stores each stream's new state in its own row
     seeds, keys = [3, 2 ** 70], [(0,), (1,), (2,)]
     streams = _Streams(seeds, keys)
     gens = [_numpy_stream(seed, key) for seed in seeds for key in keys]
     rows = np.arange(len(gens))[::-1]
-    for _ in range(24):  # in step: every stream ends its block in the same draw
+    for _ in range(24):  # in step: every stream has drawn as often as the others
         assert streams.random(rows).tolist() == [gens[i].random() for i in rows]
     for n in [400, 400, 1, 2 ** 31 + 1] * 6:
         assert streams.integers(rows, n).tolist() == [gens[i].integers(n) for i in rows]
@@ -114,7 +114,7 @@ def test_subseeds_equal_numpys_seed_sequence(seed, keys):
     want = [int(np.random.SeedSequence(entropy=seed, spawn_key=key)
                 .generate_state(1, dtype=np.uint64)[0] >> 1) for key in keys]
     assert _subseeds(seed, keys) == want
-    assert [subseed(seed, *key) for key in keys] == want
+    assert [_subseeds(seed, [key])[0] for key in keys] == want
 
 
 def test_streams_pinned_values():
@@ -129,7 +129,7 @@ def test_streams_pinned_values():
         1956328972, 273130335, 2134406380, 1445872217]
     assert streams.random(rows).tolist() == [
         0.8765925046098457, 0.30598697685713305, 0.18280248208369365, 0.2818373392922894]
-    assert (subseed(42, 1, 3), subseed(2 ** 130, 2, 7, 5)) == (
+    assert (_subseeds(42, [(1, 3)])[0], _subseeds(2 ** 130, [(2, 7, 5)])[0]) == (
         5715983144786893426, 1523414971074224560)
 
 
