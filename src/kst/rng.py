@@ -89,11 +89,9 @@ def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarr
     """The constants of ``count`` successive SeedSequence hashes: hash t
     xors with ``init * mult**t mod 2**32`` and multiplies by the next power.
     Returns the xor and the multiply constants."""
-    c = init
-    out = [c]
+    out = [init]
     for _ in range(count):
-        c = c * mult & _M32
-        out.append(c)
+        out.append(out[-1] * mult & _M32)
     consts = np.array(out, dtype=_U32)
     consts.setflags(write=False)  # shared by every caller
     return consts[:-1], consts[1:]
