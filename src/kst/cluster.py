@@ -73,7 +73,7 @@ import numpy as np
 from ._json import FieldDict
 from .dataset import MetricTable
 from .errors import KstError
-from .rng import DEFAULT_SEED, _check_ints, _check_seed, _Streams
+from .rng import DEFAULT_SEED, _check_budget, _check_ints, _check_seed, _Streams
 
 
 _BLOCK_ELEMENTS = 1 << 18  # float64 entries per block of distance work: 2 MiB
@@ -412,7 +412,7 @@ def cut_dendrogram(d: Dendrogram, k: int) -> Partition:
     the one-walk cut of :func:`_assign_at_each_k` at a single k, the same
     that the quality criteria take at every k they score.
     """
-    _check_ints(k=k)
+    (k,) = _check_ints(k=k)
     n = len(d.leaves)
     if not 1 <= k <= n:
         raise KstError(f"k must be between 1 and {n}, got {k}")
@@ -819,12 +819,11 @@ def kmeans_fit(
     cluster size (equal sizes ordered by smallest member label) so ids are
     comparable with :func:`cut_dendrogram` output.
     """
-    _check_ints(k=k, n_init=n_init, max_iter=max_iter)
+    k, n_init, max_iter = _check_ints(k=k, n_init=n_init, max_iter=max_iter)
     n = len(m.rows)
     if not 1 <= k <= n:
         raise KstError(f"k must be between 1 and {n}, got {k}")
-    if n_init < 1 or max_iter < 1:
-        raise KstError("n_init and max_iter must be >= 1")
+    _check_budget(n_init, max_iter)
     _check_seed(seed)
     fit = _kmeans_fits([m.data], {0: seed}, k, n_init, max_iter, history=True)[0]
     if isinstance(fit, Exception):

@@ -15,9 +15,10 @@ Ingest is columnar. :func:`parse_samples` turns a file into a :class:`Samples`
 batch: key columns (integer codes for kernel, size, trial and the record's
 metric layout, interned per file, and a platform code) plus one float64 column
 per metric. A present value is finite, so NaN alone marks an absent metric:
-the parsers reject a present non-finite value. Every check runs on whole
-columns and reports the first bad record in file order with its line or record
-number. :func:`read_inputs` joins the batches of several files and checks keys
+the parsers reject a present non-finite value. A CSV text is checked on whole
+columns, and a JSON record by the :class:`RawSample` it becomes; either way the
+first bad record in file order is reported with its line or record number.
+:func:`read_inputs` joins the batches of several files and checks keys
 across them once. :func:`platform_groups` derives GPU rates as column
 divisions and averages trials by sorting the keys once and reducing one
 (groups, trials) block per trial count (:class:`TrialGroups`);
@@ -42,6 +43,7 @@ import numpy as np
 
 from ._json import _as_text, load_json
 from .errors import KstError, ParseError
+from .rng import _is_int
 
 # Metric kinds. The first four constrain the value range of raw tables;
 # "score" is unconstrained and is used for standardized columns and for
@@ -153,12 +155,15 @@ class RawSample:
                            f"got {self.kernel!r}")
         if self.platform not in PLATFORMS:
             raise KstError(f"unknown platform {self.platform!r}")
-        if not isinstance(self.problem_size_bytes, int) or self.problem_size_bytes <= 0:
+        if not _is_int(self.problem_size_bytes) or self.problem_size_bytes <= 0:
             raise KstError(
                 f"problem_size_bytes must be a positive integer, got {self.problem_size_bytes!r}"
             )
-        if not isinstance(self.trial, int) or self.trial < 0:
+        if not _is_int(self.trial) or self.trial < 0:
             raise KstError(f"trial must be a non-negative integer, got {self.trial!r}")
+        # a numpy integer is stored as a Python int, as every key and output holds it
+        object.__setattr__(self, "problem_size_bytes", int(self.problem_size_bytes))
+        object.__setattr__(self, "trial", int(self.trial))
         for name, value in self.values.items():
             try:
                 finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -379,31 +384,23 @@ class TrialGroups:
         return 0.0, ""
 
 
-def _records(keys: _Keys, kernels: Sequence[str], platforms: Sequence[str],
-             sizes: Sequence[int], trials: Sequence[int],
-             values: Sequence[dict[str, float]]) -> Samples:
-    """Columns from per-record Python values."""
-    n = len(kernels)
-    names = dict.fromkeys(name for v in values for name in v)
+def _from_samples(samples: Sequence[RawSample]) -> Samples:
+    """The samples as columns, their keys interned in order of first appearance."""
+    n, keys = len(samples), _Keys()
+    names = dict.fromkeys(name for s in samples for name in s.values)
     cols = Samples(
         keys,
-        np.fromiter((_intern(keys.kernel, k) for k in kernels), np.intp, n),
-        np.fromiter(map(_PLATFORM_CODES.__getitem__, platforms), np.intp, n),
-        np.fromiter((_intern(keys.size, s) for s in sizes), np.intp, n),
-        np.fromiter((_intern(keys.trial, t) for t in trials), np.intp, n),
-        np.fromiter((_intern(keys.layout, tuple(v)) for v in values), np.intp, n),
+        np.fromiter((_intern(keys.kernel, s.kernel) for s in samples), np.intp, n),
+        np.fromiter((_PLATFORM_CODES[s.platform] for s in samples), np.intp, n),
+        np.fromiter((_intern(keys.size, s.problem_size_bytes) for s in samples), np.intp, n),
+        np.fromiter((_intern(keys.trial, s.trial) for s in samples), np.intp, n),
+        np.fromiter((_intern(keys.layout, tuple(s.values)) for s in samples), np.intp, n),
         {name: np.full(n, np.nan) for name in names},
     )
-    for i, v in enumerate(values):
-        for name, value in v.items():
+    for i, s in enumerate(samples):
+        for name, value in s.values.items():
             cols.values[name][i] = value
     return cols
-
-
-def _from_samples(samples: Sequence[RawSample]) -> Samples:
-    return _records(_Keys(), [s.kernel for s in samples], [s.platform for s in samples],
-                    [s.problem_size_bytes for s in samples], [s.trial for s in samples],
-                    [s.values for s in samples])
 
 
 def _samples(cols: Samples) -> list[RawSample]:
@@ -471,20 +468,6 @@ def _raised(make: Callable[[], Any]) -> KstError:
     raise AssertionError("a record failed a column check but not its per-sample rule")
 
 
-def _check_rows(cols: Samples, first: _FirstBad, error_at: Callable[[int], Exception]) -> None:
-    """RawSample's rules on whole columns: a non-empty kernel name without
-    :data:`VARIANT_SEPARATOR`, a positive size, a non-negative trial and a
-    positive GPU time. The parsers reject non-finite values, so NaN is absent.
-    ``error_at(i)`` gives record i's error, in RawSample's words."""
-    keys = cols.keys
-    bad = _flags(keys.kernel, lambda k: not k or VARIANT_SEPARATOR in k)[cols.kernel]
-    bad |= _flags(keys.size, lambda s: s <= 0)[cols.size]
-    bad |= _flags(keys.trial, lambda t: t < 0)[cols.trial]
-    if GPU_TIME_METRIC in cols.values:
-        bad |= cols.values[GPU_TIME_METRIC] <= 0  # False on NaN
-    first.check(bad, error_at)
-
-
 def _as_int(text: str) -> int | None:
     """The integer ``text`` spells, integral floats such as "1e6" included, or None."""
     try:
@@ -529,7 +512,7 @@ def parse_samples(source: str | bytes | IO[bytes] | IO[str], fmt: str = "csv") -
 def read_inputs(paths: Sequence[str], fmt: str = "auto") -> Samples:
     """The samples of several files as one batch, each file read by
     :func:`parse_samples`; ``fmt`` "auto" reads a ``.json`` file as JSON and
-    any other as CSV. One file's batch is returned as parsed. A key repeated
+    any other as CSV. A key repeated
     across the files is an error, and one among the files read before a file
     that fails is reported first."""
     parts: list[Samples] = []
@@ -541,7 +524,7 @@ def read_inputs(paths: Sequence[str], fmt: str = "auto") -> Samples:
     except Exception:
         _join(parts)
         raise
-    samples = parts[0] if len(parts) == 1 else _join(parts)
+    samples = _join(parts)
     if not len(samples):
         raise KstError("input files contain no samples")
     return samples
@@ -748,8 +731,15 @@ def _csv_columns(text: str) -> Samples:
     kernel, platform, size, trial, *values = columns
     layout = np.full(n, _intern(keys.layout, tuple(metric_names)), np.intp)
     cols = Samples(keys, kernel, platform, size, trial, layout, dict(zip(metric_names, values)))
-    _check_rows(cols, first, lambda i: ParseError(
-        str(_raised(lambda: _samples(cols.take([i])))), line(i)))
+    # RawSample's rules on whole columns: a non-empty kernel name without
+    # VARIANT_SEPARATOR, a positive size, a non-negative trial and a positive
+    # GPU time; the cells are finite, so NaN is absent
+    bad = _flags(keys.kernel, lambda k: not k or VARIANT_SEPARATOR in k)[kernel]
+    bad |= _flags(keys.size, lambda s: s <= 0)[size]
+    bad |= _flags(keys.trial, lambda t: t < 0)[trial]
+    if GPU_TIME_METRIC in cols.values:
+        bad |= cols.values[GPU_TIME_METRIC] <= 0  # False on NaN
+    first.check(bad, lambda i: ParseError(str(_raised(lambda: _samples(cols.take([i])))), line(i)))
     first.raise_first()
     return cols
 
@@ -784,8 +774,8 @@ def _noting_repeats(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _json_record(i: int, obj: Any) -> tuple[str, str, int, int, dict[str, float]]:
-    """Record i's fields, in RawSample's argument order."""
+def _json_record(i: int, obj: Any) -> RawSample:
+    """Record i as a RawSample, whose own checks run after the JSON types'."""
     if not isinstance(obj, dict):
         raise ParseError(f"record {i}: expected an object")
     for what, given in (("field", obj), ("metric", obj.get("values"))):
@@ -817,30 +807,17 @@ def _json_record(i: int, obj: Any) -> tuple[str, str, int, int, dict[str, float]
             values[name] = float(value)
         except OverflowError:  # a JSON integer beyond the float range
             raise ParseError(f"record {i}: metric {name!r} is too large for a float") from None
-    if not all(map(math.isfinite, values.values())):  # NaN or Infinity: RawSample's error
-        error = _raised(lambda: RawSample(kernel, platform, size, trial, values))
-        raise ParseError(f"record {i}: {error}")
-    return kernel, platform, size, trial, values
+    try:
+        return RawSample(kernel, platform, size, trial, values)
+    except KstError as exc:
+        raise ParseError(f"record {i}: {exc}") from None
 
 
 def _json_columns(text: str) -> Samples:
     doc = load_json(text, "JSON", _noting_repeats)
     if not isinstance(doc, list):
         raise ParseError("JSON input must be an array of objects")
-    records = []
-    stop = None
-    for i, obj in enumerate(doc):
-        try:
-            records.append(_json_record(i, obj))
-        except ParseError as exc:  # raised after the records before it are checked
-            stop = exc
-            break
-    first = _FirstBad(len(records), stop)
-    cols = _records(_Keys(), *(zip(*records) if records else [()] * 5))
-    _check_rows(cols, first, lambda i: ParseError(
-        f"record {i}: {_raised(lambda: RawSample(*records[i]))}"))
-    first.raise_first()
-    return cols
+    return _from_samples([_json_record(i, obj) for i, obj in enumerate(doc)])
 
 
 def _derive_if_gpu(cols: Samples) -> Samples:
@@ -1036,7 +1013,7 @@ def _table(rows: Samples | TrialGroups, metric_names: Sequence[str],
     platforms = np.unique(rows.platform)
     if len(platforms) > 1:
         raise KstError("samples mix platforms; filter by platform or merge tables instead")
-    if not (size_policy == ALL_SIZES or (isinstance(size_policy, int) and size_policy > 0)):
+    if not (size_policy == ALL_SIZES or (_is_int(size_policy) and size_policy > 0)):
         raise KstError(f"size_policy must be a positive size in bytes or {ALL_SIZES!r}")
     kernels, sizes = list(rows.keys.kernel), list(rows.keys.size)
     dup = _first_repeat(rows.size, rows.kernel)

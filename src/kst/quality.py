@@ -40,7 +40,7 @@ from .cluster import (
 from .cluster import agglomerative_ward  # noqa: F401
 from .dataset import MetricTable
 from .errors import KstError
-from .rng import DEFAULT_SEED, _check_ints, _subseeds, substream
+from .rng import DEFAULT_SEED, _check_budget, _check_ints, _check_seed, _subseeds, substream
 
 CLUSTER_METHODS = ("agglomerative", "kmeans")
 DEFAULT_CRITERIA = ("silhouette", "calinski_harabasz", "dunn", "gap")
@@ -464,6 +464,11 @@ def _fit_all(fit: Callable[[list[int]], Iterator], count: int) -> list:
     return results
 
 
+def _check_references(b: int) -> None:
+    if b < 2:
+        raise KstError(f"gap statistic needs at least 2 reference datasets, got {b}")
+
+
 def gap_statistic(
     m: MetricTable,
     method: str = "kmeans",
@@ -509,17 +514,17 @@ def gap_statistic(
     """
     if method not in CLUSTER_METHODS:
         raise KstError(f"unknown clustering method {method!r}")
-    _check_ints(k_max=k_max, b=b, k_min=k_min, n_init=n_init, max_iter=max_iter)
+    k_max, b, k_min, n_init, max_iter = _check_ints(
+        k_max=k_max, b=b, k_min=k_min, n_init=n_init, max_iter=max_iter)
     n = len(m.rows)
     if not 1 <= k_min <= k_max <= n - 1:
         raise KstError(
             f"need 1 <= k_min <= k_max <= {n - 1} (within-cluster dispersion "
             f"vanishes at k = n), got {k_min}..{k_max}"
         )
-    if b < 2:
-        raise KstError(f"gap statistic needs at least 2 reference datasets, got {b}")
-    if n_init < 1 or max_iter < 1:
-        raise KstError("n_init and max_iter must be >= 1")
+    _check_references(b)
+    _check_budget(n_init, max_iter)
+    _check_seed(seed)
     x = m.data
     ks = list(range(k_min, k_max + 1))
 
@@ -666,20 +671,19 @@ def select_k(
         raise KstError(f"unknown criteria {unknown}; expected a subset of {list(ALL_CRITERIA)}")
     if len(set(criteria)) != len(criteria):
         raise KstError("criteria contains duplicates")
-    _check_ints(gap_b=gap_b, n_init=n_init, max_iter=max_iter)
+    gap_b, n_init, max_iter = _check_ints(gap_b=gap_b, n_init=n_init, max_iter=max_iter)
     n = len(m.rows)
     # a range is bounded by its ends, so a huge one fails without being listed
     ks = k_range if isinstance(k_range, range) else list(k_range)
     if not isinstance(ks, range):
-        _check_ints(**{f"k_range[{i}]": k for i, k in enumerate(ks)})
-        ks = sorted(set(int(k) for k in ks))
+        ks = sorted(set(_check_ints(**{f"k_range[{i}]": k for i, k in enumerate(ks)})))
     if not ks:
         raise KstError("k_range is empty")
     lo, hi = sorted((ks[0], ks[-1]))
     if lo < 1 or hi > n:
         raise KstError(f"k_range must stay within 1..{n}, got {lo}..{hi}")
-    if n_init < 1 or max_iter < 1:
-        raise KstError("n_init and max_iter must be >= 1")
+    _check_budget(n_init, max_iter)
+    _check_seed(seed)
     ks = sorted(ks)
 
     # 1. Each scored criterion's domain, checked before anything is clustered.
@@ -692,6 +696,10 @@ def select_k(
         "davies_bouldin": (davies_bouldin, 2, 0, -1),
         "bic": (bic_score, 1, 0, 1),
     }
+    # The gap statistic's k: below k = n, where the dispersion vanishes, and
+    # consecutive, as its rule compares Gap(k) with Gap(k + 1).
+    gap_ks = [k for k in ks if k <= n - 1]
+    fit_gap = "gap" in criteria and len(gap_ks) >= 2
     scored = {}
     for name in criteria:
         if name != "gap":
@@ -700,11 +708,13 @@ def select_k(
             if not domain:
                 raise KstError(f"criterion {name!r} is not defined on any k in {ks}")
             scored[name] = (score, sign, domain)
+        elif fit_gap:
+            if gap_ks[-1] - gap_ks[0] != len(gap_ks) - 1:
+                raise KstError(f"criterion 'gap' needs consecutive k values, got {gap_ks}")
+            _check_references(gap_b)
 
     # 2. One clustering of m per k serves the partitions the criteria score and
     # the gap statistic's data labels: Ward runs once, k-means once per k.
-    gap_ks = [k for k in ks if k <= n - 1]  # dispersion vanishes at k = n
-    fit_gap = "gap" in criteria and len(gap_ks) >= 2
     needed = set().union(*(domain for _, _, domain in scored.values()))
     fit_ks = sorted(needed.union(gap_ks if fit_gap else ()))
     labels = next(_labels_for([m.data], {0: (1,)}, fit_ks, method, seed, n_init,

@@ -110,6 +110,8 @@ def pca_project(
         cents = np.asarray(centroids, dtype=float)
         if cents.ndim != 2 or cents.shape[1] != d:
             raise KstError(f"centroids must be shaped (k, {d})")
+        if not np.isfinite(cents).all():
+            raise KstError("centroids must be finite")
         cproj = (cents - mean) @ comps.T
         centroid_coords = {c: (float(p[0]), float(p[1])) for c, p in enumerate(cproj)}
     return Projection2D(

@@ -24,7 +24,6 @@ with a signed array promotes to float64.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -61,17 +60,29 @@ def _subseeds(seed: int, keys: Sequence[Sequence[int]]) -> list[int]:
     return (_state_words(_pools([seed], keys), 1)[0, :, 0] >> _U64(1)).tolist()
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise KstError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _check_ints(**counts: object) -> None:
-    """Raise a KstError naming the first of ``counts`` that is not a Python
-    or numpy integer; a bool is not one, as for a seed."""
+def _check_ints(**counts: object) -> list[int]:
+    """``counts``' values as Python ints, in order; a KstError names the
+    first that is not an integer (:func:`_is_int`)."""
     for name, value in counts.items():
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        if not _is_int(value):
             raise KstError(f"{name} must be an integer, got {value!r}")
+    return [int(value) for value in counts.values()]
+
+
+def _check_budget(n_init: int, max_iter: int) -> None:
+    """A k-means fit runs at least one replicate of at least one iteration."""
+    if n_init < 1 or max_iter < 1:
+        raise KstError("n_init and max_iter must be >= 1")
 
 
 def _words(value: int) -> list[int]:
@@ -84,7 +95,6 @@ def _words(value: int) -> list[int]:
     return words
 
 
-@functools.lru_cache(maxsize=64)
 def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The constants of ``count`` successive SeedSequence hashes: hash t
     xors with ``init * mult**t mod 2**32`` and multiplies by the next power.
@@ -93,7 +103,6 @@ def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarr
     for _ in range(count):
         out.append(out[-1] * mult & _M32)
     consts = np.array(out, dtype=_U32)
-    consts.setflags(write=False)  # shared by every caller
     return consts[:-1], consts[1:]
 
 

@@ -22,7 +22,6 @@ from kst.dataset import (
     parse_samples,
     read_inputs,
 )
-from kst import dataset
 from kst.errors import KstError, ParseError
 
 import reference_ingest as ref
@@ -75,6 +74,24 @@ def test_raw_sample_validation():
         RawSample("k", "cpu", 1024, 0, {"m": float("nan")})
     with pytest.raises(KstError):
         RawSample("k", "gpu", 1024, 0, {"gpu.time_sec": 0.0})
+
+
+@pytest.mark.parametrize("field, message", [
+    ("problem_size_bytes", "problem_size_bytes must be a positive integer, got True"),
+    ("trial", "trial must be a non-negative integer, got True"),
+])
+def test_raw_sample_refuses_a_bool_size_or_trial(field, message):
+    # True is an int to Python, but no size or trial number
+    fields = {"kernel": "k", "platform": "cpu", "problem_size_bytes": 1024, "trial": 0,
+              "values": {}, field: True}
+    with pytest.raises(KstError, match=f"^{message}$"):
+        RawSample(**fields)
+
+
+def test_raw_sample_takes_numpy_integers_as_python_ints():
+    s = RawSample("k", "cpu", np.int64(1024), np.uint8(2), {"m": 1.0})
+    assert s == RawSample("k", "cpu", 1024, 2, {"m": 1.0})
+    assert [type(v) for v in s.key()[2:]] == [int, int]
 
 
 @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), 10 ** 5000],
@@ -312,14 +329,13 @@ def test_ingest_summary_of_an_empty_batch_is_a_kst_error():
         ingest_summary(samples)
 
 
-def test_read_inputs_returns_one_files_batch_as_parsed(tmp_path, monkeypatch):
-    # one file has no key to check across files and no codes to intern again
+def test_read_inputs_returns_one_files_batch_as_parsed(tmp_path):
+    # joining one file's batch interns its codes again in their own order
     text = csv_bytes(CPU_HEADER, [["K2", "cpu", 2048, 1, 0.1, 0.7, 0.05, 0.05],
                                   ["K1", "cpu", 1024, 0, 0.2, 0.6, 0.05, 0.05]])
     (tmp_path / "a.csv").write_text(text)
     (tmp_path / "empty.csv").write_text(csv_bytes(CPU_HEADER, []))
     parsed = parse_samples(text)
-    monkeypatch.setattr(dataset, "_join", lambda parts: pytest.fail("one file was joined"))
     samples = read_inputs([str(tmp_path / "a.csv")])
     assert vars(samples.keys) == vars(parsed.keys)
     for name in ("kernel", "platform", "size", "trial", "layout"):
@@ -448,6 +464,18 @@ def test_build_table_all_sizes_variant_labels():
     assert t.rows == ("A", "A@1", "A@2")
     assert t.meta["size_policy"] == "all"
     assert list(t.column_values("topdown.core_bound")) == [0.1, 0.2, 0.3]
+
+
+def test_build_table_size_policy_may_be_a_numpy_integer():
+    samples = [_cpu_sample("B", 1024), _cpu_sample("A", 1024), _cpu_sample("A", 2048)]
+    want = build_table(samples, CPU_TOPDOWN_METRICS, size_policy=1024)
+    got = build_table(samples, CPU_TOPDOWN_METRICS, size_policy=np.int64(1024))
+    assert (got.rows, got.data.tobytes(), got.meta) == (want.rows, want.data.tobytes(), want.meta)
+
+
+def test_build_table_refuses_a_bool_size_policy():
+    with pytest.raises(KstError, match="^size_policy must be a positive size in bytes or 'all'$"):
+        build_table([_cpu_sample("A", 1)], CPU_TOPDOWN_METRICS, size_policy=True)
 
 
 def test_build_table_missing_metric_is_error():

@@ -725,6 +725,16 @@ def test_count_arguments_may_be_numpy_integers(two_blob_table):
     ks = [np.int64(1), np.uint8(2), np.int16(3)]
     assert select_k(t, "kmeans", k_range=ks, seed=2, gap_b=np.int64(4), n_init=np.int64(2)) \
         == select_k(t, "kmeans", k_range=[1, 2, 3], seed=2, gap_b=4, n_init=2)
+    # a narrow type cannot hold the k-means++ chunk arithmetic, 2**15 // (n_init * n)
+    fit = kmeans_fit(t, 2, seed=2, n_init=3)
+    curve = gap_statistic(t, "kmeans", 3, 4, seed=2, n_init=3)
+    report = select_k(t, "kmeans", k_range=[1, 2, 3], seed=2, gap_b=4, n_init=3)
+    for n_init in (np.int8(3), np.int16(3), np.uint8(3)):
+        got = kmeans_fit(t, 2, seed=2, n_init=n_init)
+        assert np.array_equal(got.centroids, fit.centroids)
+        assert (got.assignments, got.inertia_history) == (fit.assignments, fit.inertia_history)
+        assert gap_statistic(t, "kmeans", 3, 4, seed=2, n_init=n_init) == curve
+        assert select_k(t, "kmeans", k_range=[1, 2, 3], seed=2, gap_b=4, n_init=n_init) == report
 
 
 def test_select_k_deterministic(two_blob_table):
@@ -850,6 +860,56 @@ def test_select_k_frees_the_data_distances_before_the_gap_statistic(two_blob_tab
                    n_init=1)
     assert gap_fits == [[True]]
     assert list(rep.criteria) == list(criteria)
+
+
+def _forbid_clustering(monkeypatch) -> None:
+    monkeypatch.setattr(kst.quality, "_labels_for",
+                        lambda *a: pytest.fail("the data was clustered"))
+
+
+@pytest.mark.parametrize("seed", [-1, "x"])
+def test_seed_is_checked_with_the_other_arguments(two_blob_table, monkeypatch, seed):
+    # before any fit, also where no criterion draws from it, and before
+    # gap_statistic warns of a constant feature
+    _forbid_clustering(monkeypatch)
+    message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(KstError, match=message):
+        select_k(two_blob_table[0], "agglomerative", criteria=("silhouette",),
+                 k_range=range(1, 4), seed=seed)
+    t = make_table([[0.0, 0.0], [0.0, 0.1], [0.0, 10.0], [0.0, 10.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KstError, match=message):
+            gap_statistic(t, "kmeans", k_max=3, b=4, seed=seed)
+
+
+def test_select_k_checks_gap_b_before_clustering(two_blob_table, monkeypatch):
+    _forbid_clustering(monkeypatch)
+    with pytest.raises(KstError, match="^gap statistic needs at least 2 reference datasets, got 1$"):
+        select_k(two_blob_table[0], gap_b=1)
+
+
+@pytest.mark.parametrize("method", CLUSTER_METHODS)
+@pytest.mark.parametrize("k_range, listed", [([1, 3], [1, 3]), ([6, 2, 4], [2, 4, 6]),
+                                             (range(2, 8, 2), [2, 4, 6])])
+def test_select_k_gap_needs_consecutive_candidates(two_blob_table, monkeypatch, method,
+                                                    k_range, listed):
+    # the gap rule compares Gap(k) with Gap(k + 1); the other criteria score any k
+    t = two_blob_table[0]
+    _forbid_clustering(monkeypatch)
+    with pytest.raises(KstError, match=re.escape(
+            f"criterion 'gap' needs consecutive k values, got {listed}")):
+        select_k(t, method, k_range=k_range)
+    monkeypatch.undo()
+    report = select_k(t, method, criteria=("silhouette", "bic"), k_range=k_range, n_init=2)
+    assert list(report.criteria["bic"].scores) == listed
+
+
+@pytest.mark.parametrize("method", CLUSTER_METHODS)
+def test_select_k_scores_a_descending_range(two_blob_table, method):
+    t = two_blob_table[0]
+    assert select_k(t, method, k_range=range(8, 1, -1), seed=2, gap_b=4, n_init=2) \
+        == select_k(t, method, k_range=range(2, 9), seed=2, gap_b=4, n_init=2)
 
 
 def test_select_k_checks_every_domain_before_clustering(four_point_line, monkeypatch):

@@ -111,6 +111,13 @@ def test_projection_input_validation():
         pca_project(t, centroids=[[1.0]])  # wrong width
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_refuses_non_finite_centroids(bad):
+    t = make_table([[1.0, 2.0], [3.0, 5.0], [0.0, 1.0]])
+    with pytest.raises(KstError, match="^centroids must be finite$"):
+        pca_project(t, centroids=[[1.0, 2.0], [bad, 0.0]])
+
+
 @pytest.mark.parametrize("x", [
     np.tile([[1e308, -1e308, 1.0], [-1e308, 1e308, 2.0]], (6, 1)),  # rows near +-1e308
     np.random.default_rng(0).normal(size=(12, 3)) * 1e200,  # finite mean, squares overflow
